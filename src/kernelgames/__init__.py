@@ -12,8 +12,7 @@ cli         command-line front end
 """
 
 from .errors import (InfeasibleMoment, KernelGamesError, NoConvergence,
-                     NoRealEigenvalueAtLeastOne, SingularMeanEquation,
-                     SingularSignalCov)
+                     NoRealEigenvalueAtLeastOne, SingularMeanEquation)
 from .grid import (GridFunction, MeasureGrid, inner_product, integrate, norm,
                    uniform_grid)
 from .kernels import (Kernel, SpectralReport, cauchy_schwarz_audit, check_psd,
@@ -33,11 +32,10 @@ from .moments import (BoundsReport, DesignObjective, EquilibriumMoment,
                       construct_canonical_signals, diag_integral,
                       double_integral, objective_value, zero_moment,
                       zeta_integral)
-from .design import (AuditReport, CournotReport, DisclosurePolicy,
-                     PublicReport, RegimeReport, cournot_policy,
-                     global_optimality_audit, moment_from_equilibrium,
-                     optimal_targeted, public_optimum, regime_diagram,
-                     symmetric_coefficients, symmetric_moment,
+from .design import (AuditReport, CournotReport, PublicReport, RegimeReport,
+                     cournot_policy, global_optimality_audit,
+                     moment_from_equilibrium, optimal_targeted, public_optimum,
+                     regime_diagram, symmetric_coefficients, symmetric_moment,
                      targeted_equilibrium_moment, targeted_grid_scan,
                      targeted_value)
 from .montecarlo import (BMEquilibrium, DuplicateReport, MCReport,

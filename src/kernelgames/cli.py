@@ -21,6 +21,7 @@ import numpy as np
 from . import checks, design, game, kernels, moments, montecarlo
 from .errors import KernelGamesError
 from .grid import MeasureGrid, uniform_grid
+from .kernels import _config_number as _number
 from .moments import DesignObjective
 
 EXIT_OK = 0
@@ -73,8 +74,8 @@ def _grid_from_config(cfg: dict) -> MeasureGrid:
     _check_keys(cfg, {"kind", "n", "a", "b"}, {"kind", "n"}, "grid")
     if cfg["kind"] != "uniform":
         raise ConfigError(f"unknown grid kind: {cfg['kind']!r}")
-    return uniform_grid(int(cfg["n"]), float(cfg.get("a", 0.0)),
-                        float(cfg.get("b", 1.0)))
+    return uniform_grid(int(_number(cfg, "n")), _number(cfg, "a", 0.0),
+                        _number(cfg, "b", 1.0))
 
 
 def _grid_config(grid: MeasureGrid) -> dict:
@@ -97,17 +98,17 @@ def _info_from_config(g: game.BasicGame, cfg: dict) -> game.GaussianInfo:
     if kind == "public":
         if extra - {"noise_var"}:
             raise ConfigError("info kind 'public' takes only 'noise_var'")
-        return game.public_info(g, float(cfg.get("noise_var", 0.0)))
+        return game.public_info(g, _number(cfg, "noise_var", 0.0))
     if kind == "private_iid":
         if extra - {"noise_var", "exact_lln"}:
             raise ConfigError("info kind 'private_iid' takes 'noise_var' "
                               "and 'exact_lln'")
-        return game.private_iid_info(g, float(cfg["noise_var"]),
+        return game.private_iid_info(g, _number(cfg, "noise_var"),
                                      exact_lln=bool(cfg.get("exact_lln", True)))
     if kind == "targeted":
         if extra != {"members"}:
             raise ConfigError("info kind 'targeted' takes exactly 'members'")
-        return game.targeted_info(g, np.asarray(cfg["members"], dtype=int))
+        return game.targeted_info(g, cfg["members"])
     raise ConfigError(f"unknown info kind: {kind!r}")
 
 
@@ -171,7 +172,7 @@ def _cmd_spectral(args) -> int:
                 "spectral config")
     grid = _grid_from_config(cfg["grid"])
     K = kernels.kernel_from_config(grid, cfg["kernel"])
-    margin = float(cfg.get("r1_margin", 0.0))
+    margin = _number(cfg, "r1_margin", 0.0)
     report = kernels.spectral_report(K, r1_margin=margin)
     resolved = {"command": "spectral", "grid": _grid_config(grid),
                 "kernel": cfg["kernel"], "r1_margin": margin}
@@ -188,8 +189,8 @@ def _cmd_equilibrium(args) -> int:
     grid = _grid_from_config(cfg["grid"])
     payoff = kernels.kernel_from_config(grid, cfg["payoff"])
     _check_keys(cfg["state"], {"mean", "var"}, {"mean", "var"}, "state")
-    g = game.common_state_game(grid, payoff, float(cfg["state"]["mean"]),
-                               float(cfg["state"]["var"]))
+    g = game.common_state_game(grid, payoff, _number(cfg["state"], "mean"),
+                               _number(cfg["state"], "var"))
     info = _info_from_config(g, cfg["info"])
     method = cfg.get("method", "auto")
     eq = game.solve_linear_equilibrium(g, info, method=method)
@@ -217,19 +218,26 @@ def _moment_from_config(cfg: dict, grid: MeasureGrid, r: float):
                       "state_var", "members"}, {"kind"}, "moment")
     kind = cfg["kind"]
     if kind == "targeted":
-        members = (np.asarray(cfg["members"], int) if "members" in cfg
-                   else np.arange(int(round(float(cfg["m"]) * grid.n))))
+        if "members" in cfg:
+            members = cfg["members"]
+        elif "m" in cfg:
+            m = _number(cfg, "m")
+            if not 0.0 <= m <= 1.0:
+                raise ConfigError("targeted moment 'm' must lie in [0, 1]")
+            members = np.arange(int(round(m * grid.n)))
+        else:
+            raise ConfigError("targeted moment needs 'm' or 'members'")
         return design.targeted_equilibrium_moment(members, r, grid)
     if kind == "symmetric":
         mom, _ = design.symmetric_moment(
-            float(cfg["m"]), r, grid,
+            _number(cfg, "m"), r, grid,
             match_grid_obedience=bool(cfg.get("match_grid_obedience", False)))
         return mom
     if kind == "explicit":
-        xi = kernels.Kernel(grid, np.asarray(cfg["xi"], float), undirected=True)
-        zeta = grid.function(np.asarray(cfg["zeta"], float))
+        xi = kernels.Kernel(grid, cfg.get("xi"), undirected=True)
+        zeta = grid.function(cfg.get("zeta"))
         return moments.EquilibriumMoment(grid, xi, zeta,
-                                         float(cfg.get("state_var", 1.0)))
+                                         _number(cfg, "state_var", 1.0))
     raise ConfigError(f"unknown moment kind: {kind!r}")
 
 
@@ -240,7 +248,7 @@ def _cmd_moments(args) -> int:
     _check_keys(cfg, {"grid", "r", "moment"}, {"grid", "r", "moment"},
                 "moments config")
     grid = _grid_from_config(cfg["grid"])
-    r = float(cfg["r"])
+    r = _number(cfg, "r")
     mom = _moment_from_config(cfg["moment"], grid, r)
     R = kernels.constant_kernel(grid, r)
     obed = moments.check_obedience(mom, R)
@@ -469,23 +477,9 @@ _DISPATCH = {
 }
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("KG_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ConfigError(f"KG_THREADS must be an integer, got {cap!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMBA_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        _apply_thread_cap()
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except ConfigError as exc:

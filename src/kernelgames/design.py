@@ -31,26 +31,6 @@ BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DisclosurePolicy:
-    """One of targeted(set of nodes), symmetric(m), public(z)."""
-
-    kind: str
-    members: tuple = None
-    m: float = None
-    z: float = None
-
-    def __post_init__(self):
-        if self.kind not in ("targeted", "symmetric", "public"):
-            raise ValueError("kind must be targeted, symmetric or public")
-        if self.kind == "targeted" and self.members is None:
-            raise ValueError("targeted policy needs a node set")
-        if self.kind == "symmetric" and not (0.0 <= (self.m or 0.0) <= 1.0):
-            raise ValueError("m must lie in [0, 1]")
-        if self.kind == "public" and not (0.0 <= (self.z or 0.0) <= 1.0):
-            raise ValueError("z must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class RegimeReport:
     regime: str       # one of T1, T2, T3, boundary
     m_star: float
@@ -179,7 +159,7 @@ def targeted_equilibrium_moment(members, r: float,
         raise ValueError("r must be below 1")
     n = grid.n
     mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(members, dtype=int)] = True
+    mask[grid.node_indices(members)] = True
     m = float(grid.weights[mask].sum())
     den = 1.0 - r * m
     xi = np.outer(mask, mask) / den ** 2

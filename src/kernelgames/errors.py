@@ -13,11 +13,6 @@ class NoConvergence(KernelGamesError):
     """An iterative solver failed to reach its tolerance within the cap."""
 
 
-class SingularSignalCov(KernelGamesError):
-    """A signal covariance block is singular beyond what the pseudo-inverse
-    convention can absorb."""
-
-
 class InfeasibleMoment(KernelGamesError):
     """A candidate equilibrium moment violates obedience or positivity."""
 

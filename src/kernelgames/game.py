@@ -20,15 +20,15 @@ from .kernels import Kernel, eigenvalues, operator_matrix, psd_project_tol
 
 
 def _sym_pinv(mat: np.ndarray, cutoff_rel: float = 1e-10) -> np.ndarray:
-    """Pseudo-inverse of a symmetric PSD block with relative spectral cutoff."""
+    """Pseudo-inverse of a symmetric PSD matrix, or of each matrix in a stack
+    (k, d, d), with a relative spectral cutoff."""
     if mat.size == 0:
         return mat
-    lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
-    top = float(lam[-1])
-    if top <= 0.0:
-        return np.zeros_like(mat)
-    inv = np.where(lam > cutoff_rel * top, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-    return (vec * inv) @ vec.T
+    lam, vec = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2)))
+    top = lam[..., -1:]
+    keep = (lam > cutoff_rel * top) & (top > 0.0)
+    inv = np.where(keep, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
+    return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,32 @@ class GaussianInfo:
     def offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.signal_dims)))
 
-    def sig_slice(self, t: int) -> slice:
-        off = self.offsets
-        n = self.grid.n
-        return slice(n + off[t], n + off[t + 1])
+    def _node_of(self) -> np.ndarray:
+        """Node index of each signal coordinate."""
+        return np.repeat(np.arange(self.grid.n), self.signal_dims)
+
+    def _own_pinv(self, x: np.ndarray) -> np.ndarray:
+        """Apply the block-diagonal pseudo-inverse of the nodes' own-signal
+        covariances to the rows of ``x`` (shape (D,) or (D, k)), in place.
+
+        The blocks are factored in one batch per distinct signal dimension.
+        """
+        csig = self.signal_block()
+        starts = self.offsets[:-1]
+        for k in set(self.signal_dims.tolist()):    # np.unique imports numpy.ma
+            rows = starts[self.signal_dims == k, None] + np.arange(k)    # (m, k)
+            pinv = _sym_pinv(csig[rows[:, :, None], rows[:, None, :]])
+            x[rows] = (pinv @ x[rows].reshape(*rows.shape, -1)).reshape(
+                rows.shape + x.shape[1:])
+        return x
+
+    def _block_sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Sum ``x`` over each node's signal block along ``axis`` (D -> n)."""
+        return np.add.reduceat(x, self.offsets[:-1], axis=axis)
+
+    def _own_entries(self, m: np.ndarray) -> np.ndarray:
+        """Entry (i, t) of a (D, n) array for each signal coordinate i of node t."""
+        return m[np.arange(self.total_dim), self._node_of()]
 
     def theta_block(self) -> np.ndarray:
         n = self.grid.n
@@ -208,7 +230,7 @@ def targeted_info(game: BasicGame, members) -> GaussianInfo:
     """Members observe their state exactly; everyone else observes nothing."""
     n = game.grid.n
     mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(members, dtype=int)] = True
+    mask[game.grid.node_indices(members)] = True
     S = game.state_cov.values
     sel = np.outer(mask, mask)
     sig_cov = np.where(sel, S, 0.0)
@@ -260,38 +282,22 @@ def solve_mean(game: BasicGame, tol: float = 1e-9) -> GridFunction:
 
 def _coefficient_system(game: BasicGame, info: GaussianInfo):
     """Assemble (A, rhs) so equilibrium loadings solve c = A c + rhs."""
-    n = game.grid.n
-    D = info.total_dim
-    node_of = np.repeat(np.arange(n), info.signal_dims)
-    Csig = info.signal_block()
-    cross = info.cross_block()                      # (D, n)
-    # block-diagonal pseudo-inverse of each node's own signal covariance
-    P = np.zeros((D, D))
-    off = info.offsets
-    for t in range(n):
-        sl = slice(off[t], off[t + 1])
-        P[sl, sl] = _sym_pinv(Csig[sl, sl])
-    R = game.payoff.values
-    E = R[np.ix_(node_of, node_of)] * game.grid.weights[node_of][None, :]
-    A = P @ (E * Csig)
-    rhs = P @ cross[np.arange(D), node_of]          # P . Cov[x_t, theta(t)]
-    return A, rhs, node_of
+    node_of = info._node_of()
+    A = game.payoff.values[np.ix_(node_of, node_of)] * game.grid.weights[node_of]
+    A *= info.signal_block()
+    A = info._own_pinv(A)
+    rhs = info._own_pinv(info._own_entries(info.cross_block()))  # P Cov[x_t, theta(t)]
+    return A, rhs
 
 
 def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEquilibrium:
-    n = game.grid.n
-    off = info.offsets
-    Csig = info.signal_block()
-    cross = info.cross_block()
-    loadings = tuple(c[off[t]:off[t + 1]].copy() for t in range(n))
-    # Z holds each node's loadings in its own signal block
-    Z = np.zeros((n, info.total_dim))
-    for t in range(n):
-        Z[t, off[t]:off[t + 1]] = loadings[t]
-    xi = Z @ Csig @ Z.T
+    loadings = tuple(np.split(c.copy(), info.offsets[1:-1]))
+    # Cov[f(s), x] summed over node s's block, then against each block of x
+    cov_fx = info._block_sum(c[:, None] * info.signal_block(), axis=0)
+    xi = info._block_sum(cov_fx * c, axis=1)
     xi = 0.5 * (xi + xi.T)
-    zeta = np.diag(Z @ cross)
-    intercept = b - Z @ info.signal_mean
+    zeta = info._block_sum(c * info._own_entries(info.cross_block()))
+    intercept = b - info._block_sum(c * info.signal_mean)
     return LinearEquilibrium(
         grid=game.grid,
         info=info,
@@ -299,7 +305,7 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
         loadings=loadings,
         induced_mean=game.grid.function(b),
         induced_action_cov=Kernel(game.grid, xi, undirected=True),
-        induced_action_state_cov=game.grid.function(zeta.copy()),
+        induced_action_state_cov=game.grid.function(zeta),
         theta_var=game.state_cov.diag().copy(),
     )
 
@@ -320,7 +326,7 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
     if np.max(np.abs(theta - sc)) > 1e-9 * (1.0 + np.abs(sc).max()):
         raise ValueError("information structure theta block does not match the game")
 
-    A, rhs, _ = _coefficient_system(game, info)
+    A, rhs = _coefficient_system(game, info)
     D = rhs.size
     if method == "auto":
         method = "direct" if D <= 10_000 else "fixed_point"

@@ -19,7 +19,10 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _frozen(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    try:
+        a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    except TypeError:
+        raise ValueError("expected an array of numbers") from None
     a.flags.writeable = False
     return a
 
@@ -79,6 +82,16 @@ class MeasureGrid:
         mask = np.zeros(self.n)
         mask[np.asarray(members)] = 1.0
         return GridFunction(self, mask)
+
+    def node_indices(self, idx) -> np.ndarray:
+        """Integer node indices, checked to lie in 0..n-1."""
+        try:
+            arr = np.asarray(idx, dtype=int)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("node indices must be integers") from None
+        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
+            raise ValueError(f"node index out of range 0..{self.n - 1}")
+        return arr
 
     def same_nodes(self, other: "MeasureGrid") -> bool:
         return (

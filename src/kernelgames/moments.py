@@ -94,28 +94,11 @@ def default_positivity_tol(m: EquilibriumMoment) -> float:
     return 1e-8 * max(float(np.trace(m.xi.values)) + m.state_var, 1.0)
 
 
-def check_positivity(m: EquilibriumMoment, tol: float = None,
-                     method: str = "bordered") -> bool:
-    """PSD test of the bordered matrix [[xi, zeta], [zeta', Var theta]].
-
-    ``method='schur'`` instead tests the Schur-complement kernel
-    kappa = xi - zeta zeta' / Var theta (requires positive state variance);
-    the two routes agree whenever the state variance is positive.
-    """
+def check_positivity(m: EquilibriumMoment, tol: float = None) -> bool:
+    """PSD test of the bordered matrix [[xi, zeta], [zeta', Var theta]]."""
     if tol is None:
         tol = default_positivity_tol(m)
-    if method == "bordered":
-        min_eig = float(np.linalg.eigvalsh(m.bordered_matrix())[0])
-        return min_eig >= -tol
-    if method == "schur":
-        if m.state_var <= 0:
-            # zeta vanishes by the type invariant; reduces to xi itself
-            kappa = m.xi.values
-        else:
-            z = m.zeta.values
-            kappa = m.xi.values - np.outer(z, z) / m.state_var
-        return float(np.linalg.eigvalsh(kappa)[0]) >= -tol
-    raise ValueError("method must be 'bordered' or 'schur'")
+    return float(np.linalg.eigvalsh(m.bordered_matrix())[0]) >= -tol
 
 
 def double_integral(m: EquilibriumMoment) -> float:

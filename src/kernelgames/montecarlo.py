@@ -158,38 +158,19 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     zero and negligible spread at every node.
     """
     n = game.grid.n
-    mu_theta = game.state_mean.values
-    mean = np.concatenate([mu_theta, info.signal_mean])
-    sample = sample_gaussian(mean, info.joint_cov, d, seed)
-    draws_theta = sample.draws[:, :n]
-    draws_x = sample.draws[:, n:]
-
-    off = info.offsets
-    joint = info.joint_cov
-    R = game.payoff.values
-    w = game.grid.weights
-    b = eq.induced_mean.values
-    # actions per draw
-    f = np.empty((d, n))
-    for t in range(n):
-        sl = slice(off[t], off[t + 1])
-        f[:, t] = eq.intercepts.values[t] + draws_x[:, sl] @ np.atleast_1d(
-            eq.loadings[t])
-    resid = np.empty((d, n))
-    for t in range(n):
-        sl = slice(n + off[t], n + off[t + 1])
-        own = joint[sl, sl]
-        P = _sym_pinv(own)
-        dev = draws_x[:, off[t]:off[t + 1]] - info.signal_mean[off[t]:off[t + 1]]
-        # E_t[f(t')] for all t': b' + c' Cov[x_t', x_t] P (x_t - mu)
-        gain = np.zeros((n, own.shape[0]))
-        for tp in range(n):
-            slp = slice(n + off[tp], n + off[tp + 1])
-            gain[tp] = np.atleast_1d(eq.loadings[tp]) @ joint[slp, sl]
-        cond_f = b[None, :] + dev @ (P @ gain.T)
-        cond_theta = mu_theta[t] + dev @ (P @ joint[t, sl])
-        rhs = cond_f @ (R[t] * w) + cond_theta
-        resid[:, t] = f[:, t] - rhs
+    mean = np.concatenate([game.state_mean.values, info.signal_mean])
+    x = sample_gaussian(mean, info.joint_cov, d, seed).draws[:, n:]
+    c = eq.loading_vector()
+    Rw = game.payoff.values * game.grid.weights
+    f = eq.intercepts.values + info._block_sum(x * c, axis=1)    # actions per draw
+    # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
+    # k_t = P_t (Cov[x_t, aggregate] + Cov[x_t, theta(t)])
+    cov_x_f = info._block_sum(info.signal_block() * c, axis=1)   # Cov[x, f(t')]
+    k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
+    x -= info.signal_mean
+    x *= k
+    rhs_mean = Rw @ eq.induced_mean.values + game.state_mean.values
+    resid = f - rhs_mean - info._block_sum(x, axis=1)
 
     scale = 1.0 + float(np.sqrt(np.mean(f ** 2)))
     means = resid.mean(axis=0)

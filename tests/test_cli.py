@@ -198,7 +198,49 @@ def test_reproduce_all_quick_manifest(tmp_path):
     assert "targeted_optimum" in names and "bm_example" in names
 
 
-def test_kg_threads_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("KG_THREADS", "lots")
-    assert cli.main(["design", "--mode", "optimum", "--r", "0.2"]) == 1
-    assert "KG_THREADS" in capsys.readouterr().err
+
+# -- malformed configs end in an error line, never a traceback ---------------
+
+_GRID = {"kind": "uniform", "n": 6}
+_STATE = {"mean": 0.0, "var": 1.0}
+_CONST = {"kind": "constant", "r": 0.5}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("moments", {"grid": _GRID, "r": None,
+                 "moment": {"kind": "targeted", "m": 0.5}}),
+    ("spectral", {"grid": _GRID, "kernel": {"kind": "constant", "r": None}}),
+    ("spectral", {"grid": _GRID, "kernel": {"kind": "constant", "r": "half"}}),
+    ("spectral", {"grid": _GRID,
+                  "kernel": {"kind": "graph", "edge_list": [[0, 6]], "rbar": 0.3}}),
+    ("spectral", {"grid": _GRID,
+                  "kernel": {"kind": "graph", "edge_list": [[0, 1]]}}),
+    ("spectral", {"grid": _GRID, "kernel": {
+        "kind": "separable", "r": 1.0,
+        "q_expr": "().__class__.__base__.__subclasses__().__len__() + 0*t"}}),
+    ("spectral", {"grid": {"kind": "uniform", "n": None}, "kernel": _CONST}),
+    ("spectral", {"grid": {"coords": {}, "weights": [1.0]}, "kernel": _CONST}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "targeted", "members": [0, 6]}}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "targeted", "members": [[0, None]]}}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "private_iid"}}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST,
+                     "state": {"mean": [1], "var": 1.0},
+                     "info": {"kind": "none"}}),
+    ("moments", {"grid": _GRID, "r": 0.5, "moment": {"kind": "targeted"}}),
+    ("moments", {"grid": _GRID, "r": 0.5,
+                 "moment": {"kind": "targeted", "m": 1e300}}),
+    ("moments", {"grid": _GRID, "r": 0.5,
+                 "moment": {"kind": "targeted", "members": [7]}}),
+    ("moments", {"grid": _GRID, "r": 0.5, "moment": {"kind": "symmetric"}}),
+    ("moments", {"grid": _GRID, "r": 0.5,
+                 "moment": {"kind": "explicit", "zeta": [0.0] * 6}}),
+])
+def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from kernelgames.errors import NoConvergence, SingularMeanEquation
-from kernelgames.game import (_package_equilibrium, common_state_game,
-                              full_info, info_from_parts, no_info,
+from kernelgames.game import (BasicGame, _package_equilibrium, _sym_pinv,
+                              common_state_game, full_info, info_from_parts,
+                              no_info,
                               private_iid_info, public_info,
                               solve_linear_equilibrium, solve_mean,
                               symmetric_moment_identity, targeted_info,
                               verify_moment_restrictions)
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import Kernel, check_psd, constant_kernel
+from kernelgames.montecarlo import best_response_audit
 
 
 def _bm_info(game, n, var_x=1.0, var_y=1.0, mu=0.0):
@@ -120,6 +122,78 @@ def test_direct_and_fixed_point_agree_under_r1():
                 initial=rng.normal(size=ref.loading_vector().size))
             assert np.max(np.abs(eq.loading_vector()
                                  - ref.loading_vector())) <= 1e-7
+
+
+def _ragged_game_and_info(n=12, seed=31):
+    """Signal dims cycling 1, 2, 3 under a random rank-deficient PSD joint
+    covariance; node 2's three signals repeat one coordinate, so its own
+    block is singular."""
+    rng = np.random.default_rng(seed)
+    g = uniform_grid(n)
+    dims = np.resize([1, 2, 3], n)
+    D = int(dims.sum())
+    B = rng.normal(size=(n + D, n + 4))
+    B[n + 4] = B[n + 3] = B[n + 5]                 # node 2: signals 3, 4, 5
+    J = B @ B.T
+    J = 0.5 * (J + J.T)
+    R = Kernel(g, rng.uniform(-0.6, 0.6, size=(n, n)))
+    game = BasicGame(g, R, g.function(rng.normal(size=n)),
+                     Kernel(g, J[:n, :n], undirected=True))
+    info = info_from_parts(game, dims, rng.normal(size=D), J[n:, n:], J[n:, :n])
+    return game, info
+
+
+def _dense_reference(game, info):
+    """Loadings, xi, zeta and intercepts from the dense block-diagonal P and
+    the n x D loading matrix Z."""
+    n, D = game.grid.n, info.total_dim
+    node_of = np.repeat(np.arange(n), info.signal_dims)
+    off = np.concatenate(([0], np.cumsum(info.signal_dims)))
+    csig = info.joint_cov[n:, n:]
+    cross = info.joint_cov[n:, :n]
+    P = np.zeros((D, D))
+    for t in range(n):
+        sl = slice(off[t], off[t + 1])
+        P[sl, sl] = np.linalg.pinv(csig[sl, sl], rcond=1e-10, hermitian=True)
+    E = game.payoff.values[np.ix_(node_of, node_of)] * game.grid.weights[node_of]
+    c = np.linalg.solve(np.eye(D) - P @ (E * csig),
+                        P @ cross[np.arange(D), node_of])
+    Z = np.zeros((n, D))
+    Z[node_of, np.arange(D)] = c
+    b = solve_mean(game).values
+    return c, Z @ csig @ Z.T, np.diag(Z @ cross), b - Z @ info.signal_mean
+
+
+def test_ragged_signal_dims_match_dense_reference():
+    game, info = _ragged_game_and_info()
+    eq = solve_linear_equilibrium(game, info)
+    c, xi, zeta, intercept = _dense_reference(game, info)
+    assert [len(l) for l in eq.loadings] == list(info.signal_dims)
+    np.testing.assert_allclose(eq.loading_vector(), c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eq.induced_action_cov.values, xi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eq.induced_action_state_cov.values, zeta,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eq.intercepts.values, intercept, rtol=0, atol=1e-12)
+    assert verify_moment_restrictions(eq, game).passed
+    assert best_response_audit(eq, game, info, d=20_000, seed=32).passed
+
+
+def test_batched_sym_pinv_matches_per_block():
+    rng = np.random.default_rng(33)
+    F = rng.normal(size=(3, 3))
+    u = rng.normal(size=3)
+    blocks = np.stack([F @ F.T,                     # full rank
+                       np.zeros((3, 3)),            # zero block
+                       np.outer(u, u),              # rank one
+                       F[:, :2] @ F[:, :2].T,       # rank two
+                       1e-300 * np.eye(3)])         # tiny but positive
+    batched = _sym_pinv(blocks)
+    for blk, inv in zip(blocks, batched):
+        np.testing.assert_allclose(inv, _sym_pinv(blk), rtol=1e-12, atol=0)
+        ref = np.linalg.pinv(blk, rcond=1e-10, hermitian=True)
+        np.testing.assert_allclose(inv, ref, rtol=1e-9,
+                                   atol=1e-12 * np.abs(inv).max())
+    assert not batched[1].any()
 
 
 def test_induced_mean_matches_solve_mean():
@@ -235,7 +309,6 @@ def test_game_rejects_non_psd_state_cov():
     bad = Kernel(g, [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                  undirected=True)
     with pytest.raises(ValueError):
-        from kernelgames.game import BasicGame
         BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0), bad)
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import (Kernel, cauchy_schwarz_audit, check_psd,
+from kernelgames.kernels import (_Q_EXPR_NAMES, Kernel, cauchy_schwarz_audit,
+                                 check_psd,
                                  check_r1, check_r2, constant_kernel,
                                  diagonal_kernel, eigenvalues,
                                  exchangeable_kernel, graph_kernel,
@@ -289,3 +290,46 @@ def test_kernel_from_config_kinds():
         kernel_from_config(g, {"kind": "constant", "r": 0.25, "bogus": 1})
     with pytest.raises(ValueError):
         kernel_from_config(g, {"kind": "mystery"})
+
+
+def test_q_expr_allowed_forms_match_python_eval():
+    g = uniform_grid(9, 0.1, 2.0)
+    expr = ("-(+2.5 * t ** 2 - 1 / (3 + t)) + sin(t) * cos(pi * t) - exp(-t)"
+            " + log(1 + t) + sqrt(t) + abs(t - 1) + tanh(2 * t) + 2 ** -1 + 7")
+    ref = eval(expr, {"__builtins__": {}}, dict(_Q_EXPR_NAMES, t=g.coords))
+    K = kernel_from_config(g, {"kind": "separable", "r": 1.0, "q_expr": expr})
+    assert np.array_equal(K.values, np.outer(ref, ref))
+    K = kernel_from_config(g, {"kind": "separable", "r": 0.5, "q_expr": "-pi"})
+    assert np.array_equal(K.values, np.full((9, 9), 0.5 * np.pi ** 2))
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__.__subclasses__().__len__() + 0*t",   # attribute
+    "t.size + t",
+    "t[0] + t",                                                 # subscript
+    "(lambda: t)()",                                            # lambda
+    "os + t",                                                   # unknown name
+    "sin",                                                      # bare function
+    "sin(t, t)",
+    "sin(x=t)",
+    "t if t else t",
+    "t < 1",
+    "'a'",
+    "True * t",
+    "t +",                                                      # syntax error
+    "1 / 0 + t",
+    "10.0 ** 1000 + t",
+    7,
+])
+def test_q_expr_rejects_everything_else(expr):
+    g = uniform_grid(5)
+    with pytest.raises(ValueError):
+        kernel_from_config(g, {"kind": "separable", "r": 1.0, "q_expr": expr})
+
+
+def test_graph_kernel_rejects_bad_edges():
+    g = uniform_grid(4)
+    for edges in ([(0, 4)], [(-1, 2)], [(0, 1, 2)], [[0, None]], "ab"):
+        with pytest.raises(ValueError):
+            graph_kernel(g, edges, 0.3)
+    assert not graph_kernel(g, [], 0.3).values.any()

@@ -82,28 +82,6 @@ def test_positivity_of_constructed_gaussian_covariance():
         assert check_positivity(m)
 
 
-def test_positivity_bordered_and_schur_agree():
-    rng = np.random.default_rng(22)
-    grid = uniform_grid(8)
-    agree = 0
-    for _ in range(200):
-        B = rng.normal(size=(8, 3))
-        xi = B @ B.T + rng.uniform(-0.5, 0.1) * np.eye(8)
-        xi = 0.5 * (xi + xi.T)
-        if np.any(np.diag(xi) < 0):
-            continue
-        zeta = rng.normal(size=8)
-        try:
-            m = EquilibriumMoment(grid, Kernel(grid, xi, undirected=True),
-                                  grid.function(zeta), 1.0)
-        except ValueError:
-            continue
-        assert (check_positivity(m, method="bordered")
-                == check_positivity(m, method="schur"))
-        agree += 1
-    assert agree > 100
-
-
 # -- bounds ------------------------------------------------------------------
 
 def test_bounds_full_disclosure_ceiling_binds():
