@@ -32,11 +32,6 @@ class CheckResult:
                               else v) for k, v in self.stats.items()}}
 
 
-def _obj_from_alpha_beta(alpha: float, beta: float) -> DesignObjective:
-    # with w = 0: alpha = v, beta = -u
-    return DesignObjective(-beta, alpha, 0.0)
-
-
 # 1 ------------------------------------------------------------------------
 def check_targeted_optimum(triples: int = 10_000, points: int = 1_000_000,
                            seed: int = 20_260_823) -> CheckResult:
@@ -50,7 +45,7 @@ def check_targeted_optimum(triples: int = 10_000, points: int = 1_000_000,
         r = rng.uniform(-2.0, 0.75)
         alpha = rng.uniform(-2.0, 2.0)
         beta = rng.uniform(-2.0, 2.0)
-        obj = _obj_from_alpha_beta(alpha, beta)
+        obj = DesignObjective.from_alpha_beta(alpha, beta)
         rep = design.optimal_targeted(r, obj)
         m_scan, v_scan = design.targeted_grid_scan(r, obj, points)
         dv = abs(rep.v_star - v_scan) / (1.0 + abs(rep.v_star))
@@ -102,7 +97,7 @@ def check_global_audit(samples: int = 500, n: int = 100,
     stats = {}
     ok = True
     for regime, (r, alpha, beta) in cases.items():
-        obj = _obj_from_alpha_beta(alpha, beta)
+        obj = DesignObjective.from_alpha_beta(alpha, beta)
         rep = design.optimal_targeted(r, obj)
         if rep.regime != regime:
             ok = False
@@ -160,7 +155,7 @@ def check_public_gap(points: int = 200, seed: int = 11) -> CheckResult:
         r = rng.uniform(-2.0, 0.9)
         alpha = rng.uniform(-2.0, 2.0)
         beta = rng.uniform(-2.0, 2.0)
-        obj = _obj_from_alpha_beta(alpha, beta)
+        obj = DesignObjective.from_alpha_beta(alpha, beta)
         rep = design.optimal_targeted(r, obj)
         if rep.regime != "T2":
             continue

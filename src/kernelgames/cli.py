@@ -28,6 +28,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
+#: Most grid nodes a config may ask for; a dense joint covariance of a grid
+#: this size with one signal per node takes 128 MB.
+MAX_GRID_NODES = 2048
+
 
 class ConfigError(ValueError):
     """Malformed configuration or command line."""
@@ -74,8 +78,11 @@ def _grid_from_config(cfg: dict) -> MeasureGrid:
     _check_keys(cfg, {"kind", "n", "a", "b"}, {"kind", "n"}, "grid")
     if cfg["kind"] != "uniform":
         raise ConfigError(f"unknown grid kind: {cfg['kind']!r}")
-    return uniform_grid(int(_number(cfg, "n")), _number(cfg, "a", 0.0),
-                        _number(cfg, "b", 1.0))
+    n = _number(cfg, "n")
+    if n != int(n) or not 1 <= n <= MAX_GRID_NODES:
+        raise ConfigError(f"grid 'n' must be an integer in [1, {MAX_GRID_NODES}], "
+                          f"got {cfg['n']!r}")
+    return uniform_grid(int(n), _number(cfg, "a", 0.0), _number(cfg, "b", 1.0))
 
 
 def _grid_config(grid: MeasureGrid) -> dict:

@@ -365,8 +365,6 @@ def regime_diagram(r: float, alpha_range, beta_range, resolution: int):
     rows = []
     for a in alphas:
         for b in betas:
-            # invert (alpha, beta) -> (u, v, w): w = 0 gives beta = -u
-            obj = DesignObjective(-b, a, 0.0)
-            rep = optimal_targeted(r, obj)
+            rep = optimal_targeted(r, DesignObjective.from_alpha_beta(a, b))
             rows.append((float(a), float(b), rep.regime, rep.m_star, rep.v_star))
     return rows

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
 from .grid import GridFunction, MeasureGrid, _frozen
-from .kernels import Kernel, eigenvalues, operator_matrix, psd_project_tol
+from .kernels import (Kernel, eigenvalues, operator_matrix, psd_project_tol,
+                      psd_within)
 
 
 def _sym_pinv(mat: np.ndarray, cutoff_rel: float = 1e-10) -> np.ndarray:
@@ -29,6 +30,16 @@ def _sym_pinv(mat: np.ndarray, cutoff_rel: float = 1e-10) -> np.ndarray:
     keep = (lam > cutoff_rel * top) & (top > 0.0)
     inv = np.where(keep, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
     return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
+
+
+def _require_psd(sym: np.ndarray, name: str) -> None:
+    """ValueError naming the smallest eigenvalue unless ``sym`` (writable,
+    symmetric) is PSD within ``psd_project_tol``."""
+    tol = psd_project_tol(sym)
+    if not psd_within(sym, tol):
+        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        raise ValueError(f"{name} must be positive semidefinite (min eigenvalue "
+                         f"{min_eig:.3e} < -tol {tol:.1e})")
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,7 @@ class BasicGame:
                 raise ValueError("all game components must share the grid")
         if not self.state_cov.undirected:
             raise ValueError("state covariance must be undirected")
-        min_eig = float(np.linalg.eigvalsh(self.state_cov.values)[0])
-        if min_eig < -psd_project_tol(self.state_cov.values):
-            raise ValueError("state covariance must be positive semidefinite")
+        _require_psd(self.state_cov.values.copy(), "state covariance")
 
     def is_common_state(self, tol: float = 1e-9) -> bool:
         v = self.state_cov.values
@@ -92,16 +101,18 @@ class GaussianInfo:
             raise ValueError("signal_mean length must equal total signal dimension")
         if cov.shape != (total, total):
             raise ValueError("joint_cov must cover the theta block and all signals")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * (1 + np.abs(cov).max())):
+        scale = max(float(cov.max()), -float(cov.min()))  # non-finite iff an entry is
+        if not np.isfinite(scale):
+            raise ValueError("joint_cov must be finite")
+        sym = np.subtract(cov, cov.T)
+        if np.abs(sym, out=sym).max() > 1e-12 * (1 + scale):
             raise ValueError("joint_cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig < -psd_project_tol(cov):
-            raise ValueError("joint_cov must be positive semidefinite")
+        sym = np.multiply(np.add(cov, cov.T, out=sym), 0.5, out=sym)
+        _require_psd(sym, "joint_cov")
         dims.flags.writeable = False
         object.__setattr__(self, "signal_dims", dims)
         object.__setattr__(self, "signal_mean", mean)
-        object.__setattr__(self, "joint_cov", _frozen(cov))
+        object.__setattr__(self, "joint_cov", _frozen(sym))
 
     @property
     def total_dim(self) -> int:

@@ -377,3 +377,25 @@ def hadamard_eigen_bound(K: Kernel, R: Kernel) -> tuple:
 def psd_project_tol(values: np.ndarray) -> float:
     """Default PSD tolerance used for covariance validation."""
     return 1e-8 * max(float(np.trace(values)), 1.0)
+
+
+def psd_within(sym: np.ndarray, tol: float) -> bool:
+    """True iff the symmetric matrix ``sym`` has no eigenvalue below -tol.
+
+    Decided by a Cholesky factorization of sym + tol * I, which exists exactly
+    when the smallest eigenvalue exceeds -tol; its rounding error, about
+    N * eps * ||sym||, is far below any tolerance of at least 1e-8 * ||sym||.
+    The diagonal of ``sym`` (writable, lower triangle read) is shifted in
+    place and restored before returning, so ``sym`` comes back bit for bit.
+    """
+    if not tol > 0:
+        raise ValueError(f"PSD tolerance must be positive, got {tol!r}")
+    diag = sym.diagonal().copy()
+    np.fill_diagonal(sym, diag + tol)
+    try:
+        np.linalg.cholesky(sym)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(sym, diag)

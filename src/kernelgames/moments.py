@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InfeasibleMoment
 from .game import BasicGame, GaussianInfo, _assemble_info, solve_mean
 from .grid import GridFunction, MeasureGrid
-from .kernels import Kernel, check_r2, operator_matrix
+from .kernels import Kernel, check_r2, operator_matrix, psd_within
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,11 @@ class DesignObjective:
     def beta(self, r: float) -> float:
         return r * self.w - self.u
 
+    @classmethod
+    def from_alpha_beta(cls, alpha: float, beta: float) -> "DesignObjective":
+        """The objective with w = 0, so alpha = v and beta = -u for every r."""
+        return cls(-beta, alpha, 0.0)
+
 
 def zero_moment(grid: MeasureGrid, state_var: float = 1.0) -> EquilibriumMoment:
     return EquilibriumMoment(
@@ -95,10 +100,11 @@ def default_positivity_tol(m: EquilibriumMoment) -> float:
 
 
 def check_positivity(m: EquilibriumMoment, tol: float = None) -> bool:
-    """PSD test of the bordered matrix [[xi, zeta], [zeta', Var theta]]."""
+    """PSD test of the bordered matrix [[xi, zeta], [zeta', Var theta]]: no
+    eigenvalue below -tol, for a positive ``tol``."""
     if tol is None:
         tol = default_positivity_tol(m)
-    return float(np.linalg.eigvalsh(m.bordered_matrix())[0]) >= -tol
+    return psd_within(m.bordered_matrix(), tol)
 
 
 def double_integral(m: EquilibriumMoment) -> float:

@@ -237,6 +237,10 @@ _CONST = {"kind": "constant", "r": 0.5}
     ("moments", {"grid": _GRID, "r": 0.5, "moment": {"kind": "symmetric"}}),
     ("moments", {"grid": _GRID, "r": 0.5,
                  "moment": {"kind": "explicit", "zeta": [0.0] * 6}}),
+    ("spectral", {"grid": {"kind": "uniform", "n": 1e18}, "kernel": _CONST}),
+    ("spectral", {"grid": {"kind": "uniform", "n": 2.7}, "kernel": _CONST}),
+    ("spectral", {"grid": {"kind": "uniform", "n": cli.MAX_GRID_NODES + 1},
+                  "kernel": _CONST}),
 ])
 def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     path = _write(tmp_path, "cfg.json", cfg)

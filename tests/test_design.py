@@ -13,9 +13,7 @@ from kernelgames.kernels import constant_kernel
 from kernelgames.moments import DesignObjective, objective_value
 
 
-def _obj(alpha, beta):
-    # with w = 0 the derived weights are alpha = v, beta = -u
-    return DesignObjective(-beta, alpha, 0.0)
+_obj = DesignObjective.from_alpha_beta
 
 
 # -- targeted value and optimum ----------------------------------------------

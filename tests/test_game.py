@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from kernelgames.errors import NoConvergence, SingularMeanEquation
-from kernelgames.game import (BasicGame, _package_equilibrium, _sym_pinv,
-                              common_state_game, full_info, info_from_parts,
+from kernelgames.game import (BasicGame, GaussianInfo, _package_equilibrium,
+                              _sym_pinv, common_state_game, full_info, info_from_parts,
                               no_info,
                               private_iid_info, public_info,
                               solve_linear_equilibrium, solve_mean,
@@ -308,8 +310,59 @@ def test_game_rejects_non_psd_state_cov():
     g = uniform_grid(3)
     bad = Kernel(g, [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                  undirected=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"state covariance must be positive "
+                       r"semidefinite \(min eigenvalue -1\.000e\+00 < -tol"):
         BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0), bad)
+
+
+def _info_of(joint, n=3):
+    return GaussianInfo(uniform_grid(n), np.ones(n, int), np.zeros(n), joint)
+
+
+def test_info_rejects_non_psd_joint_cov_with_min_eigenvalue():
+    joint = np.eye(6)
+    joint[5, 5] = -0.1
+    with pytest.raises(ValueError, match=r"joint_cov must be positive "
+                       r"semidefinite \(min eigenvalue -1\.000e-01 < -tol "
+                       r"4\.9e-08\)"):
+        _info_of(joint)
+
+
+def test_info_rejects_asymmetric_joint_cov():
+    joint = np.eye(6)
+    joint[0, 4] = 1e-3
+    with pytest.raises(ValueError, match="joint_cov must be symmetric"):
+        _info_of(joint)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_info_rejects_non_finite_joint_cov_without_warning(bad):
+    joint = np.eye(6)
+    joint[1, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="joint_cov must be finite"):
+            _info_of(joint)
+
+
+def test_info_symmetrizes_without_touching_the_input():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 6))
+    joint = x @ x.T
+    joint[0, 4] += 1e-14     # asymmetry inside the tolerance
+    before = joint.copy()
+    info = _info_of(joint)
+    assert np.array_equal(info.joint_cov, 0.5 * (before + before.T))
+    assert np.array_equal(joint, before)
+
+
+def test_info_accepts_rank_deficient_joint_cov():
+    g = uniform_grid(400)
+    game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
+    full = full_info(game)       # rank one: every entry of the 800 x 800 is 1
+    assert np.all(full.joint_cov == 1.0)
+    none = no_info(game)         # zero signal block
+    assert not np.any(none.signal_block())
 
 
 def test_info_grid_mismatch_rejected():

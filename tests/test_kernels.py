@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (_Q_EXPR_NAMES, Kernel, cauchy_schwarz_audit,
@@ -9,9 +11,9 @@ from kernelgames.kernels import (_Q_EXPR_NAMES, Kernel, cauchy_schwarz_audit,
                                  exchangeable_kernel, graph_kernel,
                                  hadamard_eigen_bound, kernel_from_config,
                                  numerical_range_bounds, operator_matrix,
-                                 operator_norm_bound, rayleigh_quotient,
-                                 separable_kernel, spectral_report,
-                                 unidirectional_kernel)
+                                 operator_norm_bound, psd_within,
+                                 rayleigh_quotient, separable_kernel,
+                                 spectral_report, unidirectional_kernel)
 
 
 def _random_kernel(rng, n, undirected):
@@ -185,6 +187,47 @@ def test_cauchy_schwarz_audit_examples():
         K = Kernel(g, 0.5 * (vals + vals.T), undirected=True)
         assert check_psd(K)
         assert cauchy_schwarz_audit(K) <= 1e-10
+
+
+def _with_spectrum(rng, eigs):
+    q, _ = np.linalg.qr(rng.normal(size=(eigs.size, eigs.size)))
+    m = (q * eigs) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), zeros=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1), log_tol=st.floats(-8.0, -2.0),
+       depth=st.floats(-1.0, 3.0))
+def test_psd_within_matches_min_eigenvalue(n, zeros, seed, log_tol, depth):
+    # spectrum in [0, 1] with `zeros` exact zeros and one eigenvalue at
+    # -depth * tol; the gate must agree with eigvalsh away from -tol
+    tol = 10.0 ** log_tol
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(0.0, 1.0, n)
+    eigs[:zeros] = 0.0
+    eigs[0] = -depth * tol
+    m = _with_spectrum(rng, eigs)
+    min_eig = np.linalg.eigvalsh(m)[0]
+    assume(abs(min_eig + tol) > 0.01 * tol)
+    assert psd_within(m, tol) == (min_eig >= -tol)
+
+
+@pytest.mark.parametrize("depth", [0.5, 2.0])
+def test_psd_within_restores_input_bit_for_bit(depth):
+    rng = np.random.default_rng(5)
+    eigs = rng.uniform(0.0, 1.0, 50)
+    eigs[0] = -depth * 1e-6
+    m = _with_spectrum(rng, eigs)
+    before = m.copy()
+    assert psd_within(m, 1e-6) == (depth < 1.0)
+    assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_psd_within_needs_positive_tol(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        psd_within(np.eye(3), tol)
 
 
 def test_psd_closure_under_sum_and_entrywise_product():
