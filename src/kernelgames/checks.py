@@ -203,7 +203,6 @@ def _random_r1_game(rng: np.random.Generator, n: int):
     values = rng.uniform(-0.9, 0.9, size=(n, n))
     if rng.uniform() < 0.5:
         values = 0.5 * (values + values.T)
-        values = 0.5 * (values + values.T)  # exact symmetry
         kern = Kernel(uniform_grid(n), values, undirected=True)
     else:
         kern = Kernel(uniform_grid(n), values, undirected=False)
@@ -254,7 +253,6 @@ def _random_kernel(rng: np.random.Generator) -> Kernel:
     grid = uniform_grid(n)
     values = rng.normal(size=(n, n))
     if rng.uniform() < 0.5:
-        values = 0.5 * (values + values.T)
         return Kernel(grid, 0.5 * (values + values.T), undirected=True)
     return Kernel(grid, values, undirected=False)
 
@@ -298,7 +296,6 @@ def check_spectral_suite(n_kernels: int = 50, n_pairs: int = 100,
         G = B @ B.T
         d = np.sqrt(np.diag(G))
         corr = G / np.outer(d, d)
-        corr = 0.5 * (corr + corr.T)
         K = Kernel(grid, 0.5 * (corr + corr.T), undirected=True)
         Rv = rng.normal(size=(n, n))
         R = Kernel(grid, Rv, undirected=False)

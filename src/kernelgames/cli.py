@@ -191,21 +191,20 @@ def _cmd_equilibrium(args) -> int:
     if not args.config:
         raise ConfigError("equilibrium requires --config")
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "payoff", "state", "info", "method"},
-                {"grid", "payoff", "state", "info"}, "equilibrium config")
+    keys = {"grid", "payoff", "state", "info"}
+    _check_keys(cfg, keys, keys, "equilibrium config")
     grid = _grid_from_config(cfg["grid"])
     payoff = kernels.kernel_from_config(grid, cfg["payoff"])
     _check_keys(cfg["state"], {"mean", "var"}, {"mean", "var"}, "state")
     g = game.common_state_game(grid, payoff, _number(cfg["state"], "mean"),
                                _number(cfg["state"], "var"))
     info = _info_from_config(g, cfg["info"])
-    method = cfg.get("method", "auto")
-    eq = game.solve_linear_equilibrium(g, info, method=method)
+    eq = game.solve_linear_equilibrium(g, info)
     tol = args.tol if args.tol is not None else 1e-8
     mrep = game.verify_moment_restrictions(eq, g, tol=tol)
     resolved = {"command": "equilibrium", "grid": _grid_config(grid),
                 "payoff": cfg["payoff"], "state": cfg["state"],
-                "info": cfg["info"], "method": method, "tol": tol}
+                "info": cfg["info"], "method": "direct", "tol": tol}
     payload = {
         "config": resolved,
         "intercepts": eq.intercepts.values.tolist(),
@@ -418,30 +417,39 @@ def _cmd_reproduce_all(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+#: flags shared by several subcommands; each subcommand takes only those it
+#: reads, and no abbreviations, so a flag it would ignore is a usage error
+_SHARED_FLAGS = {
+    "config": dict(metavar="PATH", help="JSON configuration file"),
+    "seed": dict(type=int, default=0, metavar="N"),
+    "out": dict(metavar="PATH", help="output artifact (defaults to stdout)"),
+    "tol": dict(type=float, default=None, metavar="X",
+                help="override the default check tolerance"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kernelgames",
                      description="Large-population kernel-interaction games: "
                                  "spectra, equilibria, moments, disclosure "
                                  "design, and stochastic verification.")
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON configuration file")
-    common.add_argument("--seed", type=int, default=0, metavar="N")
-    common.add_argument("--out", metavar="PATH",
-                        help="output artifact (defaults to stdout)")
-    common.add_argument("--tol", type=float, default=None, metavar="X",
-                        help="override the default check tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("spectral", parents=[common],
-                   help="spectral report for a kernel on a grid")
-    sub.add_parser("equilibrium", parents=[common],
-                   help="solve and verify a linear equilibrium")
-    sub.add_parser("moments", parents=[common],
-                   help="obedience, positivity and bounds for a moment")
+    def subcommand(name, flags, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("design", parents=[common],
-                       help="optimal disclosure analysis")
+    subcommand("spectral", ("config", "out"),
+               "spectral report for a kernel on a grid")
+    subcommand("equilibrium", ("config", "out", "tol"),
+               "solve and verify a linear equilibrium")
+    subcommand("moments", ("config", "out", "tol"),
+               "obedience, positivity and bounds for a moment")
+
+    p = subcommand("design", ("seed", "out", "tol"),
+                   "optimal disclosure analysis")
     p.add_argument("--mode", required=True,
                    choices=("optimum", "diagram", "cournot", "audit"))
     p.add_argument("--r", type=float, default=0.5)
@@ -458,16 +466,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--n", type=int, default=100)
 
-    p = sub.add_parser("mc", parents=[common],
-                       help="seeded stochastic verification")
+    p = subcommand("mc", ("seed", "out"), "seeded stochastic verification")
     p.add_argument("--check", required=True,
                    choices=("aggregate", "duplicate", "bm"))
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--r", type=float, default=2.0)
 
-    p = sub.add_parser("reproduce-all", parents=[common],
-                       help="run every verification battery, write a manifest")
+    p = subcommand("reproduce-all", (),
+                   "run every verification battery, write a manifest")
     p.add_argument("--outdir", default="reproduction")
     p.add_argument("--quick", action="store_true",
                    help="reduced sample counts for a fast smoke run")

@@ -75,12 +75,6 @@ def optimal_targeted(r: float, obj: DesignObjective) -> RegimeReport:
     return RegimeReport("T3", 1.0, (a - b) / (1.0 - r) ** 2, a, b, r)
 
 
-try:                                   # optional speed-up for the big scans
-    from numba import njit as _njit
-except ImportError:                    # pragma: no cover
-    _njit = None
-
-
 #: points per chunk of the numpy scan: the index base and three float buffers
 #: of this size (1 MB) stay in cache
 _SCAN_CHUNK = 32_768
@@ -120,22 +114,7 @@ def _scan_kernel_py(r, a, b, points):
     return best_j, best_v
 
 
-if _njit is not None:
-    @_njit(cache=True, fastmath=False)
-    def _scan_kernel_jit(r, a, b, points):  # pragma: no cover - compiled
-        step = 1.0 / (points - 1)
-        best_v = -1e300
-        best_j = 0
-        for j in range(points):
-            m = j * step
-            den = 1.0 - r * m
-            v = (a * m - b * m * m) / (den * den)
-            if v > best_v:
-                best_v = v
-                best_j = j
-        return best_j, best_v
-else:
-    _scan_kernel_jit = None
+_scan_kernel_jit = None  # no compiled scan; perfbench/run.py reports the backend from it
 
 
 def targeted_grid_scan(r: float, obj: DesignObjective,
@@ -145,8 +124,7 @@ def targeted_grid_scan(r: float, obj: DesignObjective,
     if r >= 1.0:
         raise ValueError("r must be below 1")
     a, b = obj.alpha, obj.beta(r)
-    kernel = _scan_kernel_jit if _scan_kernel_jit is not None else _scan_kernel_py
-    j, best_v = kernel(float(r), float(a), float(b), int(points))
+    j, best_v = _scan_kernel_py(float(r), float(a), float(b), int(points))
     return j / (points - 1), float(best_v)
 
 

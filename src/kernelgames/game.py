@@ -321,15 +321,21 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
     )
 
 
+#: relative step size at which the fixed-point iteration stops, and its cap
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 100_000
+
+
 def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
-                             method: str = "auto", tol: float = 1e-12,
-                             max_iter: int = 100_000,
+                             method: str = "direct",
                              initial: np.ndarray = None) -> LinearEquilibrium:
     """Matching-coefficient solution of the linear Bayesian equilibrium.
 
-    ``method`` is one of ``auto`` (direct below 10^4 coefficients, otherwise
-    fixed-point), ``direct`` or ``fixed_point``.
+    ``method`` is ``direct`` (one dense solve) or ``fixed_point``, the
+    iteration c <- A c + rhs from ``initial`` that converges under (R1).
     """
+    if method not in ("direct", "fixed_point"):
+        raise ValueError(f"method must be 'direct' or 'fixed_point', got {method!r}")
     if not info.grid.same_nodes(game.grid):
         raise ValueError("game and information structure grids differ")
     theta = info.theta_block()
@@ -339,28 +345,24 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
 
     A, rhs = _coefficient_system(game, info)
     D = rhs.size
-    if method == "auto":
-        method = "direct" if D <= 10_000 else "fixed_point"
     if method == "direct":
         try:
             c = np.linalg.solve(np.eye(D) - A, rhs)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"direct coefficient solve failed: {exc}") from exc
-    elif method == "fixed_point":
-        c = np.zeros(D) if initial is None else np.asarray(initial, float).copy()
+    else:
+        c = np.zeros(D) if initial is None else np.asarray(initial, float)
         bound = 1e12 * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-        for _ in range(max_iter):
+        for _ in range(FIXED_POINT_MAX_ITER):
             c_next = A @ c + rhs
             if not np.all(np.isfinite(c_next)) or np.max(np.abs(c_next)) > bound:
                 raise NoConvergence("fixed-point iteration diverged")
-            if np.max(np.abs(c_next - c)) <= tol * (1.0 + np.max(np.abs(c_next))):
-                c = c_next
-                break
+            step = np.max(np.abs(c_next - c))
             c = c_next
+            if step <= FIXED_POINT_TOL * (1.0 + np.max(np.abs(c))):
+                break
         else:
             raise NoConvergence("fixed-point iteration cap reached")
-    else:
-        raise ValueError("method must be 'auto', 'direct' or 'fixed_point'")
 
     res = c - (A @ c + rhs)
     if np.max(np.abs(res), initial=0.0) > 1e-8 * (1.0 + np.max(np.abs(c), initial=0.0)):

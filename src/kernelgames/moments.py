@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InfeasibleMoment
 from .game import BasicGame, GaussianInfo, _assemble_info, solve_mean
 from .grid import GridFunction, MeasureGrid
-from .kernels import Kernel, check_r2, operator_matrix, psd_within
+from .kernels import Kernel, check_r2, operator_matrix, psd_project_tol, psd_within
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,11 @@ def default_obedience_tol(m: EquilibriumMoment) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(m.xi.values))))
 
 
-def default_positivity_tol(m: EquilibriumMoment) -> float:
-    return 1e-8 * max(float(np.trace(m.xi.values)) + m.state_var, 1.0)
-
-
 def check_positivity(m: EquilibriumMoment, tol: float = None) -> bool:
-    """PSD test of the bordered matrix [[xi, zeta], [zeta', Var theta]]: no
-    eigenvalue below -tol, for a positive ``tol``."""
-    if tol is None:
-        tol = default_positivity_tol(m)
-    return psd_within(m.bordered_matrix(), tol)
+    """PSD test of the bordered matrix M = [[xi, zeta], [zeta', Var theta]]: no
+    eigenvalue below -tol, for a positive ``tol`` (default ``psd_project_tol(M)``)."""
+    M = m.bordered_matrix()
+    return psd_within(M, psd_project_tol(M) if tol is None else tol)
 
 
 def double_integral(m: EquilibriumMoment) -> float:

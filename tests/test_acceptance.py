@@ -20,10 +20,6 @@ def _run(fn, **kwargs):
 
 
 def test_01_targeted_optimum_vs_grid_scan():
-    # warm up the compiled scan kernel outside the timed budget
-    from kernelgames.design import targeted_grid_scan
-    from kernelgames.moments import DesignObjective
-    targeted_grid_scan(0.0, DesignObjective(0.0, 1.0, 0.0), points=1001)
     res, dt = _run(checks.check_targeted_optimum,
                    triples=10_000, points=1_000_000)
     assert res.passed

@@ -241,10 +241,48 @@ _CONST = {"kind": "constant", "r": 0.5}
     ("spectral", {"grid": {"kind": "uniform", "n": 2.7}, "kernel": _CONST}),
     ("spectral", {"grid": {"kind": "uniform", "n": cli.MAX_GRID_NODES + 1},
                   "kernel": _CONST}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "none"}, "method": "direct"}),
 ])
 def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     path = _write(tmp_path, "cfg.json", cfg)
     assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# -- a flag the subcommand does not read is a usage error --------------------
+
+_VALID_CFG = {
+    "spectral": {"grid": _GRID, "kernel": _CONST},
+    "equilibrium": {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                    "info": {"kind": "none"}},
+    "moments": {"grid": _GRID, "r": 0.5,
+                "moment": {"kind": "targeted", "m": 0.5}},
+}
+_MC = ["mc", "--check", "aggregate", "--n", "25", "--draws", "20000"]
+
+
+# each argv runs and exits 0 once its last flag is removed
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--config", "{spectral}", "--seed", "1"],
+    ["spectral", "--config", "{spectral}", "--tol", "1e-6"],
+    ["equilibrium", "--config", "{equilibrium}", "--seed", "1"],
+    ["moments", "--config", "{moments}", "--seed", "1"],
+    ["design", "--mode", "optimum", "--config", "{spectral}"],
+    _MC + ["--config", "/nonexistent.json"],
+    _MC + ["--tol", "7"],
+    ["reproduce-all", "--quick", "--outdir", "{tmp}", "--config", "{spectral}"],
+    ["reproduce-all", "--quick", "--outdir", "{tmp}", "--seed", "1"],
+    ["reproduce-all", "--quick", "--outdir", "{tmp}", "--out", "{tmp}/m.json"],
+    ["reproduce-all", "--quick", "--outdir", "{tmp}", "--tol", "1e-6"],
+])
+def test_ignored_flag_is_input_error(tmp_path, capsys, argv):
+    paths = {name: _write(tmp_path, f"{name}.json", cfg)
+             for name, cfg in _VALID_CFG.items()}
+    argv = [a.format(tmp=tmp_path, **paths) for a in argv]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

@@ -110,6 +110,13 @@ def test_fixed_point_diverges_outside_r1():
         solve_linear_equilibrium(game, full_info(game), method="fixed_point")
 
 
+def test_solver_method_is_explicit():
+    g = uniform_grid(4)
+    game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
+    with pytest.raises(ValueError, match="'direct' or 'fixed_point'"):
+        solve_linear_equilibrium(game, full_info(game), method="auto")
+
+
 def test_direct_and_fixed_point_agree_under_r1():
     rng = np.random.default_rng(11)
     g = uniform_grid(20)
