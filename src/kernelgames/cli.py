@@ -71,6 +71,13 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _node_count(value, where: str, low: int) -> int:
+    if value != int(value) or not low <= value <= MAX_GRID_NODES:
+        raise ConfigError(f"{where} must be an integer in [{low}, "
+                          f"{MAX_GRID_NODES}], got {value!r}")
+    return int(value)
+
+
 def _grid_from_config(cfg: dict) -> MeasureGrid:
     if "coords" in cfg or "weights" in cfg:
         _check_keys(cfg, {"coords", "weights"}, {"coords", "weights"}, "grid")
@@ -78,11 +85,8 @@ def _grid_from_config(cfg: dict) -> MeasureGrid:
     _check_keys(cfg, {"kind", "n", "a", "b"}, {"kind", "n"}, "grid")
     if cfg["kind"] != "uniform":
         raise ConfigError(f"unknown grid kind: {cfg['kind']!r}")
-    n = _number(cfg, "n")
-    if n != int(n) or not 1 <= n <= MAX_GRID_NODES:
-        raise ConfigError(f"grid 'n' must be an integer in [1, {MAX_GRID_NODES}], "
-                          f"got {cfg['n']!r}")
-    return uniform_grid(int(n), _number(cfg, "a", 0.0), _number(cfg, "b", 1.0))
+    n = _node_count(_number(cfg, "n"), "grid 'n'", 1)
+    return uniform_grid(n, _number(cfg, "a", 0.0), _number(cfg, "b", 1.0))
 
 
 def _grid_config(grid: MeasureGrid) -> dict:
@@ -322,9 +326,9 @@ def _cmd_design(args) -> int:
         return EXIT_OK
     if mode == "audit":
         obj = _objective_from_args(args)
+        n = _node_count(args.n, "--n", 1)
         rep = design.global_optimality_audit(args.r, obj, args.samples,
-                                             args.seed, n=args.n,
-                                             tol=args.tol)
+                                             args.seed, n=n, tol=args.tol)
         payload = {
             "config": {"command": "design", "mode": mode, "r": args.r,
                        "u": obj.u, "v": obj.v, "w": obj.w,
@@ -340,6 +344,10 @@ def _cmd_design(args) -> int:
 
 def _cmd_mc(args) -> int:
     seed = args.seed
+    # the bm example's private noises sum to zero, which needs two nodes
+    _node_count(args.n, "--n", 2 if args.check == "bm" else 1)
+    if args.draws < 2:
+        raise ConfigError(f"--draws must be at least 2, got {args.draws}")
     if args.check == "aggregate":
         rng = np.random.default_rng(seed)
         grid = uniform_grid(args.n)
@@ -347,7 +355,7 @@ def _cmd_mc(args) -> int:
         B = rng.normal(size=(args.n, 5))
         cov = B @ B.T + 0.1 * np.eye(args.n)
         sample = montecarlo.sample_gaussian(mean, cov, args.draws, seed=seed)
-        mrep = montecarlo.verify_aggregate_mean(sample, grid, mean, cov)
+        mrep = montecarlo.verify_aggregate_mean(sample, grid, mean)
         vrep = montecarlo.verify_aggregate_variance(sample, grid, cov)
         exch = montecarlo.covariance_exchange_residual(
             cov, grid, rng.normal(size=args.n))
@@ -496,10 +504,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KernelGamesError, OSError) as exc:
+    except (ValueError, KernelGamesError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -241,7 +241,6 @@ class AuditReport:
 
 def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
                             seed: int, n: int = 100,
-                            include_optimum: bool = True,
                             tol: float = None) -> AuditReport:
     """Sample feasible equilibrium moments and verify none beats the targeted
     optimum.  Moments are generated constructively: random Gaussian structures
@@ -252,8 +251,6 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
     v_star = report.v_star
     if tol is None:
         tol = 1e-6 * (1.0 + abs(v_star))
-    if samples == 0 and not include_optimum:
-        return AuditReport(-math.inf, v_star, 0, tol)
     grid = uniform_grid(n)
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
     rng = np.random.default_rng(seed)
@@ -265,9 +262,8 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
         max_excess = max(max_excess, objective_value(moment, obj) - v_star)
         count += 1
 
-    if include_optimum:
-        k = int(round(report.m_star * n))
-        consider(targeted_equilibrium_moment(np.arange(k), r, grid))
+    k = int(round(report.m_star * n))
+    consider(targeted_equilibrium_moment(np.arange(k), r, grid))
     for i in range(samples):
         kind = i % 4
         if kind in (0, 1):

@@ -15,19 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
-from .grid import GridFunction, MeasureGrid, _frozen
+from .grid import GridFunction, MeasureGrid, _floats, _frozen
 from .kernels import (Kernel, eigenvalues, operator_matrix, psd_project_tol,
                       psd_within)
 
 
-def _sym_pinv(mat: np.ndarray, cutoff_rel: float = 1e-10) -> np.ndarray:
+def _sym_pinv(mat: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a symmetric PSD matrix, or of each matrix in a stack
-    (k, d, d), with a relative spectral cutoff."""
+    (k, d, d); eigenvalues up to 1e-10 times the largest count as zero."""
     if mat.size == 0:
         return mat
     lam, vec = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2)))
     top = lam[..., -1:]
-    keep = (lam > cutoff_rel * top) & (top > 0.0)
+    keep = (lam > 1e-10 * top) & (top > 0.0)
     inv = np.where(keep, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
     return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
 
@@ -94,8 +94,8 @@ class GaussianInfo:
         dims = np.asarray(self.signal_dims, dtype=int)
         if dims.shape != (self.grid.n,) or np.any(dims < 1):
             raise ValueError("signal_dims must give a positive dimension per node")
-        mean = _frozen(self.signal_mean)
-        cov = _frozen(self.joint_cov)
+        mean = _frozen(_floats(self.signal_mean).copy())
+        cov = _floats(self.joint_cov)    # read only; the stored copy is ``sym``
         total = self.grid.n + int(dims.sum())
         if mean.shape != (int(dims.sum()),):
             raise ValueError("signal_mean length must equal total signal dimension")
@@ -400,12 +400,12 @@ def verify_moment_restrictions(eq: LinearEquilibrium, game: BasicGame,
     return MomentReport(res1, res2, tol)
 
 
-def symmetric_moment_identity(eq: LinearEquilibrium, r: float,
-                              sym_tol: float = 1e-9) -> float:
+def symmetric_moment_identity(eq: LinearEquilibrium, r: float) -> float:
     """Residual of the symmetric standard-deviation identity
     Sd[f] = Corr[f, theta] / (1 - r Corr[f, f']) * Sd[theta],
     evaluated at a representative node pair.
     """
+    sym_tol = 1e-9      # relative spread across nodes that still counts as equal
     xi = eq.induced_action_cov.values
     zeta = eq.induced_action_state_cov.values
     tvar = eq.theta_var

@@ -18,11 +18,16 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _frozen(a):
+def _floats(a) -> np.ndarray:
+    """``a`` as a float array, uncopied when it already is one."""
     try:
-        a = np.ascontiguousarray(np.asarray(a, dtype=float))
+        return np.asarray(a, dtype=float)
     except TypeError:
         raise ValueError("expected an array of numbers") from None
+
+
+def _frozen(a):
+    a = np.ascontiguousarray(_floats(a))
     a.flags.writeable = False
     return a
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MeasureGrid, _frozen
+from .grid import GridFunction, MeasureGrid, _frozen, inner_product
 
 #: |Im(lambda)| <= REAL_EIG_CUTOFF * (1 + |lambda|) counts as a real eigenvalue
 REAL_EIG_CUTOFF = 1e-9
@@ -290,20 +290,13 @@ def operator_norm_bound(K: Kernel) -> float:
     return float(np.sqrt(np.sum(w[:, None] * w[None, :] * K.values ** 2)))
 
 
-def rayleigh_quotient(K: Kernel, f, normalization: str = "norm_sq") -> float:
-    """<f, K f> over ||f||^2 (default) or over ||f|| in the weighted L2 space."""
-    from .grid import GridFunction, inner_product, norm
-
+def rayleigh_quotient(K: Kernel, f) -> float:
+    """<f, K f> over ||f||^2 in the weighted L2 space."""
     if not isinstance(f, GridFunction):
         f = K.grid.function(f)
     Kf = K.grid.function(operator_matrix(K) @ f.values)
     num = inner_product(f, Kf)
-    if normalization == "norm_sq":
-        den = inner_product(f, f)
-    elif normalization == "norm":
-        den = norm(f)
-    else:
-        raise ValueError("normalization must be 'norm_sq' or 'norm'")
+    den = inner_product(f, f)
     if den == 0.0:
         raise ValueError("zero function has no Rayleigh quotient")
     return num / den

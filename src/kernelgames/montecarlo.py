@@ -20,9 +20,12 @@ from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, _assemble_info, \
     _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
-from .kernels import Kernel, REAL_EIG_CUTOFF, operator_matrix, psd_project_tol
+from .kernels import REAL_EIG_CUTOFF, operator_matrix, psd_project_tol
 
 GENERATOR_ID = "pcg64-spectral-v1"
+
+#: standard errors a sampled mean or variance may stray from its target
+TOL_SE = 4.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ class MCReport:
         return (self.statistic - self.expected) / self.stderr
 
 
-def verify_aggregate_mean(sample: ProcessSample, grid: MeasureGrid, mean,
-                          cov, tol_se: float = 4.0) -> MCReport:
+def verify_aggregate_mean(sample: ProcessSample, grid: MeasureGrid,
+                          mean) -> MCReport:
     """Empirical mean of the weighted aggregate vs the quadrature of means."""
     w = grid.weights
     agg = sample.draws @ w
@@ -82,11 +85,11 @@ def verify_aggregate_mean(sample: ProcessSample, grid: MeasureGrid, mean,
     d = agg.size
     se = float(agg.std(ddof=1)) / math.sqrt(d) if d > 1 else 0.0
     stat = float(agg.mean())
-    return MCReport(stat, expected, se, abs(stat - expected) <= tol_se * se + 1e-12)
+    return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
 
 
-def verify_aggregate_variance(sample: ProcessSample, grid: MeasureGrid, cov,
-                              tol_se: float = 4.0) -> MCReport:
+def verify_aggregate_variance(sample: ProcessSample, grid: MeasureGrid,
+                              cov) -> MCReport:
     """Empirical variance of the aggregate vs the double integral of the
     covariance kernel."""
     w = grid.weights
@@ -98,7 +101,7 @@ def verify_aggregate_variance(sample: ProcessSample, grid: MeasureGrid, cov,
     se = expected * math.sqrt(2.0 / (d - 1)) if d > 1 else 0.0
     if se == 0.0:
         se = stat * math.sqrt(2.0 / max(d - 1, 1))
-    return MCReport(stat, expected, se, abs(stat - expected) <= tol_se * se + 1e-12)
+    return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
 
 
 def covariance_exchange_residual(cov, grid: MeasureGrid, x_coeffs) -> float:
@@ -148,13 +151,13 @@ class NodeAuditReport:
 
 
 def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
-                        info: GaussianInfo, d: int = 100_000, seed: int = 0,
-                        tol_se: float = 4.0) -> NodeAuditReport:
+                        info: GaussianInfo, d: int = 100_000,
+                        seed: int = 0) -> NodeAuditReport:
     """Monte Carlo check that each agent's strategy is a best response.
 
     Samples joint (theta, signal) draws, evaluates every agent's action and
     the conditional-formula right-hand side E_t[aggregate] + E_t[theta(t)],
-    and tests that the residual has mean within ``tol_se`` standard errors of
+    and tests that the residual has mean within ``TOL_SE`` standard errors of
     zero and negligible spread at every node.
     """
     n = game.grid.n
@@ -177,7 +180,7 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     sds = resid.std(axis=0, ddof=1)
     se = sds / math.sqrt(d)
     rms = np.sqrt(np.mean(resid ** 2, axis=0))
-    mean_ok = np.abs(means) <= tol_se * se + 1e-8 * scale
+    mean_ok = np.abs(means) <= TOL_SE * se + 1e-8 * scale
     rms_ok = rms <= 1e-6 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_z = np.where(se > 0, means / se, 0.0)
@@ -199,18 +202,16 @@ class DuplicateReport:
 
 def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
                          scale: float = 1.0) -> DuplicateReport:
-    """Exhibit two distinct equilibria when the payoff operator has a real
-    eigenvalue lambda >= 1.
+    """Exhibit two distinct equilibria when the payoff operator A = R W has a
+    real eigenvalue lambda >= 1 (eigenvector psi), directed or not.
 
-    Agents observe state-independent signals with Cov[x(t), x(t)] = 1 and a
-    common off-diagonal level a, so E_t[x(t')] = a x(t).  In the continuum
-    a = 1/lambda; on a finite grid the own-signal cell carries weight w_t, and
-    the level solving the aggregation identity exactly is
-    a = (1 - rho) / (lambda - rho) with rho = w_t R(t, t) (constant by
-    assumption; a -> 1/lambda as n grows).  If f is the no-information
-    equilibrium and phi an eigenvector for lambda, then
-    g = f + scale * phi * x is also an equilibrium; both must pass the
-    best-response audit.
+    Agents observe state-independent unit-variance signals with
+    Cov[x(s), x(t)] = c_s c_t off the diagonal, c_t^2 = (1 - rho_t) /
+    (lambda - rho_t), where rho_t = w_t R(t, t) < 1 (else ValueError) is the
+    weight of the agent's own cell.  For phi = psi / c this makes
+    E_t[integral of R phi x] = phi_t x(t) exactly on the grid, so with f the
+    no-information equilibrium, g = f + scale * phi * x is one too; both must
+    pass the best-response audit.
     """
     A = operator_matrix(game.payoff)
     lam_all, vec_all = np.linalg.eig(A)
@@ -221,7 +222,14 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
             "payoff operator has no real eigenvalue >= 1")
     j = np.argmax(np.where(ok, lam_all.real, -np.inf))
     lam = float(lam_all.real[j])
-    phi = vec_all[:, j].real
+    rho = np.diag(A)
+    t = int(np.argmax(rho))
+    if rho[t] >= 1.0:
+        raise ValueError("duplicate construction needs w_t R(t, t) < 1 at every "
+                         f"node; node {t} has {rho[t]:.3e}")
+    # lambda within 1e-9 below 1 counts as 1, so c_t <= 1 and sig_cov is PSD
+    c = np.sqrt((1.0 - rho) / (max(lam, 1.0) - rho))
+    phi = vec_all[:, j].real / c
     w = game.grid.weights
     phi = phi / math.sqrt(float(np.sum(w * phi * phi)))  # unit L2(nu) norm
 
@@ -235,15 +243,7 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
         base_mean = np.zeros(game.grid.n)
 
     n = game.grid.n
-    rho_all = w * np.diag(game.payoff.values)
-    rho = float(rho_all[0])
-    if np.max(np.abs(rho_all - rho)) > 1e-12 * (1.0 + abs(rho)) or rho >= min(1.0, lam):
-        # no exact finite-grid correction available; fall back to the
-        # continuum covariance (audits then hold only up to O(1/n))
-        a = 1.0 / lam
-    else:
-        a = (1.0 - rho) / (lam - rho) if lam > rho else 1.0
-    sig_cov = np.full((n, n), a)
+    sig_cov = np.outer(c, c)
     np.fill_diagonal(sig_cov, 1.0)
     info = _assemble_info(base_game, np.ones(n, int), np.zeros(n),
                           sig_cov, np.zeros((n, n)))

@@ -186,6 +186,37 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
                      "--n", "10", "--draws", "100"]) == 1
 
 
+# sizes are checked before anything is allocated; an allocation that still
+# fails is an input error too
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["mc", "--check", "bm", "--n", "1"],
+                 "--n must be an integer in [2, ", id="bm-one-node"),
+    pytest.param(["mc", "--check", "aggregate", "--draws", "1"],
+                 "--draws must be at least 2", id="aggregate-one-draw"),
+    pytest.param(["mc", "--check", "aggregate", "--n", "100000"],
+                 "--n must be an integer in [1, ", id="aggregate-huge-n"),
+    pytest.param(["mc", "--check", "duplicate", "--n", "100000"],
+                 "--n must be an integer", id="duplicate-huge-n"),
+    pytest.param(["mc", "--check", "bm", "--n", "100000"],
+                 "--n must be an integer", id="bm-huge-n"),
+    pytest.param(["design", "--mode", "audit", "--n", "100000"],
+                 "--n must be an integer", id="audit-huge-n"),
+    pytest.param(["design", "--mode", "audit", "--n", "0"],
+                 "--n must be an integer", id="audit-zero-n"),
+    pytest.param(["mc", "--check", "aggregate", "--n", "5",
+                  "--draws", "10000000000000"],
+                 "Unable to allocate", id="aggregate-huge-draws"),
+    pytest.param(["mc", "--check", "duplicate", "--r", "30", "--n", "20",
+                  "--draws", "100"],
+                 "node 0 has 1.500e+00", id="duplicate-own-cell-above-one"),
+])
+def test_size_flag_is_input_error(capsys, argv, message):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 # -- reproduce-all -----------------------------------------------------------
 
 def test_reproduce_all_quick_manifest(tmp_path):

@@ -207,15 +207,8 @@ def test_public_strictly_loses_in_t2():
 
 # -- global audit ------------------------------------------------------------
 
-def test_audit_empty_is_sentinel():
-    rep = global_optimality_audit(0.5, _obj(1.0, 1.0), samples=0, seed=0,
-                                  include_optimum=False)
-    assert rep.max_excess == -np.inf
-
-
 def test_audit_attains_optimum():
-    rep = global_optimality_audit(0.5, _obj(1.0, 1.0), samples=0, seed=0,
-                                  include_optimum=True, n=60)
+    rep = global_optimality_audit(0.5, _obj(1.0, 1.0), samples=0, seed=0, n=60)
     assert rep.max_excess >= -1e-9
     assert rep.passed
 

@@ -363,6 +363,22 @@ def test_info_symmetrizes_without_touching_the_input():
     assert np.array_equal(joint, before)
 
 
+def test_info_leaves_caller_arrays_writable():
+    mean, joint = np.zeros(3), np.eye(6)
+    info = GaussianInfo(uniform_grid(3), np.ones(3, int), mean, joint)
+    assert mean.flags.writeable and joint.flags.writeable
+    mean[0] = joint[0, 0] = 5.0
+    assert info.signal_mean[0] == 0.0 and info.joint_cov[0, 0] == 1.0
+    assert not (info.signal_mean.flags.writeable or info.joint_cov.flags.writeable)
+
+
+@pytest.mark.parametrize("mean, joint", [([{}] * 3, np.eye(6)),
+                                         (np.zeros(3), [[{}] * 6] * 6)])
+def test_info_rejects_non_numeric_arrays(mean, joint):
+    with pytest.raises(ValueError, match="expected an array of numbers"):
+        GaussianInfo(uniform_grid(3), np.ones(3, int), mean, joint)
+
+
 def test_info_accepts_rank_deficient_joint_cov():
     g = uniform_grid(400)
     game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)

@@ -122,11 +122,8 @@ def test_unidirectional_constant_function_rayleigh_quotient():
     r, n = 0.9, 400
     g = uniform_grid(n)
     K = unidirectional_kernel(g, r)
-    q = rayleigh_quotient(K, g.constant(1.0), normalization="norm_sq")
+    q = rayleigh_quotient(K, g.constant(1.0))
     assert q == pytest.approx(r / 2 * (1 - 1 / n), abs=1e-12)
-    # the alternative normalization coincides here because ||1|| = 1
-    q2 = rayleigh_quotient(K, g.constant(1.0), normalization="norm")
-    assert q2 == pytest.approx(q, abs=1e-12)
 
 
 # -- (R1) / (R2) -------------------------------------------------------------

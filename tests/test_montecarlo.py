@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kernelgames.errors import NoRealEigenvalueAtLeastOne
 from kernelgames.game import (_package_equilibrium, common_state_game,
                               full_info, no_info, private_iid_info,
                               solve_linear_equilibrium)
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import Kernel, constant_kernel
+from kernelgames.kernels import (Kernel, check_r1, constant_kernel,
+                                 real_eigenvalues)
 from kernelgames.montecarlo import (best_response_audit,
                                     bm_example_equilibrium,
                                     covariance_exchange_residual,
@@ -92,7 +95,7 @@ def test_aggregate_mean_matches_quadrature():
     B = rng.normal(size=(n, 4))
     cov = B @ B.T
     sample = sample_gaussian(mean, cov, 100_000, seed=7)
-    rep = verify_aggregate_mean(sample, grid, mean, cov)
+    rep = verify_aggregate_mean(sample, grid, mean)
     assert rep.passed
 
 
@@ -186,6 +189,17 @@ def test_duplicate_two_node_eigenvalue_one():
     assert rep.distance > 0
 
 
+def test_duplicate_eigenvalue_just_below_one_keeps_signals_psd():
+    # lambda = 1 - 5e-10 counts as 1; with rho_t = 1 - 1.5e-9 the unclipped
+    # c_t^2 would be 1.5 and the signal covariance indefinite
+    grid = MeasureGrid([0.25, 0.75], [0.5, 0.5])
+    R = 2.0 * np.array([[1 - 1.5e-9, 1e-9], [1e-9, 1 - 1.5e-9]])
+    game = common_state_game(grid, Kernel(grid, R, undirected=True), 0.0, 1.0)
+    rep = duplicate_equilibria(game, d=2000, seed=0)
+    assert rep.eigenvalue < 1.0
+    assert rep.passed
+
+
 def test_duplicate_constant_kernel_lambda_two():
     grid = uniform_grid(20)
     game = common_state_game(grid, constant_kernel(grid, 2.0), 1.0, 1.0)
@@ -199,6 +213,64 @@ def test_duplicate_requires_large_eigenvalue():
     game = common_state_game(grid, constant_kernel(grid, 0.5), 0.0, 1.0)
     with pytest.raises(NoRealEigenvalueAtLeastOne):
         duplicate_equilibria(game, d=100, seed=19)
+
+
+def _random_weights_grid(rng, n):
+    u = rng.uniform(0.5, 1.5, n)
+    return MeasureGrid(np.arange(n, dtype=float), u / u.sum())
+
+
+def _scaled_to(K, lam):
+    """``K`` rescaled so that its operator R W has largest real eigenvalue ``lam``."""
+    top = float(real_eigenvalues(K).max())
+    return Kernel(K.grid, K.values * (lam / top), K.undirected)
+
+
+def _assert_exact_duplicate(rep, lam):
+    assert rep.eigenvalue == pytest.approx(lam, rel=1e-9)
+    assert rep.base_audit.passed and rep.shifted_audit.passed
+    assert np.max(rep.shifted_audit.rms) <= 1e-12 * rep.shifted_audit.scale
+    assert rep.passed and rep.distance == 1.0
+
+
+# the paper's necessity direction: for undirected interactions (R1) fails
+# exactly when lambda_max >= 1, and then the duplicate equilibrium exists
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1),
+       lam=st.one_of(st.sampled_from([1.0, 1.5, 3.0]),
+                     st.floats(0.1, 3.0).filter(lambda x: abs(x - 1.0) > 1e-6)))
+def test_duplicate_exact_iff_r1_fails_on_undirected_kernels(n, seed, lam):
+    rng = np.random.default_rng(seed)
+    grid = _random_weights_grid(rng, n)
+    v = rng.normal(size=(n, n))
+    K = Kernel(grid, v + v.T, undirected=True)
+    assume(real_eigenvalues(K).max() > 0.0)
+    K = _scaled_to(K, lam)
+    if lam != 1.0:                  # at lambda_max = 1 rounding decides (R1)
+        assert check_r1(K) == (lam < 1.0)
+    game = common_state_game(grid, K, 1.0, 1.0)
+    rho = grid.weights * np.diag(K.values)
+    if lam < 1.0:
+        with pytest.raises(NoRealEigenvalueAtLeastOne):
+            duplicate_equilibria(game, d=2000, seed=0)
+    elif rho.max() >= 1.0:
+        with pytest.raises(ValueError, match=f"node {np.argmax(rho)} has"):
+            duplicate_equilibria(game, d=2000, seed=0)
+    else:
+        _assert_exact_duplicate(duplicate_equilibria(game, d=2000, seed=0), lam)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+def test_duplicate_exact_on_directed_positive_kernel(lam):
+    # lam is the Perron root of the positive operator
+    rng = np.random.default_rng(23)
+    n = 15
+    grid = _random_weights_grid(rng, n)
+    K = _scaled_to(Kernel(grid, rng.uniform(0.1, 1.0, size=(n, n))), lam)
+    assert not check_r1(K)
+    assert np.max(grid.weights * np.diag(K.values)) < 1.0
+    game = common_state_game(grid, K, 1.0, 1.0)
+    _assert_exact_duplicate(duplicate_equilibria(game, d=2000, seed=24), lam)
 
 
 def test_duplicate_distance_scales_linearly():
