@@ -202,11 +202,8 @@ def _random_r1_game(rng: np.random.Generator, n: int):
     values = rng.uniform(-0.9, 0.9, size=(n, n))
     if rng.uniform() < 0.5:
         values = 0.5 * (values + values.T)
-        kern = Kernel(uniform_grid(n), values, undirected=True)
-    else:
-        kern = Kernel(uniform_grid(n), values, undirected=False)
-    g = game.common_state_game(kern.grid, kern, float(rng.normal()), 1.0)
-    return g
+    kern = Kernel(uniform_grid(n), values)
+    return game.common_state_game(kern.grid, kern, float(rng.normal()), 1.0)
 
 
 def check_uniqueness(n_games: int = 20, n: int = 25, starts: int = 5,
@@ -252,8 +249,8 @@ def _random_kernel(rng: np.random.Generator) -> Kernel:
     grid = uniform_grid(n)
     values = rng.normal(size=(n, n))
     if rng.uniform() < 0.5:
-        return Kernel(grid, 0.5 * (values + values.T), undirected=True)
-    return Kernel(grid, values, undirected=False)
+        values = 0.5 * (values + values.T)
+    return Kernel(grid, values)
 
 
 def check_spectral_suite(n_kernels: int = 50, n_pairs: int = 100,
@@ -277,9 +274,8 @@ def check_spectral_suite(n_kernels: int = 50, n_pairs: int = 100,
         if not chain:
             ok = False
         worst_chain = max(worst_chain, float(eigs.real.max()) - nr_sup)
-        if K.undirected:
-            if abs(nr_sup - float(eigs.real.max())) > tol * scale:
-                ok = False
+        if K.undirected and abs(nr_sup - float(eigs.real.max())) > tol * scale:
+            ok = False
         # similarity: spectrum of K W equals spectrum of W^1/2 K W^1/2
         alt = np.linalg.eigvals(kernels._weighted_symmetrized(K))
         a = np.sort_complex(np.linalg.eigvals(kernels.operator_matrix(K)))
@@ -295,12 +291,12 @@ def check_spectral_suite(n_kernels: int = 50, n_pairs: int = 100,
         G = B @ B.T
         d = np.sqrt(np.diag(G))
         corr = G / np.outer(d, d)
-        K = Kernel(grid, 0.5 * (corr + corr.T), undirected=True)
+        K = Kernel(grid, 0.5 * (corr + corr.T))
         Rv = rng.normal(size=(n, n))
-        R = Kernel(grid, Rv, undirected=False)
+        R = Kernel(grid, Rv)
         sup = kernels.numerical_range_bounds(R)[1]
         if sup >= 1.0:
-            R = Kernel(grid, Rv * (0.95 / sup / 1.0001), undirected=False)
+            R = Kernel(grid, Rv * (0.95 / sup / 1.0001))
         max_eig, bound, holds = kernels.hadamard_eigen_bound(K, R)
         if not holds or max_eig >= 1.0:
             violations += 1

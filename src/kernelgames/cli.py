@@ -244,7 +244,7 @@ def _moment_from_config(cfg: dict, grid: MeasureGrid, r: float):
             match_grid_obedience=bool(cfg.get("match_grid_obedience", False)))
         return mom
     if kind == "explicit":
-        xi = kernels.Kernel(grid, cfg.get("xi"), undirected=True)
+        xi = kernels.Kernel(grid, cfg.get("xi"))
         zeta = grid.function(cfg.get("zeta"))
         return moments.EquilibriumMoment(grid, xi, zeta,
                                          _number(cfg, "state_var", 1.0))

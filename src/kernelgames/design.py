@@ -142,7 +142,7 @@ def targeted_equilibrium_moment(members, r: float,
     den = 1.0 - r * m
     xi = np.outer(mask, mask) / den ** 2
     zeta = mask / den
-    return EquilibriumMoment(grid, Kernel(grid, xi, undirected=True),
+    return EquilibriumMoment(grid, Kernel(grid, xi),
                              grid.function(zeta.astype(float)), 1.0)
 
 
@@ -181,7 +181,7 @@ def symmetric_moment(m: float, r: float, grid: MeasureGrid,
     else:
         diag = np.full(n, xi1)
     np.fill_diagonal(values, diag)
-    moment = EquilibriumMoment(grid, Kernel(grid, values, undirected=True),
+    moment = EquilibriumMoment(grid, Kernel(grid, values),
                                grid.constant(zbar), 1.0)
     return moment, symmetric_coefficients(m, r)
 
@@ -247,6 +247,8 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
     solved through the equilibrium solver, plus random targeted / symmetric /
     public structures, all on the normalized common state.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     report = optimal_targeted(r, obj)
     v_star = report.v_star
     if tol is None:
@@ -334,6 +336,8 @@ def regime_diagram(r: float, alpha_range, beta_range, resolution: int):
     """
     if r >= 1.0:
         raise ValueError("r must be below 1")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
     betas = np.linspace(beta_range[0], beta_range[1], resolution)
     rows = []

@@ -56,15 +56,15 @@ class BasicGame:
             if not obj.grid.same_nodes(self.grid):
                 raise ValueError("all game components must share the grid")
         if not self.state_cov.undirected:
-            raise ValueError("state covariance must be undirected")
+            raise ValueError("state covariance must be undirected (exactly symmetric)")
         _require_psd(self.state_cov.values.copy(), "state covariance")
 
-    def is_common_state(self, tol: float = 1e-9) -> bool:
+    def is_common_state(self) -> bool:
         v = self.state_cov.values
-        scale = 1.0 + float(np.max(np.abs(v)))
-        return (np.max(np.abs(v - v.flat[0])) <= tol * scale
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
+        return (np.max(np.abs(v - v.flat[0])) <= tol
                 and np.max(np.abs(self.state_mean.values
-                                  - self.state_mean.values[0])) <= tol * scale)
+                                  - self.state_mean.values[0])) <= tol)
 
 
 def common_state_game(grid: MeasureGrid, payoff: Kernel,
@@ -72,7 +72,7 @@ def common_state_game(grid: MeasureGrid, payoff: Kernel,
     """Game in which every agent's state term is one common theta ~ N(mean, var)."""
     if var < 0:
         raise ValueError("state variance must be non-negative")
-    cov = Kernel(grid, np.full((grid.n, grid.n), float(var)), undirected=True)
+    cov = Kernel(grid, np.full((grid.n, grid.n), float(var)))
     return BasicGame(grid, payoff, grid.constant(mean), cov)
 
 
@@ -91,10 +91,10 @@ class GaussianInfo:
     joint_cov: np.ndarray
 
     def __post_init__(self):
-        dims = np.asarray(self.signal_dims, dtype=int)
+        dims = np.array(self.signal_dims, dtype=int)
         if dims.shape != (self.grid.n,) or np.any(dims < 1):
             raise ValueError("signal_dims must give a positive dimension per node")
-        mean = _frozen(_floats(self.signal_mean).copy())
+        mean = _frozen(self.signal_mean)
         cov = _floats(self.joint_cov)    # read only; the stored copy is ``sym``
         total = self.grid.n + int(dims.sum())
         if mean.shape != (int(dims.sum()),):
@@ -109,10 +109,10 @@ class GaussianInfo:
             raise ValueError("joint_cov must be symmetric")
         sym = np.multiply(np.add(cov, cov.T, out=sym), 0.5, out=sym)
         _require_psd(sym, "joint_cov")
-        dims.flags.writeable = False
+        dims.flags.writeable = sym.flags.writeable = False
         object.__setattr__(self, "signal_dims", dims)
         object.__setattr__(self, "signal_mean", mean)
-        object.__setattr__(self, "joint_cov", _frozen(sym))
+        object.__setattr__(self, "joint_cov", sym)
 
     @property
     def total_dim(self) -> int:
@@ -277,7 +277,7 @@ class LinearEquilibrium:
         return np.concatenate([np.atleast_1d(c) for c in self.loadings])
 
 
-def solve_mean(game: BasicGame, tol: float = 1e-9) -> GridFunction:
+def solve_mean(game: BasicGame) -> GridFunction:
     """Solve the first-moment restriction (I - R-operator) phi = E[theta]."""
     A = operator_matrix(game.payoff)
     eigs = eigenvalues(game.payoff)
@@ -286,7 +286,7 @@ def solve_mean(game: BasicGame, tol: float = 1e-9) -> GridFunction:
     mu = game.state_mean.values
     phi = np.linalg.solve(np.eye(game.grid.n) - A, mu)
     scale = 1.0 + float(np.max(np.abs(phi)))
-    if np.max(np.abs(phi - A @ phi - mu)) > tol * scale:
+    if np.max(np.abs(phi - A @ phi - mu)) > 1e-9 * scale:
         raise SingularMeanEquation("mean equation residual above tolerance")
     return game.grid.function(phi)
 
@@ -315,7 +315,7 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
         intercepts=game.grid.function(intercept),
         loadings=loadings,
         induced_mean=game.grid.function(b),
-        induced_action_cov=Kernel(game.grid, xi, undirected=True),
+        induced_action_cov=Kernel(game.grid, xi),
         induced_action_state_cov=game.grid.function(zeta),
         theta_var=game.state_cov.diag().copy(),
     )

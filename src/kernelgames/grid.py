@@ -26,8 +26,9 @@ def _floats(a) -> np.ndarray:
         raise ValueError("expected an array of numbers") from None
 
 
-def _frozen(a):
-    a = np.ascontiguousarray(_floats(a))
+def _frozen(a) -> np.ndarray:
+    """A read-only C-contiguous float copy of ``a``; ``a`` itself is untouched."""
+    a = _floats(a).copy()
     a.flags.writeable = False
     return a
 
@@ -114,7 +115,10 @@ class MeasureGrid:
     @classmethod
     def from_json(cls, path) -> "MeasureGrid":
         with open(path) as fh:
-            payload = json.load(fh)
+            return cls._from_payload(json.load(fh))
+
+    @classmethod
+    def _from_payload(cls, payload) -> "MeasureGrid":
         if not isinstance(payload, dict) or set(payload) != {"coords", "weights"}:
             raise ValueError("grid JSON must contain exactly 'coords' and 'weights'")
         return cls(payload["coords"], payload["weights"])

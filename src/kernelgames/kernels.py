@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,11 +29,12 @@ REAL_EIG_CUTOFF = 1e-9
 
 @dataclass(frozen=True)
 class Kernel:
-    """Bivariate kernel sampled at grid nodes: values[i, j] = K(t_i, t_j)."""
+    """Bivariate kernel sampled at grid nodes: values[i, j] = K(t_i, t_j);
+    ``undirected`` iff the values are exactly symmetric."""
 
     grid: MeasureGrid
     values: np.ndarray
-    undirected: bool = False
+    undirected: bool = field(init=False)
 
     def __post_init__(self):
         values = _frozen(self.values)
@@ -42,9 +43,9 @@ class Kernel:
             raise ValueError("kernel values must be an n x n matrix")
         if not np.all(np.isfinite(values)):
             raise ValueError("kernel values must be finite")
-        if self.undirected and not np.array_equal(values, values.T):
-            raise ValueError("undirected kernel must have exactly symmetric values")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "undirected",
+                           bool(np.array_equal(values, values.T)))
 
     @property
     def n(self) -> int:
@@ -54,21 +55,20 @@ class Kernel:
         return np.diag(self.values)
 
     def scale(self, c: float) -> "Kernel":
-        return Kernel(self.grid, self.values * float(c), self.undirected)
+        return Kernel(self.grid, self.values * float(c))
 
     # -- serialization ---------------------------------------------------
     @classmethod
-    def from_csv(cls, path, grid: MeasureGrid, undirected: bool = False) -> "Kernel":
+    def from_csv(cls, path, grid: MeasureGrid) -> "Kernel":
         with open(path, newline="") as fh:
             rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-        return cls(grid, np.array(rows), undirected)
+        return cls(grid, rows)
 
     def to_json(self, path) -> None:
         payload = {
             "grid": {"coords": self.grid.coords.tolist(),
                      "weights": self.grid.weights.tolist()},
             "values": self.values.tolist(),
-            "undirected": self.undirected,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh)
@@ -77,9 +77,9 @@ class Kernel:
     def from_json(cls, path) -> "Kernel":
         with open(path) as fh:
             payload = json.load(fh)
-        grid = MeasureGrid(payload["grid"]["coords"], payload["grid"]["weights"])
-        return cls(grid, np.array(payload["values"], dtype=float),
-                   bool(payload.get("undirected", False)))
+        if not isinstance(payload, dict) or set(payload) != {"grid", "values"}:
+            raise ValueError("kernel JSON must contain exactly 'grid' and 'values'")
+        return cls(MeasureGrid._from_payload(payload["grid"]), payload["values"])
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,14 @@ class SpectralReport:
 # constructors
 
 def constant_kernel(grid: MeasureGrid, r: float) -> Kernel:
-    return Kernel(grid, np.full((grid.n, grid.n), float(r)), undirected=True)
+    return Kernel(grid, np.full((grid.n, grid.n), float(r)))
 
 
 def unidirectional_kernel(grid: MeasureGrid, r: float) -> Kernel:
     """R(s, t) = r * 1{s < t}: each agent responds only to later-indexed ones."""
     s = grid.coords[:, None]
     t = grid.coords[None, :]
-    return Kernel(grid, float(r) * (s < t).astype(float), undirected=False)
+    return Kernel(grid, float(r) * (s < t).astype(float))
 
 
 def separable_kernel(grid: MeasureGrid, r: float, q) -> Kernel:
@@ -126,13 +126,13 @@ def separable_kernel(grid: MeasureGrid, r: float, q) -> Kernel:
     qv = np.asarray(q(grid.coords) if callable(q) else q, dtype=float)
     if qv.shape != (grid.n,):
         raise ValueError("q must produce one value per node")
-    return Kernel(grid, float(r) * np.outer(qv, qv), undirected=True)
+    return Kernel(grid, float(r) * np.outer(qv, qv))
 
 
 def diagonal_kernel(grid: MeasureGrid, diag=1.0) -> Kernel:
     """K(s, t) = diag(t) * 1{s = t}."""
     d = np.full(grid.n, float(diag)) if np.isscalar(diag) else np.asarray(diag, float)
-    return Kernel(grid, np.diag(d), undirected=True)
+    return Kernel(grid, np.diag(d))
 
 
 def graph_kernel(grid: MeasureGrid, edges, rbar: float,
@@ -146,14 +146,14 @@ def graph_kernel(grid: MeasureGrid, edges, rbar: float,
     values[idx[:, 0], idx[:, 1]] = float(rbar)
     if undirected:
         values[idx[:, 1], idx[:, 0]] = float(rbar)
-    return Kernel(grid, values, undirected=undirected)
+    return Kernel(grid, values)
 
 
 def exchangeable_kernel(grid: MeasureGrid, diag: float, offdiag: float) -> Kernel:
     """K(t, t) = diag, K(s, t) = offdiag for s != t."""
     values = np.full((grid.n, grid.n), float(offdiag))
     np.fill_diagonal(values, float(diag))
-    return Kernel(grid, values, undirected=True)
+    return Kernel(grid, values)
 
 
 _Q_EXPR_NAMES = {name: getattr(np, name) for name in
@@ -228,12 +228,12 @@ def kernel_from_config(grid: MeasureGrid, cfg: dict) -> Kernel:
         return graph_kernel(grid, cfg["edge_list"], _config_number(cfg, "rbar"),
                             bool(cfg.get("undirected", True)))
     if kind == "file":
-        if not {"path"} <= extra <= {"path", "undirected"}:
-            raise ValueError("file kernel takes 'path' and optional 'undirected'")
+        if extra != {"path"}:
+            raise ValueError("file kernel takes exactly 'path'")
         path = str(cfg["path"])
         if path.endswith(".json"):
             return Kernel.from_json(path)
-        return Kernel.from_csv(path, grid, bool(cfg.get("undirected", False)))
+        return Kernel.from_csv(path, grid)
     raise ValueError(f"unknown kernel kind: {kind!r}")
 
 
@@ -265,11 +265,15 @@ def eigenvalues(K: Kernel) -> np.ndarray:
     return eigs[order]
 
 
-def real_eigenvalues(K: Kernel, cutoff: float = REAL_EIG_CUTOFF) -> np.ndarray:
-    """Real parts of eigenvalues whose imaginary dust is below the cutoff."""
+def _real_mask(eigs: np.ndarray) -> np.ndarray:
+    """Which eigenvalues count as real (see ``REAL_EIG_CUTOFF``)."""
+    return np.abs(eigs.imag) <= REAL_EIG_CUTOFF * (1.0 + np.abs(eigs))
+
+
+def real_eigenvalues(K: Kernel) -> np.ndarray:
+    """Real parts of the eigenvalues that count as real (``_real_mask``)."""
     eigs = eigenvalues(K)
-    mask = np.abs(eigs.imag) <= cutoff * (1.0 + np.abs(eigs))
-    return eigs.real[mask]
+    return eigs.real[_real_mask(eigs)]
 
 
 def numerical_range_bounds(K: Kernel) -> tuple:
@@ -302,26 +306,22 @@ def rayleigh_quotient(K: Kernel, f) -> float:
     return num / den
 
 
-def check_r1(K: Kernel, margin: float = 0.0) -> bool:
-    """Numerical range bounded above away from 1."""
-    return numerical_range_bounds(K)[1] < 1.0 - margin
+def check_r1(K: Kernel) -> bool:
+    """Numerical range bounded above by 1."""
+    return numerical_range_bounds(K)[1] < 1.0
 
 
 def check_r2(K: Kernel) -> bool:
     """All real eigenvalues of the operator below 1."""
-    re = real_eigenvalues(K)
-    return bool(re.size == 0 or re.max() < 1.0)
+    return bool(np.all(real_eigenvalues(K) < 1.0))
 
 
-def check_psd(K: Kernel, tol: float = None) -> bool:
-    """PSD test on the raw value matrix (Gram over all grid nodes)."""
+def check_psd(K: Kernel) -> bool:
+    """PSD test on the raw value matrix, within 1e-8 times its top diagonal."""
     if not K.undirected:
         raise ValueError("PSD check requires an undirected kernel")
-    if tol is None:
-        dmax = float(np.max(K.diag())) if K.n else 0.0
-        tol = 1e-8 * max(dmax, 0.0)
-    min_eig = float(np.linalg.eigvalsh(K.values)[0])
-    return min_eig >= -tol
+    tol = 1e-8 * max(float(np.max(K.diag())), 0.0)
+    return float(np.linalg.eigvalsh(K.values)[0]) >= -tol
 
 
 def cauchy_schwarz_audit(K: Kernel) -> float:
@@ -343,7 +343,7 @@ def spectral_report(K: Kernel, r1_margin: float = 0.0) -> SpectralReport:
         operator_norm_bound=operator_norm_bound(K),
         diag_sup=float(np.max(np.abs(K.diag()))),
         r1_holds=nr_sup < 1.0 - r1_margin,
-        r2_holds=check_r2(K),
+        r2_holds=bool(np.all(eigs.real[_real_mask(eigs)] < 1.0)),
     )
 
 
@@ -358,10 +358,7 @@ def hadamard_eigen_bound(K: Kernel, R: Kernel) -> tuple:
         raise ValueError("K must be positive semidefinite")
     if not check_r1(R):
         raise ValueError("R must satisfy the numerical-range condition (R1)")
-    prod = Kernel(K.grid, K.values * R.values,
-                  undirected=K.undirected and R.undirected
-                  and np.array_equal(K.values * R.values, (K.values * R.values).T))
-    re = real_eigenvalues(prod)
+    re = real_eigenvalues(Kernel(K.grid, K.values * R.values))
     max_real = float(re.max()) if re.size else 0.0
     bound = float(np.max(K.diag()))
     return max_real, bound, max_real < bound

@@ -75,7 +75,7 @@ class DesignObjective:
 
 def zero_moment(grid: MeasureGrid, state_var: float = 1.0) -> EquilibriumMoment:
     return EquilibriumMoment(
-        grid, Kernel(grid, np.zeros((grid.n, grid.n)), undirected=True),
+        grid, Kernel(grid, np.zeros((grid.n, grid.n))),
         grid.constant(0.0), state_var)
 
 
@@ -95,11 +95,11 @@ def default_obedience_tol(m: EquilibriumMoment) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(m.xi.values))))
 
 
-def check_positivity(m: EquilibriumMoment, tol: float = None) -> bool:
+def check_positivity(m: EquilibriumMoment) -> bool:
     """PSD test of the bordered matrix M = [[xi, zeta], [zeta', Var theta]]: no
-    eigenvalue below -tol, for a positive ``tol`` (default ``psd_project_tol(M)``)."""
+    eigenvalue below -``psd_project_tol(M)``."""
     M = m.bordered_matrix()
-    return psd_within(M, psd_project_tol(M) if tol is None else tol)
+    return psd_within(M, psd_project_tol(M))
 
 
 def double_integral(m: EquilibriumMoment) -> float:
@@ -133,9 +133,9 @@ class BoundsReport:
                 >= -self.tol)
 
 
-def bounds_check(m: EquilibriumMoment, r: float, tol: float = 1e-9) -> BoundsReport:
+def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
     """Feasibility bounds (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}
-    for a constant payoff structure r < 1.
+    for a constant payoff structure r < 1, each within a slack of 1e-9.
     """
     if r >= 1:
         raise ValueError("bounds require r < 1")
@@ -156,7 +156,7 @@ def bounds_check(m: EquilibriumMoment, r: float, tol: float = 1e-9) -> BoundsRep
         if m.state_var > 0 else (1.0 / (1.0 - r)) ** 2 - dd,
         obedience_residual=obed,
         positivity_ok=pos,
-        tol=tol,
+        tol=1e-9,
     )
 
 

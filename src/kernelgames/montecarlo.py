@@ -20,7 +20,7 @@ from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, _assemble_info, \
     _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
-from .kernels import REAL_EIG_CUTOFF, operator_matrix, psd_project_tol
+from .kernels import _real_mask, operator_matrix, psd_project_tol
 
 GENERATOR_ID = "pcg64-spectral-v1"
 
@@ -118,12 +118,11 @@ def covariance_exchange_residual(cov, grid: MeasureGrid, x_coeffs) -> float:
 
 
 def verify_conditional_fubini(sample: ProcessSample, grid: MeasureGrid,
-                              cond_nodes, mean, cov,
-                              tol: float = 1e-9) -> MCReport:
+                              cond_nodes, mean, cov) -> MCReport:
     """Conditioning and aggregation commute: at each sampled draw, the
     conditional mean of the aggregate equals the aggregate of conditional
     means.  Both sides use the conditional Gaussian formula; the identity is
-    exact, so the max discrepancy over draws must be tiny."""
+    exact, so the max discrepancy over draws must be at most 1e-9."""
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
     w = grid.weights
@@ -139,7 +138,7 @@ def verify_conditional_fubini(sample: ProcessSample, grid: MeasureGrid,
     cond_means = mean[None, :] + dev @ gains.T      # (d, n)
     rhs = cond_means @ w
     disc = float(np.max(np.abs(lhs - rhs)))
-    return MCReport(disc, 0.0, 0.0, disc <= tol)
+    return MCReport(disc, 0.0, 0.0, disc <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,7 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
     """
     A = operator_matrix(game.payoff)
     lam_all, vec_all = np.linalg.eig(A)
-    real = np.abs(lam_all.imag) <= REAL_EIG_CUTOFF * (1.0 + np.abs(lam_all))
-    ok = real & (lam_all.real >= 1.0 - 1e-9)
+    ok = _real_mask(lam_all) & (lam_all.real >= 1.0 - 1e-9)
     if not np.any(ok):
         raise NoRealEigenvalueAtLeastOne(
             "payoff operator has no real eigenvalue >= 1")

@@ -203,6 +203,13 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
                  "--n must be an integer", id="audit-huge-n"),
     pytest.param(["design", "--mode", "audit", "--n", "0"],
                  "--n must be an integer", id="audit-zero-n"),
+    pytest.param(["design", "--mode", "audit", "--samples", "-1"],
+                 "samples must be non-negative, got -1", id="audit-negative-samples"),
+    pytest.param(["design", "--mode", "diagram", "--resolution", "0"],
+                 "resolution must be at least 1, got 0", id="diagram-zero-resolution"),
+    pytest.param(["design", "--mode", "diagram", "--resolution", "-3"],
+                 "resolution must be at least 1, got -3",
+                 id="diagram-negative-resolution"),
     pytest.param(["mc", "--check", "aggregate", "--n", "5",
                   "--draws", "10000000000000"],
                  "Unable to allocate", id="aggregate-huge-draws"),

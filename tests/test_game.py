@@ -147,7 +147,7 @@ def _ragged_game_and_info(n=12, seed=31):
     J = 0.5 * (J + J.T)
     R = Kernel(g, rng.uniform(-0.6, 0.6, size=(n, n)))
     game = BasicGame(g, R, g.function(rng.normal(size=n)),
-                     Kernel(g, J[:n, :n], undirected=True))
+                     Kernel(g, J[:n, :n]))
     info = info_from_parts(game, dims, rng.normal(size=D), J[n:, n:], J[n:, :n])
     return game, info
 
@@ -315,8 +315,7 @@ def test_sd_identity_rejects_asymmetric_profiles():
 
 def test_game_rejects_non_psd_state_cov():
     g = uniform_grid(3)
-    bad = Kernel(g, [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                 undirected=True)
+    bad = Kernel(g, [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match=r"state covariance must be positive "
                        r"semidefinite \(min eigenvalue -1\.000e\+00 < -tol"):
         BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0), bad)
@@ -363,13 +362,31 @@ def test_info_symmetrizes_without_touching_the_input():
     assert np.array_equal(joint, before)
 
 
-def test_info_leaves_caller_arrays_writable():
-    mean, joint = np.zeros(3), np.eye(6)
-    info = GaussianInfo(uniform_grid(3), np.ones(3, int), mean, joint)
-    assert mean.flags.writeable and joint.flags.writeable
-    mean[0] = joint[0, 0] = 5.0
-    assert info.signal_mean[0] == 0.0 and info.joint_cov[0, 0] == 1.0
-    assert not (info.signal_mean.flags.writeable or info.joint_cov.flags.writeable)
+def test_value_objects_own_their_arrays():
+    # one row per constructor and array: the stored array is a read-only
+    # copy, and the caller's own array stays writable and unshared
+    g = uniform_grid(3)
+    dims, mean, joint = np.ones(3, int), np.zeros(3), np.eye(6)
+    rows = [
+        ("grid coords", lambda a: MeasureGrid(a, g.weights), g.coords, "coords"),
+        ("grid weights", lambda a: MeasureGrid(g.coords, a), g.weights, "weights"),
+        ("kernel values", lambda a: Kernel(g, a), np.eye(3), "values"),
+        ("function values", g.function, np.ones(3), "values"),
+        ("info signal_dims", lambda a: GaussianInfo(g, a, mean, joint),
+         dims, "signal_dims"),
+        ("info signal_mean", lambda a: GaussianInfo(g, dims, a, joint),
+         mean, "signal_mean"),
+        ("info joint_cov", lambda a: GaussianInfo(g, dims, mean, a),
+         joint, "joint_cov"),
+    ]
+    for name, make, array, attr in rows:
+        array = array.copy()
+        before = array.copy()
+        stored = getattr(make(array), attr)
+        assert array.flags.writeable, name
+        array += 1
+        assert np.array_equal(stored, before), name
+        assert not stored.flags.writeable, name
 
 
 @pytest.mark.parametrize("mean, joint", [([{}] * 3, np.eye(6)),

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from kernelgames.game import BasicGame
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (_Q_EXPR_NAMES, Kernel, cauchy_schwarz_audit,
                                  check_psd,
@@ -20,16 +24,36 @@ def _random_kernel(rng, n, undirected):
     values = rng.normal(size=(n, n))
     if undirected:
         values = 0.5 * (values + values.T)
-        values = 0.5 * (values + values.T)
-    return Kernel(uniform_grid(n), values, undirected=undirected)
+    return Kernel(uniform_grid(n), values)
 
 
 # -- constructors and validation -------------------------------------------
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), symmetrize=st.booleans())
+def test_undirected_is_read_from_exact_symmetry(data, n, symmetrize):
+    v = data.draw(hnp.arrays(float, (n, n), elements=st.floats(-1e6, 1e6)))
+    if symmetrize:
+        v = v + v.T
+    assert Kernel(uniform_grid(n), v).undirected == np.array_equal(v, v.T)
+
+
 def test_undirected_flag_requires_exact_symmetry():
+    # a 1e-12 asymmetry reads as directed, so it is no state covariance
     g = uniform_grid(2)
-    with pytest.raises(ValueError):
-        Kernel(g, [[0.0, 1.0], [1.0 + 1e-12, 0.0]], undirected=True)
+    K = Kernel(g, [[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    assert not K.undirected
+    with pytest.raises(ValueError, match="state covariance must be undirected"):
+        BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0), K)
+
+
+def test_symmetric_values_need_no_declaration():
+    g = uniform_grid(5)
+    B = np.random.default_rng(2).normal(size=(5, 2))
+    K = Kernel(g, B @ B.T + (B @ B.T).T)     # exactly symmetric
+    assert check_psd(K)
+    BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0), K)
+    assert not np.any(eigenvalues(K).imag)
 
 
 def test_operator_matrix_constant():
@@ -181,7 +205,7 @@ def test_cauchy_schwarz_audit_examples():
     for _ in range(20):
         B = rng.normal(size=(12, 4))
         vals = B @ B.T
-        K = Kernel(g, 0.5 * (vals + vals.T), undirected=True)
+        K = Kernel(g, 0.5 * (vals + vals.T))
         assert check_psd(K)
         assert cauchy_schwarz_audit(K) <= 1e-10
 
@@ -233,10 +257,10 @@ def test_psd_closure_under_sum_and_entrywise_product():
     for _ in range(20):
         A = rng.normal(size=(10, 3))
         B = rng.normal(size=(10, 3))
-        Ka = Kernel(g, A @ A.T, undirected=True)
-        Kb = Kernel(g, B @ B.T, undirected=True)
-        assert check_psd(Kernel(g, Ka.values + Kb.values, undirected=True))
-        assert check_psd(Kernel(g, Ka.values * Kb.values, undirected=True))
+        Ka = Kernel(g, A @ A.T)
+        Kb = Kernel(g, B @ B.T)
+        assert check_psd(Kernel(g, Ka.values + Kb.values))
+        assert check_psd(Kernel(g, Ka.values * Kb.values))
 
 
 # -- Hadamard-product eigenvalue bound ---------------------------------------
@@ -265,8 +289,8 @@ def test_hadamard_bound_with_diagonal_correlation():
 
 def test_hadamard_bound_two_node_oracle():
     g = MeasureGrid([0.25, 0.75], [0.5, 0.5])
-    K = Kernel(g, [[1.0, 1.0], [1.0, 1.0]], undirected=True)
-    R = Kernel(g, [[0.5, 0.9], [0.9, 0.5]], undirected=True)
+    K = Kernel(g, [[1.0, 1.0], [1.0, 1.0]])
+    R = Kernel(g, [[0.5, 0.9], [0.9, 0.5]])
     assert check_r1(R)           # sym operator eigenvalues {0.7, -0.2}
     max_eig, bound, holds = hadamard_eigen_bound(K, R)
     # K o R = R here; direct 2x2 eigensolve of R W
@@ -314,9 +338,20 @@ def test_kernel_csv_json_round_trip(tmp_path):
     K = graph_kernel(g, [(0, 1), (1, 2)], 0.4)
     jpath = tmp_path / "k.json"
     K.to_json(jpath)
+    assert set(json.loads(jpath.read_text())) == {"grid", "values"}
     K2 = Kernel.from_json(jpath)
     assert np.array_equal(K.values, K2.values)
     assert K2.undirected
+
+
+def test_kernel_json_rejects_legacy_undirected_key(tmp_path):
+    g = uniform_grid(2)
+    payload = {"grid": {"coords": g.coords.tolist(), "weights": g.weights.tolist()},
+               "values": [[0.0, 1.0], [1.0, 0.0]], "undirected": True}
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="exactly 'grid' and 'values'"):
+        Kernel.from_json(path)
 
 
 def test_kernel_from_config_kinds():

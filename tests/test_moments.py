@@ -64,7 +64,7 @@ def test_positivity_targeted_moment():
 def test_positivity_rejects_zeta_without_variance():
     grid = uniform_grid(4)
     m = EquilibriumMoment(grid,
-                          Kernel(grid, np.zeros((4, 4)), undirected=True),
+                          Kernel(grid, np.zeros((4, 4))),
                           grid.constant(1.0), 1.0)
     assert not check_positivity(m)
 
@@ -76,8 +76,7 @@ def test_positivity_of_constructed_gaussian_covariance():
         B = rng.normal(size=(12, 4))
         xi = B @ B.T
         zeta = B[:, 0].copy()      # actions correlate with theta = first factor
-        m = EquilibriumMoment(grid, Kernel(grid, 0.5 * (xi + xi.T),
-                                           undirected=True),
+        m = EquilibriumMoment(grid, Kernel(grid, 0.5 * (xi + xi.T)),
                               grid.function(zeta), 1.0)
         assert check_positivity(m)
 
@@ -222,7 +221,7 @@ def test_canonical_signals_require_r2():
 
 def test_moment_requires_undirected_xi():
     grid = uniform_grid(3)
-    directed = Kernel(grid, np.triu(np.ones((3, 3))), undirected=False)
+    directed = Kernel(grid, np.triu(np.ones((3, 3))))
     with pytest.raises(ValueError):
         EquilibriumMoment(grid, directed, grid.constant(0.0), 1.0)
 

@@ -181,8 +181,7 @@ def test_audit_no_information_residual_zero():
 
 def test_duplicate_two_node_eigenvalue_one():
     grid = MeasureGrid([0.25, 0.75], [0.5, 0.5])
-    game = common_state_game(grid, Kernel(grid, [[0.0, 2.0], [2.0, 0.0]],
-                                          undirected=True), 0.0, 1.0)
+    game = common_state_game(grid, Kernel(grid, [[0.0, 2.0], [2.0, 0.0]]), 0.0, 1.0)
     rep = duplicate_equilibria(game, d=50_000, seed=17)
     assert rep.eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert rep.passed
@@ -194,7 +193,7 @@ def test_duplicate_eigenvalue_just_below_one_keeps_signals_psd():
     # c_t^2 would be 1.5 and the signal covariance indefinite
     grid = MeasureGrid([0.25, 0.75], [0.5, 0.5])
     R = 2.0 * np.array([[1 - 1.5e-9, 1e-9], [1e-9, 1 - 1.5e-9]])
-    game = common_state_game(grid, Kernel(grid, R, undirected=True), 0.0, 1.0)
+    game = common_state_game(grid, Kernel(grid, R), 0.0, 1.0)
     rep = duplicate_equilibria(game, d=2000, seed=0)
     assert rep.eigenvalue < 1.0
     assert rep.passed
@@ -223,7 +222,7 @@ def _random_weights_grid(rng, n):
 def _scaled_to(K, lam):
     """``K`` rescaled so that its operator R W has largest real eigenvalue ``lam``."""
     top = float(real_eigenvalues(K).max())
-    return Kernel(K.grid, K.values * (lam / top), K.undirected)
+    return K.scale(lam / top)
 
 
 def _assert_exact_duplicate(rep, lam):
@@ -243,7 +242,7 @@ def test_duplicate_exact_iff_r1_fails_on_undirected_kernels(n, seed, lam):
     rng = np.random.default_rng(seed)
     grid = _random_weights_grid(rng, n)
     v = rng.normal(size=(n, n))
-    K = Kernel(grid, v + v.T, undirected=True)
+    K = Kernel(grid, v + v.T)
     assume(real_eigenvalues(K).max() > 0.0)
     K = _scaled_to(K, lam)
     if lam != 1.0:                  # at lambda_max = 1 rounding decides (R1)
