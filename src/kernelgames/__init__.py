@@ -18,10 +18,10 @@ from .grid import (GridFunction, MeasureGrid, inner_product, integrate, norm,
 from .kernels import (Kernel, SpectralReport, cauchy_schwarz_audit, check_psd,
                       check_r1, check_r2, constant_kernel, diagonal_kernel,
                       eigenvalues, exchangeable_kernel, graph_kernel,
-                      hadamard_eigen_bound, kernel_from_config,
-                      numerical_range_bounds, operator_matrix,
-                      operator_norm_bound, rayleigh_quotient, real_eigenvalues,
-                      separable_kernel, spectral_report, unidirectional_kernel)
+                      hadamard_eigen_bound, numerical_range_bounds,
+                      operator_matrix, operator_norm_bound, rayleigh_quotient,
+                      real_eigenvalues, separable_kernel, spectral_report,
+                      unidirectional_kernel)
 from .game import (BasicGame, GaussianInfo, LinearEquilibrium, MomentReport,
                    common_state_game, full_info, info_from_parts, no_info,
                    private_iid_info, public_info, solve_linear_equilibrium,

@@ -9,9 +9,12 @@ report embeds the fully-resolved configuration that produced it.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import datetime
 import json
+import math
+import operator
 import os
 import sys
 import tempfile
@@ -21,7 +24,7 @@ import numpy as np
 from . import checks, design, game, kernels, moments, montecarlo
 from .errors import KernelGamesError
 from .grid import MeasureGrid, uniform_grid
-from .kernels import _config_number as _number
+from .kernels import Kernel
 from .moments import DesignObjective
 
 EXIT_OK = 0
@@ -45,82 +48,196 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config value types: each checks one JSON value and returns it parsed
 
-def _check_keys(cfg: dict, allowed, required, where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(cfg)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+def _number(value, where: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top-level config must be a JSON object")
-    return cfg
-
-
-def _node_count(value, where: str, low: int) -> int:
-    if value != int(value) or not low <= value <= MAX_GRID_NODES:
+def _node_count(value, where: str, low: int = 1) -> int:
+    if (_number(value, where) != int(value)
+            or not low <= value <= MAX_GRID_NODES):
         raise ConfigError(f"{where} must be an integer in [{low}, "
                           f"{MAX_GRID_NODES}], got {value!r}")
     return int(value)
 
 
-def _grid_from_config(cfg: dict) -> MeasureGrid:
-    if "coords" in cfg or "weights" in cfg:
-        _check_keys(cfg, {"coords", "weights"}, {"coords", "weights"}, "grid")
-        return MeasureGrid(cfg["coords"], cfg["weights"])
-    _check_keys(cfg, {"kind", "n", "a", "b"}, {"kind", "n"}, "grid")
-    if cfg["kind"] != "uniform":
-        raise ConfigError(f"unknown grid kind: {cfg['kind']!r}")
-    n = _node_count(_number(cfg, "n"), "grid 'n'", 1)
-    return uniform_grid(n, _number(cfg, "a", 0.0), _number(cfg, "b", 1.0))
+def _instance_of(label: str, cls):
+    """The type of JSON values that are ``cls`` instances, taken as they are."""
+    def parse(value, where: str):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{where} must be {label}, got {value!r}")
+        return value
+    return parse
+
+
+_flag = _instance_of("JSON true or false", bool)
+_string = _instance_of("a string", str)
+_array = _instance_of("a JSON array", list)  # its constructor checks the rest
+_object = _instance_of("a JSON object", dict)
+
+
+# ---------------------------------------------------------------------------
+# builders that no library constructor provides directly
+
+_Q_EXPR_NAMES = {name: getattr(np, name) for name in
+                 ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh", "pi")}
+_Q_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv,
+               ast.Pow: operator.pow, ast.UAdd: operator.pos,
+               ast.USub: operator.neg}
+
+
+def _eval_q_expr(expr: str, t: np.ndarray):
+    """Evaluate a ``q_expr`` profile: number literals, ``t``, ``pi``, unary
+    +/-, the operators + - * / ** and one-argument calls of the
+    ``_Q_EXPR_NAMES`` functions.  Anything else is a ValueError."""
+    def ev(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in ("t", "pi"):
+            return t if node.id == "t" else np.pi
+        if isinstance(node, ast.BinOp) and type(node.op) in _Q_EXPR_OPS:
+            return _Q_EXPR_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _Q_EXPR_OPS:
+            return _Q_EXPR_OPS[type(node.op)](ev(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and callable(_Q_EXPR_NAMES.get(node.func.id))
+                and len(node.args) == 1 and not node.keywords):
+            return _Q_EXPR_NAMES[node.func.id](ev(node.args[0]))
+        raise ValueError(f"q_expr may not contain {type(node).__name__} "
+                         f"{ast.unparse(node)!r}")
+
+    try:
+        return ev(ast.parse(expr, mode="eval").body)
+    except (SyntaxError, ArithmeticError, RecursionError) as exc:
+        raise ValueError(f"cannot evaluate q_expr {expr!r}: {exc}") from None
+
+
+def _separable_kernel(grid, r, q_expr):
+    q = _eval_q_expr(q_expr, grid.coords)
+    return kernels.separable_kernel(grid, r, np.broadcast_to(q, (grid.n,)))
+
+
+def _file_kernel(grid, path):
+    K = (Kernel.from_json(path) if path.endswith(".json")
+         else Kernel.from_csv(path, grid))
+    if not K.grid.same_nodes(grid):
+        raise ConfigError(f"kernel file {path!r} is not on the config's grid")
+    return K
+
+
+def _targeted_moment(grid, r, m, members):
+    if (m is None) == (members is None):
+        raise ConfigError("targeted moment takes exactly one of 'm' and "
+                          "'members'")
+    if m is not None:
+        if not 0.0 <= m <= 1.0:
+            raise ConfigError("targeted moment 'm' must lie in [0, 1]")
+        members = np.arange(int(round(m * grid.n)))
+    return design.targeted_equilibrium_moment(members, r, grid)
+
+
+# ---------------------------------------------------------------------------
+# the config schema and its one parser
+
+#: section -> kind -> ({key: (type, default)}, builder); a section without
+#: kinds has the single kind None.  A default of ``...`` marks a required key;
+#: a default of None lets the key be left out, and the resolved section then
+#: leaves it out too.
+_SCHEMA = {
+    "spectral": {None: ({"grid": (_object, ...), "kernel": (_object, ...),
+                         "r1_margin": (_number, 0.0)}, dict)},
+    "equilibrium": {None: ({"grid": (_object, ...), "payoff": (_object, ...),
+                            "state": (_object, ...), "info": (_object, ...)},
+                           dict)},
+    "moments": {None: ({"grid": (_object, ...), "r": (_number, ...),
+                        "moment": (_object, ...)}, dict)},
+    "grid": {
+        "uniform": ({"n": (_node_count, ...), "a": (_number, 0.0),
+                     "b": (_number, 1.0)}, uniform_grid),
+        None: ({"coords": (_array, ...), "weights": (_array, ...)}, MeasureGrid),
+    },
+    "state": {None: ({"mean": (_number, ...), "var": (_number, ...)},
+                     game.common_state_game)},
+    "kernel": {
+        "constant": ({"r": (_number, ...)}, kernels.constant_kernel),
+        "unidirectional": ({"r": (_number, ...)}, kernels.unidirectional_kernel),
+        "separable": ({"r": (_number, ...), "q_expr": (_string, ...)},
+                      _separable_kernel),
+        "graph": ({"edge_list": (_array, ...), "rbar": (_number, ...),
+                   "undirected": (_flag, True)},
+                  lambda grid, edge_list, rbar, undirected:
+                  kernels.graph_kernel(grid, edge_list, rbar, undirected)),
+        "file": ({"path": (_string, ...)}, _file_kernel),
+    },
+    "info": {
+        "none": ({}, game.no_info),
+        "full": ({}, game.full_info),
+        "public": ({"noise_var": (_number, 0.0)}, game.public_info),
+        "private_iid": ({"noise_var": (_number, ...),
+                         "exact_lln": (_flag, True)}, game.private_iid_info),
+        "targeted": ({"members": (_array, ...)}, game.targeted_info),
+    },
+    "moment": {
+        "targeted": ({"m": (_number, None), "members": (_array, None)},
+                     _targeted_moment),
+        "symmetric": ({"m": (_number, ...),
+                       "match_grid_obedience": (_flag, False)},
+                      lambda grid, r, m, match_grid_obedience:
+                      design.symmetric_moment(m, r, grid,
+                                              match_grid_obedience)[0]),
+        "explicit": ({"xi": (_array, ...), "zeta": (_array, ...),
+                      "state_var": (_number, 1.0)},
+                     lambda grid, r, xi, zeta, state_var:
+                     moments.EquilibriumMoment(grid, Kernel(grid, xi),
+                                               grid.function(zeta), state_var)),
+    },
+}
+
+
+def _parse(section: str, cfg, *context, where: str = None):
+    """Check ``cfg`` against ``_SCHEMA[section]`` and build its object with
+    ``builder(*context, **values)``.  Returns (object, resolved section with
+    every default filled in)."""
+    where = where or section
+    _object(cfg, where)
+    kinds = _SCHEMA[section]
+    kind = cfg.get("kind")
+    if not isinstance(kind, (str, type(None))) or kind not in kinds:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    keys, build = kinds[kind]
+    unknown = set(cfg) - set(keys) - ({"kind"} if kind else set())
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key, (_, default) in keys.items()
+               if default is ... and key not in cfg]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    values = {key: parse(cfg[key], f"{where} '{key}'") if key in cfg
+              else default for key, (parse, default) in keys.items()}
+    resolved = {key: v for key, v in dict(values, kind=kind).items()
+                if v is not None}
+    return build(*context, **values), resolved
+
+
+def _load_config(args) -> dict:
+    """The command's top-level config section, checked against the schema."""
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {args.config}: {exc}") from exc
+    return _parse(args.command, cfg, where=args.config)[0]
 
 
 def _grid_config(grid: MeasureGrid) -> dict:
     return {"coords": grid.coords.tolist(), "weights": grid.weights.tolist()}
-
-
-def _info_from_config(g: game.BasicGame, cfg: dict) -> game.GaussianInfo:
-    _check_keys(cfg, {"kind", "noise_var", "members", "exact_lln"},
-                {"kind"}, "info")
-    kind = cfg.get("kind")
-    extra = set(cfg) - {"kind"}
-    if kind == "none":
-        if extra:
-            raise ConfigError("info kind 'none' takes no parameters")
-        return game.no_info(g)
-    if kind == "full":
-        if extra:
-            raise ConfigError("info kind 'full' takes no parameters")
-        return game.full_info(g)
-    if kind == "public":
-        if extra - {"noise_var"}:
-            raise ConfigError("info kind 'public' takes only 'noise_var'")
-        return game.public_info(g, _number(cfg, "noise_var", 0.0))
-    if kind == "private_iid":
-        if extra - {"noise_var", "exact_lln"}:
-            raise ConfigError("info kind 'private_iid' takes 'noise_var' "
-                              "and 'exact_lln'")
-        return game.private_iid_info(g, _number(cfg, "noise_var"),
-                                     exact_lln=bool(cfg.get("exact_lln", True)))
-    if kind == "targeted":
-        if extra != {"members"}:
-            raise ConfigError("info kind 'targeted' takes exactly 'members'")
-        return game.targeted_info(g, cfg["members"])
-    raise ConfigError(f"unknown info kind: {kind!r}")
 
 
 def _objective_from_args(args) -> DesignObjective:
@@ -176,39 +293,28 @@ def _emit_csv(rows, header, out: str | None) -> None:
 # subcommands
 
 def _cmd_spectral(args) -> int:
-    if not args.config:
-        raise ConfigError("spectral requires --config")
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "kernel", "r1_margin"}, {"grid", "kernel"},
-                "spectral config")
-    grid = _grid_from_config(cfg["grid"])
-    K = kernels.kernel_from_config(grid, cfg["kernel"])
-    margin = _number(cfg, "r1_margin", 0.0)
-    report = kernels.spectral_report(K, r1_margin=margin)
-    resolved = {"command": "spectral", "grid": _grid_config(grid),
-                "kernel": cfg["kernel"], "r1_margin": margin}
+    cfg = _load_config(args)
+    grid, _ = _parse("grid", cfg["grid"])
+    K, kernel = _parse("kernel", cfg["kernel"], grid)
+    report = kernels.spectral_report(K, r1_margin=cfg["r1_margin"])
+    resolved = dict(cfg, command="spectral", grid=_grid_config(grid),
+                    kernel=kernel)
     _emit({"config": resolved, "report": report.as_dict()}, args.out)
     return EXIT_OK
 
 
 def _cmd_equilibrium(args) -> int:
-    if not args.config:
-        raise ConfigError("equilibrium requires --config")
-    cfg = _load_config(args.config)
-    keys = {"grid", "payoff", "state", "info"}
-    _check_keys(cfg, keys, keys, "equilibrium config")
-    grid = _grid_from_config(cfg["grid"])
-    payoff = kernels.kernel_from_config(grid, cfg["payoff"])
-    _check_keys(cfg["state"], {"mean", "var"}, {"mean", "var"}, "state")
-    g = game.common_state_game(grid, payoff, _number(cfg["state"], "mean"),
-                               _number(cfg["state"], "var"))
-    info = _info_from_config(g, cfg["info"])
+    cfg = _load_config(args)
+    grid, _ = _parse("grid", cfg["grid"])
+    payoff, payoff_cfg = _parse("kernel", cfg["payoff"], grid, where="payoff")
+    g, state = _parse("state", cfg["state"], grid, payoff)
+    info, info_cfg = _parse("info", cfg["info"], g)
     eq = game.solve_linear_equilibrium(g, info)
     tol = args.tol if args.tol is not None else 1e-8
     mrep = game.verify_moment_restrictions(eq, g, tol=tol)
     resolved = {"command": "equilibrium", "grid": _grid_config(grid),
-                "payoff": cfg["payoff"], "state": cfg["state"],
-                "info": cfg["info"], "method": "direct", "tol": tol}
+                "payoff": payoff_cfg, "state": state, "info": info_cfg,
+                "method": "direct", "tol": tol}
     payload = {
         "config": resolved,
         "intercepts": eq.intercepts.values.tolist(),
@@ -223,43 +329,11 @@ def _cmd_equilibrium(args) -> int:
     return EXIT_OK if mrep.passed else EXIT_VERIFY
 
 
-def _moment_from_config(cfg: dict, grid: MeasureGrid, r: float):
-    _check_keys(cfg, {"kind", "m", "match_grid_obedience", "xi", "zeta",
-                      "state_var", "members"}, {"kind"}, "moment")
-    kind = cfg["kind"]
-    if kind == "targeted":
-        if "members" in cfg:
-            members = cfg["members"]
-        elif "m" in cfg:
-            m = _number(cfg, "m")
-            if not 0.0 <= m <= 1.0:
-                raise ConfigError("targeted moment 'm' must lie in [0, 1]")
-            members = np.arange(int(round(m * grid.n)))
-        else:
-            raise ConfigError("targeted moment needs 'm' or 'members'")
-        return design.targeted_equilibrium_moment(members, r, grid)
-    if kind == "symmetric":
-        mom, _ = design.symmetric_moment(
-            _number(cfg, "m"), r, grid,
-            match_grid_obedience=bool(cfg.get("match_grid_obedience", False)))
-        return mom
-    if kind == "explicit":
-        xi = kernels.Kernel(grid, cfg.get("xi"))
-        zeta = grid.function(cfg.get("zeta"))
-        return moments.EquilibriumMoment(grid, xi, zeta,
-                                         _number(cfg, "state_var", 1.0))
-    raise ConfigError(f"unknown moment kind: {kind!r}")
-
-
 def _cmd_moments(args) -> int:
-    if not args.config:
-        raise ConfigError("moments requires --config")
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "r", "moment"}, {"grid", "r", "moment"},
-                "moments config")
-    grid = _grid_from_config(cfg["grid"])
-    r = _number(cfg, "r")
-    mom = _moment_from_config(cfg["moment"], grid, r)
+    cfg = _load_config(args)
+    grid, _ = _parse("grid", cfg["grid"])
+    r = cfg["r"]
+    mom, moment = _parse("moment", cfg["moment"], grid, r)
     R = kernels.constant_kernel(grid, r)
     obed = moments.check_obedience(mom, R)
     obed_tol = (args.tol if args.tol is not None
@@ -278,7 +352,7 @@ def _cmd_moments(args) -> int:
                   "passed": brep.passed}
         passed = brep.passed
     resolved = {"command": "moments", "grid": _grid_config(grid), "r": r,
-                "moment": cfg["moment"], "obedience_tol": obed_tol}
+                "moment": moment, "obedience_tol": obed_tol}
     payload = {
         "config": resolved,
         "obedience_residual": obed,
@@ -428,7 +502,8 @@ def _cmd_reproduce_all(args) -> int:
 #: flags shared by several subcommands; each subcommand takes only those it
 #: reads, and no abbreviations, so a flag it would ignore is a usage error
 _SHARED_FLAGS = {
-    "config": dict(metavar="PATH", help="JSON configuration file"),
+    "config": dict(metavar="PATH", required=True,
+                   help="JSON configuration file"),
     "seed": dict(type=int, default=0, metavar="N"),
     "out": dict(metavar="PATH", help="output artifact (defaults to stdout)"),
     "tol": dict(type=float, default=None, metavar="X",

@@ -10,7 +10,7 @@ Gaussian formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,13 @@ from .kernels import (Kernel, eigenvalues, operator_matrix, psd_project_tol,
 
 def _sym_pinv(mat: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a symmetric PSD matrix, or of each matrix in a stack
-    (k, d, d); eigenvalues up to 1e-10 times the largest count as zero."""
+    (k, d, d); eigenvalues up to 1e-10 times the largest, or below the
+    smallest normal float (whose reciprocal overflows), count as zero."""
     if mat.size == 0:
         return mat
     lam, vec = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2)))
-    top = lam[..., -1:]
-    keep = (lam > 1e-10 * top) & (top > 0.0)
-    inv = np.where(keep, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
+    keep = (lam > 1e-10 * lam[..., -1:]) & (lam >= np.finfo(float).tiny)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
@@ -91,9 +91,12 @@ class GaussianInfo:
     joint_cov: np.ndarray
 
     def __post_init__(self):
-        dims = np.array(self.signal_dims, dtype=int)
-        if dims.shape != (self.grid.n,) or np.any(dims < 1):
-            raise ValueError("signal_dims must give a positive dimension per node")
+        dims = np.array(self.signal_dims)
+        if (dims.dtype.kind not in "iu" or dims.shape != (self.grid.n,)
+                or np.any(dims < 1)):
+            raise ValueError("signal_dims must give a positive integer "
+                             "dimension per node")
+        dims = dims.astype(int, copy=False)
         mean = _frozen(self.signal_mean)
         cov = _floats(self.joint_cov)    # read only; the stored copy is ``sym``
         total = self.grid.n + int(dims.sum())
@@ -271,7 +274,7 @@ class LinearEquilibrium:
     induced_mean: GridFunction
     induced_action_cov: Kernel
     induced_action_state_cov: GridFunction
-    theta_var: np.ndarray = field(default=None)
+    theta_var: np.ndarray
 
     def loading_vector(self) -> np.ndarray:
         return np.concatenate([np.atleast_1d(c) for c in self.loadings])
@@ -420,7 +423,7 @@ def symmetric_moment_identity(eq: LinearEquilibrium, r: float) -> float:
             raise ValueError("equilibrium is not symmetric across nodes (off-diagonal)")
     if np.max(np.abs(zeta - zeta[0])) > sym_tol * (1 + np.max(np.abs(zeta))):
         raise ValueError("equilibrium is not symmetric across nodes (state cov)")
-    if tvar is None or np.max(np.abs(tvar - tvar[0])) > sym_tol * (1 + np.abs(tvar).max()):
+    if np.max(np.abs(tvar - tvar[0])) > sym_tol * (1 + np.abs(tvar).max()):
         raise ValueError("identity requires a common state variance")
     var_f = float(d[0])
     var_t = float(tvar[0])

@@ -125,16 +125,21 @@ class MeasureGrid:
 
     @classmethod
     def weights_from_csv(cls, path) -> "MeasureGrid":
-        """Read a two-column CSV of (coord, weight) rows, header optional."""
+        """Read a two-column CSV of (coord, weight) rows; only the first row
+        may be a non-numeric header."""
         coords, weights = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
                 try:
-                    c, w = float(row[0]), float(row[1])
+                    c, w = map(float, row)
                 except ValueError:
-                    continue  # header line
+                    if reader.line_num == 1:
+                        continue  # header line
+                    raise ValueError(f"{path}: line {reader.line_num} is not "
+                                     f"a (coord, weight) row: {row!r}") from None
                 coords.append(c)
                 weights.append(w)
         return cls(coords, weights)

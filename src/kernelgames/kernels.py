@@ -12,11 +12,8 @@ Two distinct matrix objects appear throughout:
 
 from __future__ import annotations
 
-import ast
 import csv
 import json
-import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,87 +151,6 @@ def exchangeable_kernel(grid: MeasureGrid, diag: float, offdiag: float) -> Kerne
     values = np.full((grid.n, grid.n), float(offdiag))
     np.fill_diagonal(values, float(diag))
     return Kernel(grid, values)
-
-
-_Q_EXPR_NAMES = {name: getattr(np, name) for name in
-                 ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh", "pi")}
-_Q_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv,
-               ast.Pow: operator.pow, ast.UAdd: operator.pos,
-               ast.USub: operator.neg}
-
-
-def _eval_q_expr(expr, t: np.ndarray):
-    """Evaluate a ``q_expr`` profile: number literals, ``t``, ``pi``, unary
-    +/-, the operators + - * / ** and one-argument calls of the
-    ``_Q_EXPR_NAMES`` functions.  Anything else is a ValueError."""
-    def ev(node):
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return float(node.value)
-        if isinstance(node, ast.Name) and node.id in ("t", "pi"):
-            return t if node.id == "t" else np.pi
-        if isinstance(node, ast.BinOp) and type(node.op) in _Q_EXPR_OPS:
-            return _Q_EXPR_OPS[type(node.op)](ev(node.left), ev(node.right))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _Q_EXPR_OPS:
-            return _Q_EXPR_OPS[type(node.op)](ev(node.operand))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and callable(_Q_EXPR_NAMES.get(node.func.id))
-                and len(node.args) == 1 and not node.keywords):
-            return _Q_EXPR_NAMES[node.func.id](ev(node.args[0]))
-        raise ValueError(f"q_expr may not contain {type(node).__name__} "
-                         f"{ast.unparse(node)!r}")
-
-    if not isinstance(expr, str):
-        raise ValueError("q_expr must be a string")
-    try:
-        return ev(ast.parse(expr, mode="eval").body)
-    except (SyntaxError, ArithmeticError, RecursionError) as exc:
-        raise ValueError(f"cannot evaluate q_expr {expr!r}: {exc}") from None
-
-
-def _config_number(cfg: dict, key: str, default: float = None) -> float:
-    """``cfg[key]`` (or ``default``) as a float; a ValueError unless finite."""
-    value = cfg.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
-    return float(value)
-
-
-def kernel_from_config(grid: MeasureGrid, cfg: dict) -> Kernel:
-    """Build a kernel from a config mapping, e.g. {"kind": "constant", "r": 0.5}."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError("kernel config must be a mapping with a 'kind' key")
-    kind = cfg["kind"]
-    extra = set(cfg) - {"kind"}
-    if kind == "constant":
-        if extra != {"r"}:
-            raise ValueError("constant kernel takes exactly 'r'")
-        return constant_kernel(grid, _config_number(cfg, "r"))
-    if kind == "unidirectional":
-        if extra != {"r"}:
-            raise ValueError("unidirectional kernel takes exactly 'r'")
-        return unidirectional_kernel(grid, _config_number(cfg, "r"))
-    if kind == "separable":
-        if extra != {"r", "q_expr"}:
-            raise ValueError("separable kernel takes 'r' and 'q_expr'")
-        q = _eval_q_expr(cfg["q_expr"], grid.coords)
-        return separable_kernel(grid, _config_number(cfg, "r"),
-                                np.broadcast_to(q, (grid.n,)))
-    if kind == "graph":
-        if not {"edge_list", "rbar"} <= extra <= {"edge_list", "rbar", "undirected"}:
-            raise ValueError("graph kernel takes 'edge_list', 'rbar' and "
-                             "optional 'undirected'")
-        return graph_kernel(grid, cfg["edge_list"], _config_number(cfg, "rbar"),
-                            bool(cfg.get("undirected", True)))
-    if kind == "file":
-        if extra != {"path"}:
-            raise ValueError("file kernel takes exactly 'path'")
-        path = str(cfg["path"])
-        if path.endswith(".json"):
-            return Kernel.from_json(path)
-        return Kernel.from_csv(path, grid)
-    raise ValueError(f"unknown kernel kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
-from kernelgames import cli
+from kernelgames import cli, kernels
+from kernelgames.grid import uniform_grid
 
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+_GRID = {"kind": "uniform", "n": 6}
+_STATE = {"mean": 0.0, "var": 1.0}
+_CONST = {"kind": "constant", "r": 0.5}
 
 
 def _spectral_cfg(tmp_path, **kernel):
@@ -59,18 +66,67 @@ def test_spectral_report_output(tmp_path):
     assert max(rep["eigenvalues_re"]) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_spectral_resolved_config_round_trips(tmp_path):
-    out = tmp_path / "report.json"
-    cfg = _spectral_cfg(tmp_path)
-    cli.main(["spectral", "--config", cfg, "--out", str(out)])
-    resolved = json.loads(out.read_text())["config"]
-    # the emitted grid re-parses and produces the identical artifact
-    cfg2 = _write(tmp_path, "cfg2.json",
-                  {"grid": resolved["grid"], "kernel": resolved["kernel"]})
-    out2 = tmp_path / "report2.json"
-    assert cli.main(["spectral", "--config", cfg2, "--out", str(out2)]) == 0
-    assert (json.loads(out.read_text())["report"]
-            == json.loads(out2.read_text())["report"])
+_ROUND_TRIP = [
+    ("spectral", "kernel", {"kind": "constant", "r": 0.5}),
+    ("spectral", "kernel", {"kind": "unidirectional", "r": 1}),
+    ("spectral", "kernel", {"kind": "separable", "r": 2, "q_expr": "sin(t)"}),
+    ("spectral", "kernel", {"kind": "graph", "edge_list": [[0, 1]], "rbar": 0.3}),
+    ("spectral", "kernel", {"kind": "file", "path": "k.json"}),
+    ("spectral", "kernel", {"kind": "file", "path": "k.csv"}),
+    ("equilibrium", "info", {"kind": "none"}),
+    ("equilibrium", "info", {"kind": "full"}),
+    ("equilibrium", "info", {"kind": "public"}),
+    ("equilibrium", "info", {"kind": "private_iid", "noise_var": 1}),
+    ("equilibrium", "info", {"kind": "targeted", "members": [0, 2]}),
+    ("moments", "moment", {"kind": "targeted", "m": 0.5}),
+    ("moments", "moment", {"kind": "targeted", "members": [1, 3]}),
+    ("moments", "moment", {"kind": "symmetric", "m": 0.5}),
+    ("moments", "moment", {"kind": "explicit", "xi": [[0.0] * 6] * 6,
+                           "zeta": [0.0] * 6}),
+]
+
+
+def test_spectral_resolved_config_round_trips(tmp_path, monkeypatch):
+    # for every command and kind: the emitted config lists every default and
+    # re-parses to a byte-identical artifact
+    monkeypatch.chdir(tmp_path)
+    K = kernels.constant_kernel(uniform_grid(6), 0.25)
+    K.to_json("k.json")
+    (tmp_path / "k.csv").write_text("\n".join(",".join(map(str, row))
+                                              for row in K.values))
+    for command, section, sub in _ROUND_TRIP:
+        cfg = {"spectral": {"grid": _GRID, "kernel": sub},
+               "equilibrium": {"grid": _GRID, "payoff": _CONST,
+                               "state": _STATE, "info": sub},
+               "moments": {"grid": _GRID, "r": 0.5,
+                           "moment": sub}}[command]
+        # a symmetric moment off the grid-matched diagonal fails obedience
+        code = cli.main([command, "--config", _write(tmp_path, "a.json", cfg),
+                         "--out", "a.out"])
+        assert code in (0, 2), sub
+        resolved = json.loads((tmp_path / "a.out").read_text())["config"]
+        keys, _ = cli._SCHEMA[section][sub["kind"]]
+        for key, (_, default) in keys.items():
+            assert default is None or key in resolved[section], (sub, key)
+        again = {key: resolved[key] for key in cli._SCHEMA[command][None][0]}
+        assert cli.main([command, "--config", _write(tmp_path, "b.json", again),
+                         "--out", "b.out"]) == code, sub
+        assert ((tmp_path / "a.out").read_bytes()
+                == (tmp_path / "b.out").read_bytes()), sub
+
+
+def test_kernel_section_kinds():
+    g = uniform_grid(6)
+    K, _ = cli._parse("kernel", {"kind": "constant", "r": 0.25}, g)
+    assert np.allclose(K.values, 0.25)
+    K, _ = cli._parse("kernel", {"kind": "separable", "r": 2.0,
+                                 "q_expr": "sin(t)"}, g)
+    assert K.values[1, 2] == pytest.approx(
+        2.0 * np.sin(g.coords[1]) * np.sin(g.coords[2]))
+    with pytest.raises(ValueError):
+        cli._parse("kernel", {"kind": "constant", "r": 0.25, "bogus": 1}, g)
+    with pytest.raises(ValueError):
+        cli._parse("kernel", {"kind": "mystery"}, g)
 
 
 # -- equilibrium and moments -------------------------------------------------
@@ -239,11 +295,6 @@ def test_reproduce_all_quick_manifest(tmp_path):
 
 # -- malformed configs end in an error line, never a traceback ---------------
 
-_GRID = {"kind": "uniform", "n": 6}
-_STATE = {"mean": 0.0, "var": 1.0}
-_CONST = {"kind": "constant", "r": 0.5}
-
-
 @pytest.mark.parametrize("command, cfg", [
     ("moments", {"grid": _GRID, "r": None,
                  "moment": {"kind": "targeted", "m": 0.5}}),
@@ -287,6 +338,84 @@ def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     assert cli.main([command, "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _eq_cfg(info):
+    return {"grid": _GRID, "payoff": _CONST, "state": _STATE, "info": info}
+
+
+def _moments_cfg(moment):
+    return {"grid": _GRID, "r": 0.5, "moment": moment}
+
+
+_ZERO_XI = [[0.0] * 6] * 6
+
+
+# a key of another kind, a second way to give the same value, a string where
+# a JSON boolean belongs, and a kernel file on another grid: each is refused
+@pytest.mark.parametrize("command, cfg, message", [
+    pytest.param("moments", _moments_cfg(
+        {"kind": "targeted", "m": 0.5, "xi": _ZERO_XI}),
+        "unknown keys ['xi']", id="targeted-moment-with-xi"),
+    pytest.param("moments", _moments_cfg(
+        {"kind": "targeted", "m": 0.5, "state_var": 1.0}),
+        "unknown keys ['state_var']", id="targeted-moment-with-state-var"),
+    pytest.param("moments", _moments_cfg(
+        {"kind": "explicit", "xi": _ZERO_XI, "zeta": [0.0] * 6, "m": 0.5}),
+        "unknown keys ['m']", id="explicit-moment-with-m"),
+    pytest.param("moments", _moments_cfg(
+        {"kind": "targeted", "m": 0.5, "members": [0, 1]}),
+        "exactly one of 'm' and 'members'", id="targeted-moment-m-and-members"),
+    pytest.param("equilibrium", _eq_cfg(
+        {"kind": "private_iid", "noise_var": 1.0, "exact_lln": "false"}),
+        "'exact_lln' must be JSON true or false", id="exact-lln-string"),
+    pytest.param("moments", _moments_cfg(
+        {"kind": "symmetric", "m": 0.5, "match_grid_obedience": "false"}),
+        "'match_grid_obedience' must be JSON true or false",
+        id="match-grid-obedience-string"),
+    pytest.param("spectral", {"grid": _GRID, "kernel": {
+        "kind": "graph", "edge_list": [[0, 1]], "rbar": 0.3,
+        "undirected": "false"}},
+        "'undirected' must be JSON true or false", id="graph-undirected-string"),
+    pytest.param("spectral", {"grid": _GRID,
+                              "kernel": {"kind": "file", "path": "k2.json"}},
+                 "kernel file 'k2.json' is not on the config's grid",
+                 id="file-kernel-on-another-grid"),
+])
+def test_config_schema_refuses_what_it_would_ignore(tmp_path, monkeypatch, capsys,
+                                                    command, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    kernels.constant_kernel(uniform_grid(2), 0.3).to_json("k2.json")
+    assert cli.main([command, "--config", _write(tmp_path, "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+# a kind that is not a string cannot be looked up (it may not be hashable);
+# every section refuses it, those without kinds too
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("spectral", {"kind": ["spectral"], "grid": _GRID,
+                              "kernel": _CONST}, id="top-level"),
+    pytest.param("spectral", {"grid": {"kind": ["uniform"], "n": 6},
+                              "kernel": _CONST}, id="grid"),
+    pytest.param("spectral", {"grid": _GRID,
+                              "kernel": {"kind": ["constant"], "r": 0.5}},
+                 id="kernel"),
+    pytest.param("equilibrium", {"grid": _GRID, "payoff": {"kind": {}, "r": 0.5},
+                                 "state": _STATE, "info": {"kind": "none"}},
+                 id="payoff"),
+    pytest.param("equilibrium", {"grid": _GRID, "payoff": _CONST,
+                                 "state": dict(_STATE, kind=["x"]),
+                                 "info": {"kind": "none"}}, id="state"),
+    pytest.param("equilibrium", _eq_cfg({"kind": ["none"]}), id="info"),
+    pytest.param("moments", _moments_cfg({"kind": 1, "m": 0.5}), id="moment"),
+])
+def test_non_string_kind_is_input_error(tmp_path, capsys, command, cfg):
+    assert cli.main([command, "--config", _write(tmp_path, "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "kind" in err
     assert "Traceback" not in err
 
 

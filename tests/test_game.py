@@ -389,11 +389,17 @@ def test_value_objects_own_their_arrays():
         assert not stored.flags.writeable, name
 
 
-@pytest.mark.parametrize("mean, joint", [([{}] * 3, np.eye(6)),
-                                         (np.zeros(3), [[{}] * 6] * 6)])
-def test_info_rejects_non_numeric_arrays(mean, joint):
-    with pytest.raises(ValueError, match="expected an array of numbers"):
-        GaussianInfo(uniform_grid(3), np.ones(3, int), mean, joint)
+@pytest.mark.parametrize("dims, mean, joint, message", [
+    pytest.param(np.ones(3, int), [{}] * 3, np.eye(6),
+                 "expected an array of numbers", id="object-mean"),
+    pytest.param(np.ones(3, int), np.zeros(3), [[{}] * 6] * 6,
+                 "expected an array of numbers", id="object-joint"),
+    pytest.param([1.7, 1.2, 1.0], np.zeros(3), np.eye(6),
+                 "positive integer dimension", id="fractional-dims"),
+])
+def test_info_rejects_non_numeric_arrays(dims, mean, joint, message):
+    with pytest.raises(ValueError, match=message):
+        GaussianInfo(uniform_grid(3), dims, mean, joint)
 
 
 def test_info_accepts_rank_deficient_joint_cov():

@@ -148,6 +148,20 @@ def test_weights_from_csv(tmp_path):
     assert np.allclose(g.coords, [0.25, 0.75])
 
 
+@pytest.mark.parametrize("text, line", [
+    ("coord,weight\n0.25,0.5\nbad,row\n0.75,0.5\n", 3),
+    ("0.25,0.5\ncoord,weight\n0.75,0.5\n", 2),
+    ("0.25,0.5\n0.75\n", 2),
+    ("0.25,0.5\n0.75,0.5,0.0\n", 2),
+])
+def test_weights_from_csv_rejects_malformed_rows(tmp_path, text, line):
+    # only the first row may be a header; any other bad row names its line
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line} "):
+        MeasureGrid.weights_from_csv(path)
+
+
 def test_immutability():
     g = uniform_grid(4)
     with pytest.raises(ValueError):

@@ -6,14 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kernelgames.cli import _Q_EXPR_NAMES, _parse
 from kernelgames.game import BasicGame
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import (_Q_EXPR_NAMES, Kernel, cauchy_schwarz_audit,
+from kernelgames.kernels import (Kernel, cauchy_schwarz_audit,
                                  check_psd,
                                  check_r1, check_r2, constant_kernel,
                                  diagonal_kernel, eigenvalues,
                                  exchangeable_kernel, graph_kernel,
-                                 hadamard_eigen_bound, kernel_from_config,
+                                 hadamard_eigen_bound,
                                  numerical_range_bounds, operator_matrix,
                                  operator_norm_bound, psd_within,
                                  rayleigh_quotient, separable_kernel,
@@ -354,17 +355,9 @@ def test_kernel_json_rejects_legacy_undirected_key(tmp_path):
         Kernel.from_json(path)
 
 
-def test_kernel_from_config_kinds():
-    g = uniform_grid(6)
-    K = kernel_from_config(g, {"kind": "constant", "r": 0.25})
-    assert np.allclose(K.values, 0.25)
-    K = kernel_from_config(g, {"kind": "separable", "r": 2.0, "q_expr": "sin(t)"})
-    assert K.values[1, 2] == pytest.approx(
-        2.0 * np.sin(g.coords[1]) * np.sin(g.coords[2]))
-    with pytest.raises(ValueError):
-        kernel_from_config(g, {"kind": "constant", "r": 0.25, "bogus": 1})
-    with pytest.raises(ValueError):
-        kernel_from_config(g, {"kind": "mystery"})
+def _separable(g, r, q_expr):
+    # a separable kernel's q_expr profile is config input, parsed by the CLI
+    return _parse("kernel", {"kind": "separable", "r": r, "q_expr": q_expr}, g)[0]
 
 
 def test_q_expr_allowed_forms_match_python_eval():
@@ -372,9 +365,9 @@ def test_q_expr_allowed_forms_match_python_eval():
     expr = ("-(+2.5 * t ** 2 - 1 / (3 + t)) + sin(t) * cos(pi * t) - exp(-t)"
             " + log(1 + t) + sqrt(t) + abs(t - 1) + tanh(2 * t) + 2 ** -1 + 7")
     ref = eval(expr, {"__builtins__": {}}, dict(_Q_EXPR_NAMES, t=g.coords))
-    K = kernel_from_config(g, {"kind": "separable", "r": 1.0, "q_expr": expr})
+    K = _separable(g, 1.0, expr)
     assert np.array_equal(K.values, np.outer(ref, ref))
-    K = kernel_from_config(g, {"kind": "separable", "r": 0.5, "q_expr": "-pi"})
+    K = _separable(g, 0.5, "-pi")
     assert np.array_equal(K.values, np.full((9, 9), 0.5 * np.pi ** 2))
 
 
@@ -399,7 +392,7 @@ def test_q_expr_allowed_forms_match_python_eval():
 def test_q_expr_rejects_everything_else(expr):
     g = uniform_grid(5)
     with pytest.raises(ValueError):
-        kernel_from_config(g, {"kind": "separable", "r": 1.0, "q_expr": expr})
+        _separable(g, 1.0, expr)
 
 
 def test_graph_kernel_rejects_bad_edges():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kernelgames.design import symmetric_moment, targeted_equilibrium_moment
+from kernelgames.design import (_random_info, moment_from_equilibrium,
+                                symmetric_moment, targeted_equilibrium_moment)
 from kernelgames.errors import InfeasibleMoment
 from kernelgames.game import common_state_game, solve_linear_equilibrium
 from kernelgames.grid import uniform_grid
@@ -9,7 +12,8 @@ from kernelgames.kernels import Kernel, constant_kernel
 from kernelgames.moments import (DesignObjective, EquilibriumMoment,
                                  bounds_check, check_obedience,
                                  check_positivity, construct_canonical_signals,
-                                 diag_integral, double_integral,
+                                 default_obedience_tol, diag_integral,
+                                 double_integral,
                                  objective_value, zero_moment, zeta_integral)
 
 
@@ -189,7 +193,6 @@ def test_canonical_signals_round_trip_random_feasible():
     grid = uniform_grid(25)
     r = 0.4
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
-    from kernelgames.design import _random_info, moment_from_equilibrium
     for _ in range(5):
         eq = solve_linear_equilibrium(game, _random_info(game, rng))
         mom = moment_from_equilibrium(eq)
@@ -199,6 +202,38 @@ def test_canonical_signals_round_trip_random_feasible():
                              - mom.xi.values)) <= 1e-8
         assert np.max(np.abs(eq2.induced_action_state_cov.values
                              - mom.zeta.values)) <= 1e-8
+
+
+_SIZES = st.integers(2, 30)
+_RS = st.floats(-2.0, 0.9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_SIZES, r=_RS, seed=st.integers(0, 2 ** 32 - 1))
+def test_solved_moments_are_feasible(n, r, seed):
+    # every equilibrium moment passes obedience, positivity and the bounds
+    grid = uniform_grid(n)
+    R = constant_kernel(grid, r)
+    game = common_state_game(grid, R, 0.0, 1.0)
+    info = _random_info(game, np.random.default_rng(seed))
+    mom = moment_from_equilibrium(solve_linear_equilibrium(game, info))
+    assert check_obedience(mom, R) <= default_obedience_tol(mom)
+    assert check_positivity(mom)
+    assert bounds_check(mom, r).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_SIZES, r=_RS, m=st.floats(0.0, 1.0))
+@example(n=2, r=0.0, m=5e-324)    # a subnormal signal variance
+def test_grid_matched_symmetric_moment_round_trips(n, r, m):
+    # canonical signals of the grid-matched symmetric moment reproduce it
+    grid = uniform_grid(n)
+    game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
+    mom, _ = symmetric_moment(m, r, grid, match_grid_obedience=True)
+    eq = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
+    assert np.max(np.abs(eq.induced_action_cov.values - mom.xi.values)) <= 1e-8
+    assert np.max(np.abs(eq.induced_action_state_cov.values
+                         - mom.zeta.values)) <= 1e-8
 
 
 def test_canonical_signals_reject_infeasible_moment():
