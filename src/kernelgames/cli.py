@@ -149,8 +149,8 @@ def _targeted_moment(grid, r, m, members):
 #: a default of None lets the key be left out, and the resolved section then
 #: leaves it out too.
 _SCHEMA = {
-    "spectral": {None: ({"grid": (_object, ...), "kernel": (_object, ...),
-                         "r1_margin": (_number, 0.0)}, dict)},
+    "spectral": {None: ({"grid": (_object, ...), "kernel": (_object, ...)},
+                        dict)},
     "equilibrium": {None: ({"grid": (_object, ...), "payoff": (_object, ...),
                             "state": (_object, ...), "info": (_object, ...)},
                            dict)},
@@ -240,8 +240,50 @@ def _grid_config(grid: MeasureGrid) -> dict:
     return {"coords": grid.coords.tolist(), "weights": grid.weights.tolist()}
 
 
-def _objective_from_args(args) -> DesignObjective:
-    return DesignObjective(float(args.u), float(args.v), float(args.w))
+# ---------------------------------------------------------------------------
+# the flags of each design mode and mc check
+
+_integer = _instance_of("an integer", int)      # argparse has parsed it
+_OBJECTIVE = {"r": (_number, 0.5), "u": (_number, 0.0), "v": (_number, 1.0),
+              "w": (_number, 0.0)}
+_DRAWS = {"draws": (_integer, 100_000), "seed": (_integer, 0)}
+
+#: command -> mode -> {flag: (type, default)}: the flags each mode reads;
+#: argparse parses a flag as its default's type
+_MODE_FLAGS = {
+    "design": {
+        "optimum": _OBJECTIVE,
+        "diagram": {"r": (_number, 0.5), "alpha-min": (_number, -2.0),
+                    "alpha-max": (_number, 2.0), "beta-min": (_number, -2.0),
+                    "beta-max": (_number, 2.0), "resolution": (_integer, 101)},
+        "cournot": {"lambda": (_number, 0.5), "gamma": (_number, 2.0)},
+        "audit": dict(_OBJECTIVE, samples=(_integer, 200), seed=(_integer, 0),
+                      n=(_node_count, 100)),
+    },
+    "mc": {
+        "aggregate": dict(n=(_node_count, 40), **_DRAWS),
+        "duplicate": dict(n=(_node_count, 40), r=(_number, 2.0), **_DRAWS),
+        # the bm example's private noises sum to zero, which needs two nodes
+        "bm": dict(n=(lambda value, where: _node_count(value, where, 2), 40),
+                   **_DRAWS),
+    },
+}
+
+
+def _mode_options(args, selector: str) -> dict:
+    """The values of the flags that the mode chosen by ``--<selector>`` reads:
+    each given flag checked by its type, the others at their defaults.  A
+    given flag that the mode does not read is a ConfigError."""
+    mode = getattr(args, selector)
+    flags = _MODE_FLAGS[args.command][mode]
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "out", selector)}
+    ignored = [f"--{key}" for key in given if key not in flags]
+    if ignored:
+        raise ConfigError(f"{args.command} --{selector} {mode} does not read "
+                          f"{', '.join(ignored)}")
+    return {key: parse(given[key], f"--{key}") if key in given else default
+            for key, (parse, default) in flags.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +338,7 @@ def _cmd_spectral(args) -> int:
     cfg = _load_config(args)
     grid, _ = _parse("grid", cfg["grid"])
     K, kernel = _parse("kernel", cfg["kernel"], grid)
-    report = kernels.spectral_report(K, r1_margin=cfg["r1_margin"])
+    report = kernels.spectral_report(K)
     resolved = dict(cfg, command="spectral", grid=_grid_config(grid),
                     kernel=kernel)
     _emit({"config": resolved, "report": report.as_dict()}, args.out)
@@ -310,11 +352,9 @@ def _cmd_equilibrium(args) -> int:
     g, state = _parse("state", cfg["state"], grid, payoff)
     info, info_cfg = _parse("info", cfg["info"], g)
     eq = game.solve_linear_equilibrium(g, info)
-    tol = args.tol if args.tol is not None else 1e-8
-    mrep = game.verify_moment_restrictions(eq, g, tol=tol)
+    mrep = game.verify_moment_restrictions(eq, g)
     resolved = {"command": "equilibrium", "grid": _grid_config(grid),
-                "payoff": payoff_cfg, "state": state, "info": info_cfg,
-                "method": "direct", "tol": tol}
+                "payoff": payoff_cfg, "state": state, "info": info_cfg}
     payload = {
         "config": resolved,
         "intercepts": eq.intercepts.values.tolist(),
@@ -323,6 +363,7 @@ def _cmd_equilibrium(args) -> int:
         "action_cov": eq.induced_action_cov.values.tolist(),
         "action_state_cov": eq.induced_action_state_cov.values.tolist(),
         "moment_residual": mrep.max_residual,
+        "moment_tol": mrep.tol,
         "moment_check_passed": mrep.passed,
     }
     _emit(payload, args.out)
@@ -334,45 +375,55 @@ def _cmd_moments(args) -> int:
     grid, _ = _parse("grid", cfg["grid"])
     r = cfg["r"]
     mom, moment = _parse("moment", cfg["moment"], grid, r)
-    R = kernels.constant_kernel(grid, r)
-    obed = moments.check_obedience(mom, R)
-    obed_tol = (args.tol if args.tol is not None
-                else moments.default_obedience_tol(mom))
-    psd = moments.check_positivity(mom)
-    feasible = obed <= obed_tol and psd
-    # the bounds are theorems about feasible moments; skip them (and fail the
-    # run) when obedience or positivity already broke down
+    rep = moments.bounds_check(mom, r)
+    # the bounds are theorems about feasible moments; report them only for one
     bounds = None
-    passed = False
-    if feasible:
-        brep = moments.bounds_check(mom, r)
-        bounds = {"cauchy_slack": brep.cauchy_slack,
-                  "diag_slack": brep.diag_slack,
-                  "ceiling_slack": brep.ceiling_slack,
-                  "passed": brep.passed}
-        passed = brep.passed
+    if rep.feasible:
+        bounds = {"cauchy_slack": rep.cauchy_slack,
+                  "diag_slack": rep.diag_slack,
+                  "ceiling_slack": rep.ceiling_slack,
+                  "passed": rep.passed}
     resolved = {"command": "moments", "grid": _grid_config(grid), "r": r,
-                "moment": moment, "obedience_tol": obed_tol}
+                "moment": moment}
     payload = {
         "config": resolved,
-        "obedience_residual": obed,
-        "positivity_ok": psd,
+        "obedience_residual": rep.obedience_residual,
+        "obedience_tol": rep.obedience_tol,
+        "positivity_ok": rep.positivity_ok,
         "bounds": bounds,
-        "passed": passed,
+        "passed": rep.passed,
     }
     _emit(payload, args.out)
-    return EXIT_OK if passed else EXIT_VERIFY
+    return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
 def _cmd_design(args) -> int:
-    mode = args.mode
-    if mode == "optimum":
-        obj = _objective_from_args(args)
-        rep = design.optimal_targeted(args.r, obj)
-        pub = design.public_optimum(args.r, obj)
+    opts = _mode_options(args, "mode")
+    config = dict(opts, command="design", mode=args.mode)
+    if args.mode == "diagram":
+        rows = design.regime_diagram(opts["r"],
+                                     (opts["alpha-min"], opts["alpha-max"]),
+                                     (opts["beta-min"], opts["beta-max"]),
+                                     opts["resolution"])
+        _emit_csv(rows, ("alpha", "beta", "regime", "m_star", "v_star"),
+                  args.out)
+        return EXIT_OK
+    if args.mode == "cournot":
+        rep = design.cournot_policy(opts["lambda"], opts["gamma"])
         payload = {
-            "config": {"command": "design", "mode": mode, "r": args.r,
-                       "u": obj.u, "v": obj.v, "w": obj.w},
+            "config": config,
+            "u": rep.u, "v": rep.v, "w": rep.w, "r": rep.r,
+            "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
+            "full_disclosure": rep.full_disclosure,
+        }
+        _emit(payload, args.out)
+        return EXIT_OK
+    obj = DesignObjective(opts["u"], opts["v"], opts["w"])
+    if args.mode == "optimum":
+        rep = design.optimal_targeted(opts["r"], obj)
+        pub = design.public_optimum(opts["r"], obj)
+        payload = {
+            "config": config,
             "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
             "alpha": rep.alpha, "beta": rep.beta,
             "public": {"z_star": pub.z_star, "v_pub": pub.v_pub,
@@ -380,66 +431,40 @@ def _cmd_design(args) -> int:
         }
         _emit(payload, args.out)
         return EXIT_OK
-    if mode == "diagram":
-        rows = design.regime_diagram(args.r, (args.alpha_min, args.alpha_max),
-                                     (args.beta_min, args.beta_max),
-                                     args.resolution)
-        _emit_csv(rows, ("alpha", "beta", "regime", "m_star", "v_star"),
-                  args.out)
-        return EXIT_OK
-    if mode == "cournot":
-        rep = design.cournot_policy(getattr(args, "lambda"), args.gamma)
-        payload = {
-            "config": {"command": "design", "mode": mode,
-                       "lambda": getattr(args, "lambda"), "gamma": args.gamma},
-            "u": rep.u, "v": rep.v, "w": rep.w, "r": rep.r,
-            "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
-            "full_disclosure": rep.full_disclosure,
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-    if mode == "audit":
-        obj = _objective_from_args(args)
-        n = _node_count(args.n, "--n", 1)
-        rep = design.global_optimality_audit(args.r, obj, args.samples,
-                                             args.seed, n=n, tol=args.tol)
-        payload = {
-            "config": {"command": "design", "mode": mode, "r": args.r,
-                       "u": obj.u, "v": obj.v, "w": obj.w,
-                       "samples": args.samples, "seed": args.seed,
-                       "n": args.n, "tol": rep.tol},
-            "max_excess": rep.max_excess, "v_star": rep.v_star,
-            "samples_checked": rep.samples, "passed": rep.passed,
-        }
-        _emit(payload, args.out)
-        return EXIT_OK if rep.passed else EXIT_VERIFY
-    raise ConfigError(f"unknown design mode: {mode!r}")
+    rep = design.global_optimality_audit(opts["r"], obj, opts["samples"],
+                                         opts["seed"], n=opts["n"])
+    payload = {
+        "config": config,
+        "max_excess": rep.max_excess, "v_star": rep.v_star, "tol": rep.tol,
+        "samples_checked": rep.samples, "passed": rep.passed,
+    }
+    _emit(payload, args.out)
+    return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
 def _cmd_mc(args) -> int:
-    seed = args.seed
-    # the bm example's private noises sum to zero, which needs two nodes
-    _node_count(args.n, "--n", 2 if args.check == "bm" else 1)
-    if args.draws < 2:
-        raise ConfigError(f"--draws must be at least 2, got {args.draws}")
+    opts = _mode_options(args, "check")
+    n, draws, seed = opts["n"], opts["draws"], opts["seed"]
+    if draws < 2:
+        raise ConfigError(f"--draws must be at least 2, got {draws}")
+    config = dict(opts, command="mc", check=args.check,
+                  generator_id=montecarlo.GENERATOR_ID)
     if args.check == "aggregate":
         rng = np.random.default_rng(seed)
-        grid = uniform_grid(args.n)
-        mean = rng.normal(size=args.n)
-        B = rng.normal(size=(args.n, 5))
-        cov = B @ B.T + 0.1 * np.eye(args.n)
-        sample = montecarlo.sample_gaussian(mean, cov, args.draws, seed=seed)
+        grid = uniform_grid(n)
+        mean = rng.normal(size=n)
+        B = rng.normal(size=(n, 5))
+        cov = B @ B.T + 0.1 * np.eye(n)
+        sample = montecarlo.sample_gaussian(mean, cov, draws, seed=seed)
         mrep = montecarlo.verify_aggregate_mean(sample, grid, mean)
         vrep = montecarlo.verify_aggregate_variance(sample, grid, cov)
         exch = montecarlo.covariance_exchange_residual(
-            cov, grid, rng.normal(size=args.n))
+            cov, grid, rng.normal(size=n))
         cond = montecarlo.verify_conditional_fubini(
-            sample, grid, [0, args.n // 2], mean, cov)
+            sample, grid, [0, n // 2], mean, cov)
         passed = mrep.passed and vrep.passed and cond.passed and exch <= 1e-9
         payload = {
-            "config": {"command": "mc", "check": "aggregate", "n": args.n,
-                       "draws": args.draws, "seed": seed,
-                       "generator_id": montecarlo.GENERATOR_ID},
+            "config": config,
             "mean_zscore": mrep.zscore, "variance_zscore": vrep.zscore,
             "exchange_residual": exch,
             "conditional_discrepancy": cond.statistic,
@@ -448,30 +473,20 @@ def _cmd_mc(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK if passed else EXIT_VERIFY
     if args.check == "duplicate":
-        grid = uniform_grid(args.n)
-        g = game.common_state_game(grid, kernels.constant_kernel(grid, args.r),
-                                   1.0, 1.0)
-        rep = montecarlo.duplicate_equilibria(g, d=args.draws, seed=seed)
+        grid = uniform_grid(n)
+        g = game.common_state_game(
+            grid, kernels.constant_kernel(grid, opts["r"]), 1.0, 1.0)
+        rep = montecarlo.duplicate_equilibria(g, d=draws, seed=seed)
         payload = {
-            "config": {"command": "mc", "check": "duplicate", "n": args.n,
-                       "r": args.r, "draws": args.draws, "seed": seed,
-                       "generator_id": montecarlo.GENERATOR_ID},
+            "config": config,
             "eigenvalue": rep.eigenvalue, "distance": rep.distance,
             "passed": rep.passed,
         }
         _emit(payload, args.out)
         return EXIT_OK if rep.passed else EXIT_VERIFY
-    if args.check == "bm":
-        res = checks.check_bm_example(n=args.n, draws=args.draws, seed=seed)
-        payload = {
-            "config": {"command": "mc", "check": "bm", "n": args.n,
-                       "draws": args.draws, "seed": seed,
-                       "generator_id": montecarlo.GENERATOR_ID},
-            **res.as_dict(),
-        }
-        _emit(payload, args.out)
-        return EXIT_OK if res.passed else EXIT_VERIFY
-    raise ConfigError(f"unknown mc check: {args.check!r}")
+    res = checks.check_bm_example(n=n, draws=draws, seed=seed)
+    _emit({"config": config, **res.as_dict()}, args.out)
+    return EXIT_OK if res.passed else EXIT_VERIFY
 
 
 def _cmd_reproduce_all(args) -> int:
@@ -504,10 +519,7 @@ def _cmd_reproduce_all(args) -> int:
 _SHARED_FLAGS = {
     "config": dict(metavar="PATH", required=True,
                    help="JSON configuration file"),
-    "seed": dict(type=int, default=0, metavar="N"),
     "out": dict(metavar="PATH", help="output artifact (defaults to stdout)"),
-    "tol": dict(type=float, default=None, metavar="X",
-                help="override the default check tolerance"),
 }
 
 
@@ -518,44 +530,29 @@ def _build_parser() -> _Parser:
                                  "design, and stochastic verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, flags, summary):
+    def subcommand(name, flags, summary, selector=None):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in flags:
             p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        if selector:
+            # every flag of any mode; _mode_options rejects the others
+            modes = _MODE_FLAGS[name]
+            p.add_argument(f"--{selector}", required=True, choices=tuple(modes))
+            defaults = {flag: default for keys in modes.values()
+                        for flag, (_, default) in keys.items()}
+            for flag, default in defaults.items():
+                p.add_argument(f"--{flag}", dest=flag, type=type(default),
+                               default=argparse.SUPPRESS)
         return p
 
     subcommand("spectral", ("config", "out"),
                "spectral report for a kernel on a grid")
-    subcommand("equilibrium", ("config", "out", "tol"),
+    subcommand("equilibrium", ("config", "out"),
                "solve and verify a linear equilibrium")
-    subcommand("moments", ("config", "out", "tol"),
+    subcommand("moments", ("config", "out"),
                "obedience, positivity and bounds for a moment")
-
-    p = subcommand("design", ("seed", "out", "tol"),
-                   "optimal disclosure analysis")
-    p.add_argument("--mode", required=True,
-                   choices=("optimum", "diagram", "cournot", "audit"))
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--u", type=float, default=0.0)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--w", type=float, default=0.0)
-    p.add_argument("--lambda", type=float, default=0.5, dest="lambda")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--alpha-min", type=float, default=-2.0)
-    p.add_argument("--alpha-max", type=float, default=2.0)
-    p.add_argument("--beta-min", type=float, default=-2.0)
-    p.add_argument("--beta-max", type=float, default=2.0)
-    p.add_argument("--resolution", type=int, default=101)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--n", type=int, default=100)
-
-    p = subcommand("mc", ("seed", "out"), "seeded stochastic verification")
-    p.add_argument("--check", required=True,
-                   choices=("aggregate", "duplicate", "bm"))
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--draws", type=int, default=100_000)
-    p.add_argument("--r", type=float, default=2.0)
-
+    subcommand("design", ("out",), "optimal disclosure analysis", "mode")
+    subcommand("mc", ("out",), "seeded stochastic verification", "check")
     p = subcommand("reproduce-all", (),
                    "run every verification battery, write a manifest")
     p.add_argument("--outdir", default="reproduction")

@@ -240,19 +240,17 @@ class AuditReport:
 
 
 def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
-                            seed: int, n: int = 100,
-                            tol: float = None) -> AuditReport:
+                            seed: int, n: int = 100) -> AuditReport:
     """Sample feasible equilibrium moments and verify none beats the targeted
     optimum.  Moments are generated constructively: random Gaussian structures
     solved through the equilibrium solver, plus random targeted / symmetric /
-    public structures, all on the normalized common state.
+    public structures, all on the normalized common state.  No moment may
+    exceed V* by more than 1e-6 (1 + |V*|).
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     report = optimal_targeted(r, obj)
     v_star = report.v_star
-    if tol is None:
-        tol = 1e-6 * (1.0 + abs(v_star))
     grid = uniform_grid(n)
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
     rng = np.random.default_rng(seed)
@@ -279,7 +277,7 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
             mm = float(rng.uniform())
             consider(symmetric_moment(mm, r, grid,
                                       match_grid_obedience=True)[0])
-    return AuditReport(max_excess, v_star, count, tol)
+    return AuditReport(max_excess, v_star, count, 1e-6 * (1.0 + abs(v_star)))
 
 
 # ---------------------------------------------------------------------------

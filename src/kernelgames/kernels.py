@@ -249,7 +249,7 @@ def cauchy_schwarz_audit(K: Kernel) -> float:
     return float(np.max(K.values - bound))
 
 
-def spectral_report(K: Kernel, r1_margin: float = 0.0) -> SpectralReport:
+def spectral_report(K: Kernel) -> SpectralReport:
     eigs = eigenvalues(K)
     nr_inf, nr_sup = numerical_range_bounds(K)
     return SpectralReport(
@@ -258,7 +258,7 @@ def spectral_report(K: Kernel, r1_margin: float = 0.0) -> SpectralReport:
         numerical_range_sup=nr_sup,
         operator_norm_bound=operator_norm_bound(K),
         diag_sup=float(np.max(np.abs(K.diag()))),
-        r1_holds=nr_sup < 1.0 - r1_margin,
+        r1_holds=nr_sup < 1.0,      # check_r1's rule
         r2_holds=bool(np.all(eigs.real[_real_mask(eigs)] < 1.0)),
     )
 

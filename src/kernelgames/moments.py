@@ -18,7 +18,8 @@ import numpy as np
 from .errors import InfeasibleMoment
 from .game import BasicGame, GaussianInfo, _assemble_info, solve_mean
 from .grid import GridFunction, MeasureGrid
-from .kernels import Kernel, check_r2, operator_matrix, psd_project_tol, psd_within
+from .kernels import (Kernel, check_r2, constant_kernel, operator_matrix,
+                      psd_project_tol, psd_within)
 
 
 @dataclass(frozen=True)
@@ -118,35 +119,35 @@ def zeta_integral(m: EquilibriumMoment) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Slack values of the three feasibility inequalities; all must be >= -tol."""
+    """Feasibility of a moment and the slacks of the three bounds it implies;
+    it passes when feasible and every slack is >= -tol."""
 
     cauchy_slack: float      # double-int xi - (int zeta)^2
     diag_slack: float        # int xi(t,t) - double-int xi
     ceiling_slack: float     # (1/(1-r))^2 - double-int xi
     obedience_residual: float
+    obedience_tol: float
     positivity_ok: bool
     tol: float
 
     @property
+    def feasible(self) -> bool:
+        return self.obedience_residual <= self.obedience_tol and self.positivity_ok
+
+    @property
     def passed(self) -> bool:
-        return (min(self.cauchy_slack, self.diag_slack, self.ceiling_slack)
-                >= -self.tol)
+        return self.feasible and (min(self.cauchy_slack, self.diag_slack,
+                                      self.ceiling_slack) >= -self.tol)
 
 
 def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
-    """Feasibility bounds (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}
-    for a constant payoff structure r < 1, each within a slack of 1e-9.
+    """Feasibility of ``m`` for a constant payoff structure r < 1 (obedience
+    within ``default_obedience_tol``, positivity) and the bounds
+    (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}, each within a
+    slack of 1e-9; the bounds are theorems about feasible moments only.
     """
     if r >= 1:
         raise ValueError("bounds require r < 1")
-    from .kernels import constant_kernel
-
-    obed = check_obedience(m, constant_kernel(m.grid, r))
-    pos = check_positivity(m)
-    if obed > default_obedience_tol(m) or not pos:
-        raise InfeasibleMoment(
-            f"bounds preconditions failed: obedience residual {obed:.3e}, "
-            f"positivity {pos}")
     dd = double_integral(m)
     return BoundsReport(
         cauchy_slack=dd - zeta_integral(m) ** 2 * (1.0 if m.state_var == 0
@@ -154,8 +155,9 @@ def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
         diag_slack=diag_integral(m) - dd,
         ceiling_slack=(1.0 / (1.0 - r)) ** 2 * m.state_var - dd
         if m.state_var > 0 else (1.0 / (1.0 - r)) ** 2 - dd,
-        obedience_residual=obed,
-        positivity_ok=pos,
+        obedience_residual=check_obedience(m, constant_kernel(m.grid, r)),
+        obedience_tol=default_obedience_tol(m),
+        positivity_ok=check_positivity(m),
         tol=1e-9,
     )
 

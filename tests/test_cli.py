@@ -142,6 +142,7 @@ def test_equilibrium_solve_and_verify(tmp_path):
     assert cli.main(["equilibrium", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["moment_check_passed"]
+    assert payload["moment_tol"] == 1e-8 and "tol" not in payload["config"]
     assert payload["loadings"][0][0] == pytest.approx(2.0, abs=1e-10)
 
 
@@ -179,6 +180,23 @@ def test_moments_infeasible_explicit_fails_verification(tmp_path, capsys):
                    "state_var": 1.0},
     })
     assert cli.main(["moments", "--config", cfg]) == 2
+
+
+def test_moments_near_obedient_explicit_fails_verification(tmp_path, capsys):
+    # PSD, but its obedience residual 8.75e-7 is above the fixed 2e-8: one
+    # verdict, exit 2 with no bounds (a caller's --tol once passed it here
+    # and then failed inside the bounds check)
+    cfg = _write(tmp_path, "m.json", {
+        "grid": {"kind": "uniform", "n": 2}, "r": 0.0,
+        "moment": {"kind": "explicit", "xi": [[1.0, 1.0], [1.0, 1.0]],
+                   "zeta": [1.0 - 8.75e-7] * 2}})
+    assert cli.main(["moments", "--config", cfg]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["positivity_ok"] and not payload["passed"]
+    assert payload["obedience_residual"] == pytest.approx(8.75e-7, rel=1e-6)
+    assert payload["obedience_tol"] == pytest.approx(2e-8)
+    assert payload["bounds"] is None
+    assert "obedience_tol" not in payload["config"]
 
 
 # -- design ------------------------------------------------------------------
@@ -272,6 +290,30 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
     pytest.param(["mc", "--check", "duplicate", "--r", "30", "--n", "20",
                   "--draws", "100"],
                  "node 0 has 1.500e+00", id="duplicate-own-cell-above-one"),
+    # a non-finite number is an input error, never a result or a failed check
+    *(pytest.param(argv + [flag, value],
+                   f"{flag} must be a finite number, got {value}",
+                   id=f"{argv[2]}{flag}-{value}")
+      for argv, flag, value in [
+          (["design", "--mode", "optimum"], "--r", "nan"),
+          (["design", "--mode", "optimum"], "--u", "inf"),
+          (["design", "--mode", "optimum"], "--v", "nan"),
+          (["design", "--mode", "optimum"], "--w", "inf"),
+          (["design", "--mode", "cournot"], "--lambda", "nan"),
+          (["design", "--mode", "cournot"], "--gamma", "inf"),
+          (["design", "--mode", "diagram", "--resolution", "2"],
+           "--alpha-min", "nan"),
+          (["design", "--mode", "diagram", "--resolution", "2"],
+           "--alpha-max", "inf"),
+          (["design", "--mode", "diagram", "--resolution", "2"],
+           "--beta-min", "nan"),
+          (["design", "--mode", "diagram", "--resolution", "2"],
+           "--beta-max", "inf"),
+          (["design", "--mode", "audit", "--samples", "4", "--n", "20"],
+           "--u", "inf"),
+          (["mc", "--check", "duplicate", "--n", "10", "--draws", "100"],
+           "--r", "nan"),
+      ]),
 ])
 def test_size_flag_is_input_error(capsys, argv, message):
     assert cli.main(argv) == 1
@@ -332,6 +374,7 @@ def test_reproduce_all_quick_manifest(tmp_path):
                   "kernel": _CONST}),
     ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
                      "info": {"kind": "none"}, "method": "direct"}),
+    ("spectral", {"grid": _GRID, "kernel": _CONST, "r1_margin": 0.1}),
 ])
 def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     path = _write(tmp_path, "cfg.json", cfg)
@@ -444,6 +487,20 @@ _MC = ["mc", "--check", "aggregate", "--n", "25", "--draws", "20000"]
     ["reproduce-all", "--quick", "--outdir", "{tmp}", "--seed", "1"],
     ["reproduce-all", "--quick", "--outdir", "{tmp}", "--out", "{tmp}/m.json"],
     ["reproduce-all", "--quick", "--outdir", "{tmp}", "--tol", "1e-6"],
+    pytest.param(["equilibrium", "--config", "{equilibrium}", "--tol", "1e-3"],
+                 id="equilibrium-tol"),
+    pytest.param(["moments", "--config", "{moments}", "--tol", "1e-3"],
+                 id="moments-tol"),
+    pytest.param(["design", "--mode", "audit", "--samples", "4", "--n", "20",
+                  "--tol", "1e-3"], id="design-tol"),
+    # flags of another mode of the same subcommand
+    pytest.param(["design", "--mode", "cournot", "--r", "0.3"],
+                 id="cournot-r"),
+    pytest.param(["design", "--mode", "optimum", "--seed", "3"],
+                 id="optimum-seed"),
+    pytest.param(["design", "--mode", "optimum", "--samples", "9"],
+                 id="optimum-samples"),
+    pytest.param(_MC + ["--r", "5"], id="aggregate-r"),
 ])
 def test_ignored_flag_is_input_error(tmp_path, capsys, argv):
     paths = {name: _write(tmp_path, f"{name}.json", cfg)

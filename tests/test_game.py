@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelgames.errors import NoConvergence, SingularMeanEquation
 from kernelgames.game import (BasicGame, GaussianInfo, _package_equilibrium,
@@ -12,7 +14,7 @@ from kernelgames.game import (BasicGame, GaussianInfo, _package_equilibrium,
                               symmetric_moment_identity, targeted_info,
                               verify_moment_restrictions)
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import Kernel, check_psd, constant_kernel
+from kernelgames.kernels import Kernel, check_psd, check_r1, constant_kernel
 from kernelgames.montecarlo import best_response_audit
 
 
@@ -131,6 +133,29 @@ def test_direct_and_fixed_point_agree_under_r1():
                 initial=rng.normal(size=ref.loading_vector().size))
             assert np.max(np.abs(eq.loading_vector()
                                  - ref.loading_vector())) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=15),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_and_fixed_point_agree_under_r1_with_ragged_dims(dims, seed):
+    # kernel entries in [-0.9, 0.9] give (R1) on the uniform grid; the
+    # iteration from any start reaches the direct solve's loadings
+    rng = np.random.default_rng(seed)
+    n, D = len(dims), sum(dims)
+    g = uniform_grid(n)
+    R = Kernel(g, rng.uniform(-0.9, 0.9, size=(n, n)))
+    assert check_r1(R)
+    B = rng.normal(size=(n + D, n + D + 2))
+    J = B @ B.T
+    game = BasicGame(g, R, g.function(rng.normal(size=n)), Kernel(g, J[:n, :n]))
+    info = info_from_parts(game, np.array(dims), rng.normal(size=D),
+                           J[n:, n:], J[n:, :n])
+    ref = solve_linear_equilibrium(game, info, method="direct").loading_vector()
+    for _ in range(3):
+        eq = solve_linear_equilibrium(game, info, method="fixed_point",
+                                      initial=rng.normal(size=D))
+        assert np.max(np.abs(eq.loading_vector() - ref)) <= 1e-7
 
 
 def _ragged_game_and_info(n=12, seed=31):

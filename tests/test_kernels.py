@@ -318,6 +318,7 @@ def test_spectral_report_containment_chain():
         n = int(rng.integers(3, 25))
         K = _random_kernel(rng, n, undirected=bool(rng.integers(2)))
         rep = spectral_report(K)
+        assert rep.r1_holds == check_r1(K)
         eigs = np.asarray(rep.eigenvalues)
         scale = 1e-9 * (1.0 + np.max(np.abs(eigs)))
         assert eigs.real.max() <= rep.numerical_range_sup + scale

@@ -118,8 +118,10 @@ def test_bounds_reject_infeasible_precondition():
     grid = uniform_grid(4)
     bad = EquilibriumMoment(grid, constant_kernel(grid, 1.0),
                             grid.constant(0.9), 1.0)
-    with pytest.raises(InfeasibleMoment):
-        bounds_check(bad, 0.5)
+    rep = bounds_check(bad, 0.5)
+    assert rep.obedience_residual > rep.obedience_tol
+    assert rep.feasible is False and rep.passed is False
+    assert min(rep.cauchy_slack, rep.diag_slack, rep.ceiling_slack) >= 0.0
 
 
 # -- objective ---------------------------------------------------------------
