@@ -25,13 +25,13 @@ from .kernels import (Kernel, SpectralReport, cauchy_schwarz_audit, check_psd,
 from .game import (BasicGame, GaussianInfo, LinearEquilibrium, MomentReport,
                    common_state_game, full_info, info_from_parts, no_info,
                    private_iid_info, public_info, solve_linear_equilibrium,
-                   solve_mean, symmetric_moment_identity, targeted_info,
-                   verify_moment_restrictions)
+                   solve_mean, targeted_info, verify_moment_restrictions)
 from .moments import (BoundsReport, DesignObjective, EquilibriumMoment,
-                      bounds_check, check_obedience, check_positivity,
+                      Feasibility, bounds_check, check_feasibility,
+                      check_obedience, check_positivity,
                       construct_canonical_signals, diag_integral,
-                      double_integral, objective_value, zero_moment,
-                      zeta_integral)
+                      double_integral, objective_value,
+                      symmetric_moment_identity, zero_moment, zeta_integral)
 from .design import (AuditReport, CournotReport, PublicReport, RegimeReport,
                      cournot_policy, global_optimality_audit,
                      moment_from_equilibrium, optimal_targeted, public_optimum,

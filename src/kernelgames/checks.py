@@ -402,20 +402,16 @@ def check_bm_example(n: int = 200, draws: int = 50_000,
     mrep = game.verify_moment_restrictions(eq, g)
     audit = montecarlo.best_response_audit(eq, g, info, d=draws, seed=seed)
 
-    # standard-deviation identity on the closed-form moments
+    # standard-deviation identity on the closed-form moments of a node pair
     grid2 = MeasureGrid([0.25, 0.75], [0.5, 0.5])
-    g2 = game.common_state_game(grid2, constant_kernel(grid2, r), 0.0, s * s * vt)
     var_a = bm.volatility + bm.dispersion
-    cov_at = s * (bm.alpha_x + bm.alpha_y) * vt
-    sig2 = np.array([[var_a, bm.volatility], [bm.volatility, var_a]])
-    cross2 = np.full((2, 2), cov_at)
-    info2 = game.info_from_parts(g2, np.ones(2, int), np.zeros(2), sig2, cross2)
-    eq2 = game._package_equilibrium(g2, info2, np.ones(2), np.zeros(2))
-    ident = game.symmetric_moment_identity(eq2, r)
+    xi2 = np.array([[var_a, bm.volatility], [bm.volatility, var_a]])
+    zeta2 = grid2.constant(s * (bm.alpha_x + bm.alpha_y) * vt)
+    ident = moments.symmetric_moment_identity(
+        moments.EquilibriumMoment(grid2, Kernel(grid2, xi2), zeta2, s * s * vt), r)
 
     ok = (dev_hand <= 1e-9 and dev_oracle <= 1e-9 and dev_vd <= 1e-9
-          and dev_disc <= 1e-6 and mrep.max_residual <= 1e-8
-          and ident <= 1e-8 and audit.passed)
+          and dev_disc <= 1e-6 and mrep.passed and ident <= 1e-8 and audit.passed)
     return CheckResult("bm_example", ok,
                        {"dev_hand": dev_hand, "dev_oracle": dev_oracle,
                         "dev_discretized": dev_disc,

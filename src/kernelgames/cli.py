@@ -311,7 +311,8 @@ def _json_default(obj):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True,
+    # a non-finite number is not JSON: the inputs overflowed, an input error
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_default) + "\n"
     if out:
         _atomic_write(out, text)
@@ -363,7 +364,10 @@ def _cmd_equilibrium(args) -> int:
         "action_cov": eq.induced_action_cov.values.tolist(),
         "action_state_cov": eq.induced_action_state_cov.values.tolist(),
         "moment_residual": mrep.max_residual,
-        "moment_tol": mrep.tol,
+        "mean_residual": float(mrep.moment1_residuals.max()),
+        "mean_tol": mrep.moment1_tol,
+        "obedience_residual": float(mrep.moment2_residuals.max()),
+        "obedience_tol": mrep.moment2_tol,
         "moment_check_passed": mrep.passed,
     }
     _emit(payload, args.out)
@@ -382,7 +386,7 @@ def _cmd_moments(args) -> int:
         bounds = {"cauchy_slack": rep.cauchy_slack,
                   "diag_slack": rep.diag_slack,
                   "ceiling_slack": rep.ceiling_slack,
-                  "passed": rep.passed}
+                  "tol": rep.tol, "passed": rep.passed}
     resolved = {"command": "moments", "grid": _grid_config(grid), "r": r,
                 "moment": moment}
     payload = {
@@ -576,7 +580,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ValueError, KernelGamesError, OSError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, KernelGamesError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

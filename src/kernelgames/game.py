@@ -374,11 +374,27 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
     return _package_equilibrium(game, info, c, b)
 
 
+def relative_tol(c: float, values) -> float:
+    """The criterion c (1 + max|values|) for a residual about ``values``."""
+    return c * (1.0 + float(np.max(np.abs(values), initial=0.0)))
+
+
+def second_moment_residuals(R: Kernel, xi: np.ndarray,
+                            zeta: np.ndarray) -> np.ndarray:
+    """Obedience |xi(t,t) - sum_t' w R xi(t,t') - zeta(t)| at each node."""
+    A = operator_matrix(R)
+    return np.abs(np.diag(xi) - np.sum(A * xi, axis=1) - zeta)
+
+
 @dataclass(frozen=True)
 class MomentReport:
+    """Residuals of the two moment restrictions, each with its tolerance
+    1e-8 (1 + max|b|) and 1e-8 (1 + max|xi|)."""
+
     moment1_residuals: np.ndarray
     moment2_residuals: np.ndarray
-    tol: float
+    moment1_tol: float
+    moment2_tol: float
 
     @property
     def max_residual(self) -> float:
@@ -386,55 +402,16 @@ class MomentReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return bool(self.moment1_residuals.max() <= self.moment1_tol
+                    and self.moment2_residuals.max() <= self.moment2_tol)
 
 
 def verify_moment_restrictions(eq: LinearEquilibrium,
                                game: BasicGame) -> MomentReport:
-    """Residuals of the first- and second-moment equilibrium restrictions,
-    which pass within 1e-8."""
+    """Residuals of the first- and second-moment equilibrium restrictions."""
     if not eq.grid.same_nodes(game.grid):
         raise ValueError("equilibrium and game grids differ")
-    A = operator_matrix(game.payoff)
-    b = eq.induced_mean.values
-    res1 = np.abs(b - A @ b - game.state_mean.values)
-    xi = eq.induced_action_cov.values
-    zeta = eq.induced_action_state_cov.values
-    res2 = np.abs(np.diag(xi) - np.sum(A * xi, axis=1) - zeta)
-    return MomentReport(res1, res2, 1e-8)
-
-
-def symmetric_moment_identity(eq: LinearEquilibrium, r: float) -> float:
-    """Residual of the symmetric standard-deviation identity
-    Sd[f] = Corr[f, theta] / (1 - r Corr[f, f']) * Sd[theta],
-    evaluated at a representative node pair.
-    """
-    sym_tol = 1e-9      # relative spread across nodes that still counts as equal
-    xi = eq.induced_action_cov.values
-    zeta = eq.induced_action_state_cov.values
-    tvar = eq.theta_var
-    n = xi.shape[0]
-    d = np.diag(xi)
-    scale = 1.0 + float(np.max(np.abs(xi)))
-    if np.max(np.abs(d - d[0])) > sym_tol * scale:
-        raise ValueError("equilibrium is not symmetric across nodes (diagonal)")
-    if n > 1:
-        offd = xi[~np.eye(n, dtype=bool)]
-        if np.max(np.abs(offd - offd[0])) > sym_tol * scale:
-            raise ValueError("equilibrium is not symmetric across nodes (off-diagonal)")
-    if np.max(np.abs(zeta - zeta[0])) > sym_tol * (1 + np.max(np.abs(zeta))):
-        raise ValueError("equilibrium is not symmetric across nodes (state cov)")
-    if np.max(np.abs(tvar - tvar[0])) > sym_tol * (1 + np.abs(tvar).max()):
-        raise ValueError("identity requires a common state variance")
-    var_f = float(d[0])
-    var_t = float(tvar[0])
-    if var_f <= 0.0 or var_t <= 0.0:
-        return 0.0  # zero-variance convention: identity is vacuous
-    cov_ff = float(xi[0, 1]) if n > 1 else var_f
-    sd_f, sd_t = np.sqrt(var_f), np.sqrt(var_t)
-    corr_ft = float(zeta[0]) / (sd_f * sd_t)
-    corr_ff = cov_ff / var_f
-    den = 1.0 - r * corr_ff
-    if abs(den) < 1e-15:
-        raise ValueError("identity denominator vanished (r Corr[f, f'] = 1)")
-    return abs(sd_f - corr_ft * sd_t / den)
+    b, xi = eq.induced_mean.values, eq.induced_action_cov.values
+    res1 = np.abs(b - operator_matrix(game.payoff) @ b - game.state_mean.values)
+    res2 = second_moment_residuals(game.payoff, xi, eq.induced_action_state_cov.values)
+    return MomentReport(res1, res2, relative_tol(1e-8, b), relative_tol(1e-8, xi))

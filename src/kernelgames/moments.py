@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMoment
-from .game import BasicGame, GaussianInfo, _assemble_info, solve_mean
+from .game import (BasicGame, GaussianInfo, _assemble_info, relative_tol,
+                   second_moment_residuals, solve_mean)
 from .grid import GridFunction, MeasureGrid
-from .kernels import (Kernel, check_r2, constant_kernel, operator_matrix,
-                      psd_project_tol, psd_within)
+from .kernels import (Kernel, check_r2, constant_kernel, psd_project_tol,
+                      psd_within)
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,6 @@ class EquilibriumMoment:
             raise ValueError("state variance must be non-negative")
         if self.state_var == 0 and np.any(self.zeta.values != 0):
             raise ValueError("zero state variance forces zeta to vanish")
-
-    def bordered_matrix(self) -> np.ndarray:
-        n = self.grid.n
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = self.xi.values
-        M[:n, n] = self.zeta.values
-        M[n, :n] = self.zeta.values
-        M[n, n] = self.state_var
-        return M
 
 
 @dataclass(frozen=True)
@@ -80,27 +72,39 @@ def zero_moment(grid: MeasureGrid, state_var: float = 1.0) -> EquilibriumMoment:
         grid.constant(0.0), state_var)
 
 
-def obedience_residuals(m: EquilibriumMoment, R: Kernel) -> np.ndarray:
-    if not R.grid.same_nodes(m.grid):
-        raise ValueError("payoff kernel grid does not match the moment")
-    A = operator_matrix(R)
-    return np.abs(m.xi.diag() - np.sum(A * m.xi.values, axis=1) - m.zeta.values)
-
-
 def check_obedience(m: EquilibriumMoment, R: Kernel) -> float:
     """Max over nodes of |xi(t,t) - sum_t' w R xi(t,t') - zeta(t)|."""
-    return float(obedience_residuals(m, R).max())
-
-
-def default_obedience_tol(m: EquilibriumMoment) -> float:
-    return 1e-8 * (1.0 + float(np.max(np.abs(m.xi.values))))
+    if not R.grid.same_nodes(m.grid):
+        raise ValueError("payoff kernel grid does not match the moment")
+    return float(second_moment_residuals(R, m.xi.values, m.zeta.values).max())
 
 
 def check_positivity(m: EquilibriumMoment) -> bool:
     """PSD test of the bordered matrix M = [[xi, zeta], [zeta', Var theta]]: no
     eigenvalue below -``psd_project_tol(M)``."""
-    M = m.bordered_matrix()
+    z = m.zeta.values[:, None]
+    M = np.block([[m.xi.values, z], [z.T, np.full((1, 1), float(m.state_var))]])
     return psd_within(M, psd_project_tol(M))
+
+
+@dataclass(frozen=True)
+class Feasibility:
+    """Obedience (within 1e-8 (1 + max|xi|)) and positivity of a moment."""
+
+    obedience_residual: float
+    obedience_tol: float
+    positivity_ok: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.obedience_residual <= self.obedience_tol and self.positivity_ok
+
+
+def check_feasibility(m: EquilibriumMoment, R: Kernel) -> Feasibility:
+    """Whether ``m`` is an equilibrium moment of some information structure
+    under the payoff kernel R: the one verdict on obedience and positivity."""
+    return Feasibility(check_obedience(m, R), relative_tol(1e-8, m.xi.values),
+                       check_positivity(m))
 
 
 def double_integral(m: EquilibriumMoment) -> float:
@@ -118,21 +122,15 @@ def zeta_integral(m: EquilibriumMoment) -> float:
 
 
 @dataclass(frozen=True)
-class BoundsReport:
-    """Feasibility of a moment and the slacks of the three bounds it implies;
-    it passes when feasible and every slack is >= -tol."""
+class BoundsReport(Feasibility):
+    """Feasibility of a moment and the slacks of the three bounds it implies,
+    in the units of xi; it passes when feasible and every slack is >= -tol,
+    tol = 1e-9 (1 + max|xi|)."""
 
     cauchy_slack: float      # double-int xi - (int zeta)^2
     diag_slack: float        # int xi(t,t) - double-int xi
     ceiling_slack: float     # (1/(1-r))^2 - double-int xi
-    obedience_residual: float
-    obedience_tol: float
-    positivity_ok: bool
     tol: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.obedience_residual <= self.obedience_tol and self.positivity_ok
 
     @property
     def passed(self) -> bool:
@@ -141,24 +139,20 @@ class BoundsReport:
 
 
 def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
-    """Feasibility of ``m`` for a constant payoff structure r < 1 (obedience
-    within ``default_obedience_tol``, positivity) and the bounds
-    (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}, each within a
-    slack of 1e-9; the bounds are theorems about feasible moments only.
+    """Feasibility of ``m`` for a constant payoff structure r < 1 and the
+    bounds (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}; the
+    bounds are theorems about feasible moments only.
     """
     if r >= 1:
         raise ValueError("bounds require r < 1")
     dd = double_integral(m)
+    var = m.state_var or 1.0    # zero variance: zeta = 0, normalized ceiling
     return BoundsReport(
-        cauchy_slack=dd - zeta_integral(m) ** 2 * (1.0 if m.state_var == 0
-                                                   else 1.0 / m.state_var),
+        **vars(check_feasibility(m, constant_kernel(m.grid, r))),
+        cauchy_slack=dd - zeta_integral(m) ** 2 * (1.0 / var),
         diag_slack=diag_integral(m) - dd,
-        ceiling_slack=(1.0 / (1.0 - r)) ** 2 * m.state_var - dd
-        if m.state_var > 0 else (1.0 / (1.0 - r)) ** 2 - dd,
-        obedience_residual=check_obedience(m, constant_kernel(m.grid, r)),
-        obedience_tol=default_obedience_tol(m),
-        positivity_ok=check_positivity(m),
-        tol=1e-9,
+        ceiling_slack=(1.0 / (1.0 - r)) ** 2 * var - dd,
+        tol=relative_tol(1e-9, m.xi.values),
     )
 
 
@@ -184,17 +178,38 @@ def construct_canonical_signals(m: EquilibriumMoment, game: BasicGame) -> Gaussi
     theta_var = float(game.state_cov.values[0, 0])
     if abs(theta_var - m.state_var) > 1e-9 * (1.0 + theta_var):
         raise ValueError("game state variance does not match the moment")
-    obed = check_obedience(m, game.payoff)
-    if obed > default_obedience_tol(m):
-        raise InfeasibleMoment(f"obedience residual {obed:.3e} too large")
-    if not check_positivity(m):
-        raise InfeasibleMoment("moment fails the positivity condition")
+    feas = check_feasibility(m, game.payoff)
+    if not feas.feasible:
+        raise InfeasibleMoment(f"moment is infeasible: {feas}")
 
     phi = solve_mean(game)
     n = m.grid.n
     sig_cov = m.xi.values.copy()
-    if m.state_var > 0:
-        cross = np.outer(m.zeta.values, np.ones(n))  # Cov[x(t), theta(s)] = zeta(t)
-    else:
-        cross = np.zeros((n, n))
+    cross = np.outer(m.zeta.values, np.ones(n))  # Cov[x(t), theta(s)] = zeta(t)
     return _assemble_info(game, np.ones(n, int), phi.values, sig_cov, cross)
+
+
+def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
+    """Residual of the symmetric standard-deviation identity
+    Sd[f] = Corr[f, theta] / (1 - r Corr[f, f']) * Sd[theta],
+    evaluated at a representative node pair.
+    """
+    xi, zeta = m.xi.values, m.zeta.values
+    n = m.grid.n
+    var_f = float(xi[0, 0])
+    cov_ff = float(xi[0, 1]) if n > 1 else var_f
+    # equal across nodes up to a relative spread of 1e-9
+    two_level = np.where(np.eye(n, dtype=bool), var_f, cov_ff)
+    if (np.max(np.abs(xi - two_level)) > relative_tol(1e-9, xi)
+            or np.max(np.abs(zeta - zeta[0])) > relative_tol(1e-9, zeta)):
+        raise ValueError("moment is not symmetric across nodes")
+    var_t = float(m.state_var)
+    if var_f <= 0.0 or var_t <= 0.0:
+        return 0.0  # zero-variance convention: identity is vacuous
+    sd_f, sd_t = np.sqrt(var_f), np.sqrt(var_t)
+    corr_ft = float(zeta[0]) / (sd_f * sd_t)
+    corr_ff = cov_ff / var_f
+    den = 1.0 - r * corr_ff
+    if abs(den) < 1e-15:
+        raise ValueError("identity denominator vanished (r Corr[f, f'] = 1)")
+    return abs(sd_f - corr_ft * sd_t / den)

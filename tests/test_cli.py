@@ -142,8 +142,30 @@ def test_equilibrium_solve_and_verify(tmp_path):
     assert cli.main(["equilibrium", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["moment_check_passed"]
-    assert payload["moment_tol"] == 1e-8 and "tol" not in payload["config"]
+    # each restriction is judged relative to its scale: the mean b = 2 and
+    # the action variance xi = 4 under full information
+    assert payload["mean_tol"] == pytest.approx(3e-8)
+    assert payload["obedience_tol"] == pytest.approx(5e-8)
+    assert not any("tol" in key for key in payload["config"])
     assert payload["loadings"][0][0] == pytest.approx(2.0, abs=1e-10)
+
+
+# correct equilibria whose residuals are rounding at the scale of the state;
+# an absolute 1e-8 failed both
+@pytest.mark.parametrize("state, info", [
+    pytest.param({"mean": 0.0, "var": 1e6}, {"kind": "full"}, id="var-1e6-full"),
+    pytest.param({"mean": 1e6, "var": 1.0}, {"kind": "none"}, id="mean-1e6-none"),
+])
+def test_equilibrium_verdict_is_scale_relative(tmp_path, capsys, state, info):
+    cfg = _write(tmp_path, "eq.json", {
+        "grid": {"kind": "uniform", "n": 400},
+        "payoff": {"kind": "constant", "r": 0.9},
+        "state": state, "info": info})
+    assert cli.main(["equilibrium", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["moment_check_passed"]
+    assert payload["mean_residual"] <= payload["mean_tol"]
+    assert payload["obedience_residual"] <= payload["obedience_tol"]
 
 
 def test_moments_feasible_targeted(tmp_path, capsys):
@@ -155,6 +177,8 @@ def test_moments_feasible_targeted(tmp_path, capsys):
     assert cli.main(["moments", "--config", cfg]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] and payload["positivity_ok"]
+    # the slacks are in the units of xi, whose largest entry is 16/9
+    assert payload["bounds"]["tol"] == pytest.approx(1e-9 * (1 + 16 / 9))
 
 
 def test_moments_infeasible_explicit_fails_verification(tmp_path, capsys):
@@ -218,6 +242,12 @@ def test_design_diagram_csv(tmp_path):
     assert len(lines) == 26
     regimes = {line.split(",")[2] for line in lines[1:]}
     assert {"T1", "T2", "T3"} <= regimes
+
+
+def test_design_negative_exponent_flag(capsys):
+    # argparse reads "--r -1e-3" as two flags; the "=" form passes the number
+    assert cli.main(["design", "--mode", "optimum", "--r=-1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["r"] == -0.001
 
 
 def test_design_audit_passes(capsys):
@@ -290,6 +320,12 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
     pytest.param(["mc", "--check", "duplicate", "--r", "30", "--n", "20",
                   "--draws", "100"],
                  "node 0 has 1.500e+00", id="duplicate-own-cell-above-one"),
+    # finite flags whose result overflows
+    pytest.param(["design", "--mode", "optimum", "--r=-1e300", "--u", "1"],
+                 "out of range", id="optimum-overflow"),
+    pytest.param(["design", "--mode", "optimum", "--u", "1e308", "--v", "1e308",
+                  "--w", "1e308"],
+                 "not JSON compliant", id="optimum-infinite-result"),
     # a non-finite number is an input error, never a result or a failed check
     *(pytest.param(argv + [flag, value],
                    f"{flag} must be a finite number, got {value}",

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelgames.design import moment_from_equilibrium
 from kernelgames.errors import NoConvergence, SingularMeanEquation
 from kernelgames.game import (BasicGame, GaussianInfo, _package_equilibrium,
                               _sym_pinv, common_state_game, full_info, info_from_parts,
                               no_info,
                               private_iid_info, public_info,
-                              solve_linear_equilibrium, solve_mean,
-                              symmetric_moment_identity, targeted_info,
+                              solve_linear_equilibrium, solve_mean, targeted_info,
                               verify_moment_restrictions)
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import Kernel, check_psd, check_r1, constant_kernel
+from kernelgames.moments import symmetric_moment_identity
 from kernelgames.montecarlo import best_response_audit
 
 
@@ -306,14 +307,14 @@ def test_sd_identity_full_disclosure():
     g = uniform_grid(40)
     game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, full_info(game))
-    assert symmetric_moment_identity(eq, 0.5) <= 1e-9
+    assert symmetric_moment_identity(moment_from_equilibrium(eq), 0.5) <= 1e-9
 
 
 def test_sd_identity_zero_variance_convention():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 0.5), 1.0, 1.0)
     eq = solve_linear_equilibrium(game, no_info(game))
-    assert symmetric_moment_identity(eq, 0.5) == 0.0
+    assert symmetric_moment_identity(moment_from_equilibrium(eq), 0.5) == 0.0
 
 
 def test_sd_identity_symmetric_noisy_equilibrium():
@@ -325,7 +326,7 @@ def test_sd_identity_symmetric_noisy_equilibrium():
     cross = np.full((2, 2), 2 / 3)
     info = info_from_parts(game, np.ones(2, int), np.zeros(2), sig, cross)
     eq = _package_equilibrium(game, info, np.ones(2), np.zeros(2))
-    assert symmetric_moment_identity(eq, 0.5) <= 1e-8
+    assert symmetric_moment_identity(moment_from_equilibrium(eq), 0.5) <= 1e-8
 
 
 def test_sd_identity_rejects_asymmetric_profiles():
@@ -333,7 +334,7 @@ def test_sd_identity_rejects_asymmetric_profiles():
     game = common_state_game(g, constant_kernel(g, 0.4), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, targeted_info(game, np.arange(4)))
     with pytest.raises(ValueError):
-        symmetric_moment_identity(eq, 0.4)
+        symmetric_moment_identity(moment_from_equilibrium(eq), 0.4)
 
 
 # -- validation --------------------------------------------------------------

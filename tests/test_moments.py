@@ -4,15 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelgames.design import (_random_info, moment_from_equilibrium,
-                                symmetric_moment, targeted_equilibrium_moment)
+                                optimal_targeted, symmetric_moment,
+                                targeted_equilibrium_moment)
 from kernelgames.errors import InfeasibleMoment
-from kernelgames.game import common_state_game, solve_linear_equilibrium
+from kernelgames.game import (common_state_game, full_info,
+                              solve_linear_equilibrium,
+                              verify_moment_restrictions)
 from kernelgames.grid import uniform_grid
 from kernelgames.kernels import Kernel, constant_kernel
 from kernelgames.moments import (DesignObjective, EquilibriumMoment,
-                                 bounds_check, check_obedience,
-                                 check_positivity, construct_canonical_signals,
-                                 default_obedience_tol, diag_integral,
+                                 bounds_check, check_feasibility,
+                                 check_obedience, check_positivity,
+                                 construct_canonical_signals, diag_integral,
                                  double_integral,
                                  objective_value, zero_moment, zeta_integral)
 
@@ -112,6 +115,17 @@ def test_bounds_zero_moment_slacks():
     assert rep.diag_slack == pytest.approx(0.0)
     assert rep.ceiling_slack == pytest.approx(4.0)
     assert rep.passed
+
+
+def test_bounds_pass_at_large_state_variance():
+    # full information at Var theta = 1e4: xi = 1e6 and the slacks are
+    # rounding of order 1e-9, which an absolute 1e-9 failed
+    grid = uniform_grid(400)
+    game = common_state_game(grid, constant_kernel(grid, 0.9), 0.0, 1e4)
+    m = moment_from_equilibrium(solve_linear_equilibrium(game, full_info(game)))
+    rep = bounds_check(m, 0.9)
+    assert rep.tol == pytest.approx(1e-9 * (1.0 + 1e6))
+    assert rep.feasible and rep.passed
 
 
 def test_bounds_reject_infeasible_precondition():
@@ -219,9 +233,40 @@ def test_solved_moments_are_feasible(n, r, seed):
     game = common_state_game(grid, R, 0.0, 1.0)
     info = _random_info(game, np.random.default_rng(seed))
     mom = moment_from_equilibrium(solve_linear_equilibrium(game, info))
-    assert check_obedience(mom, R) <= default_obedience_tol(mom)
-    assert check_positivity(mom)
+    assert check_feasibility(mom, R).feasible
     assert bounds_check(mom, r).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=_SIZES, r=_RS, log_sd=st.floats(-3.0, 4.0),
+       mean_per_sd=st.floats(-10.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=30, r=0.9, log_sd=4.0, mean_per_sd=10.0, seed=0)
+def test_moment_verdicts_are_scale_invariant(n, r, log_sd, mean_per_sd, seed):
+    # rescaling the state rescales every residual with it; no verdict may
+    # depend on the units the state is measured in
+    s = 10.0 ** log_sd
+    grid = uniform_grid(n)
+    R = constant_kernel(grid, r)
+    game = common_state_game(grid, R, mean_per_sd * s, s * s)
+    eq = solve_linear_equilibrium(game, _random_info(game, np.random.default_rng(seed)))
+    assert verify_moment_restrictions(eq, game).passed
+    rep = bounds_check(moment_from_equilibrium(eq), r)
+    assert rep.feasible and rep.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=_SIZES, r=_RS, alpha=st.floats(-5.0, 5.0), beta=st.floats(-5.0, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_no_equilibrium_moment_beats_the_targeted_optimum(n, r, alpha, beta, seed):
+    # global optimality of targeted disclosure: every moment a random
+    # structure induces is worth at most V*
+    obj = DesignObjective.from_alpha_beta(alpha, beta)
+    v_star = optimal_targeted(r, obj).v_star
+    grid = uniform_grid(n)
+    game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
+    eq = solve_linear_equilibrium(game, _random_info(game, np.random.default_rng(seed)))
+    value = objective_value(moment_from_equilibrium(eq), obj)
+    assert value <= v_star + 1e-6 * (1.0 + abs(v_star))
 
 
 @settings(max_examples=60, deadline=None)
