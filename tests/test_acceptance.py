@@ -2,12 +2,21 @@
 
 Each test runs one of the full-scale verification checks from
 ``kernelgames.checks`` and prints a one-line summary; the same code paths
-back the CLI's ``reproduce-all`` command.
+back the CLI's ``reproduce-all`` command.  Every result must also match its
+recorded statistics in ``battery_stats_full.json`` (see
+``test_battery_stats.py``).
 """
 
+import json
 import time
+from pathlib import Path
+
+from test_battery_stats import assert_matches
 
 from kernelgames import checks
+
+REFERENCE = {r["name"]: r for r in json.loads(
+    Path(__file__).with_name("battery_stats_full.json").read_text())}
 
 
 def _run(fn, **kwargs):
@@ -16,6 +25,7 @@ def _run(fn, **kwargs):
     dt = time.time() - t0
     status = "PASS" if res.passed else "FAIL"
     print(f"{status}  {res.name}  ({dt:.1f}s)  {res.stats}")
+    assert_matches(res.as_dict(), REFERENCE[res.name], res.name)
     return res, dt
 
 
