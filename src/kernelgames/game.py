@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
 from .grid import GridFunction, MeasureGrid, _floats, _frozen
-from .kernels import (Kernel, eigenvalues, operator_matrix, psd_project_tol,
-                      psd_within)
+from .kernels import Kernel, eigenvalues, operator_matrix, psd_tol, psd_within
 
 
 def _sym_pinv(mat: np.ndarray) -> np.ndarray:
@@ -34,12 +33,11 @@ def _sym_pinv(mat: np.ndarray) -> np.ndarray:
 
 def _require_psd(sym: np.ndarray, name: str) -> None:
     """ValueError naming the smallest eigenvalue unless ``sym`` (writable,
-    symmetric) is PSD within ``psd_project_tol``."""
-    tol = psd_project_tol(sym)
-    if not psd_within(sym, tol):
+    symmetric) passes ``psd_within``."""
+    if not psd_within(sym):
         min_eig = float(np.linalg.eigvalsh(sym)[0])
         raise ValueError(f"{name} must be positive semidefinite (min eigenvalue "
-                         f"{min_eig:.3e} < -tol {tol:.1e})")
+                         f"{min_eig:.3e} < -tol {psd_tol(sym):.1e})")
 
 
 @dataclass(frozen=True)

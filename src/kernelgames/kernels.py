@@ -233,11 +233,10 @@ def check_r2(K: Kernel) -> bool:
 
 
 def check_psd(K: Kernel) -> bool:
-    """PSD test on the raw value matrix, within 1e-8 times its top diagonal."""
+    """PSD test on the raw value matrix (``psd_within``)."""
     if not K.undirected:
         raise ValueError("PSD check requires an undirected kernel")
-    tol = 1e-8 * max(float(np.max(K.diag())), 0.0)
-    return float(np.linalg.eigvalsh(K.values)[0]) >= -tol
+    return psd_within(K.values.copy())
 
 
 def cauchy_schwarz_audit(K: Kernel) -> float:
@@ -280,24 +279,25 @@ def hadamard_eigen_bound(K: Kernel, R: Kernel) -> tuple:
     return max_real, bound, max_real < bound
 
 
-def psd_project_tol(values: np.ndarray) -> float:
-    """Default PSD tolerance used for covariance validation."""
-    return 1e-8 * max(float(np.trace(values)), 1.0)
+def psd_tol(sym: np.ndarray) -> float:
+    """The one PSD tolerance, 1e-8 (1 + max(max diag, 0)); it does not grow
+    with the size of ``sym``."""
+    return 1e-8 * (1.0 + float(np.max(sym.diagonal(), initial=0.0)))
 
 
-def psd_within(sym: np.ndarray, tol: float) -> bool:
-    """True iff the symmetric matrix ``sym`` has no eigenvalue below -tol.
+def psd_within(sym: np.ndarray) -> bool:
+    """True iff the symmetric matrix ``sym`` has no eigenvalue below
+    -``psd_tol(sym)``: the library's one PSD verdict.
 
     Decided by a Cholesky factorization of sym + tol * I, which exists exactly
-    when the smallest eigenvalue exceeds -tol; its rounding error, about
-    N * eps * ||sym||, is far below any tolerance of at least 1e-8 * ||sym||.
-    The diagonal of ``sym`` (writable, lower triangle read) is shifted in
-    place and restored before returning, so ``sym`` comes back bit for bit.
+    when the smallest eigenvalue exceeds -tol; its backward error moves an
+    eigenvalue by about N^2 * eps * max diag at most, below the tolerance for
+    any N up to several thousand.  The diagonal of ``sym`` (writable, lower
+    triangle read) is shifted in place and restored before returning, so
+    ``sym`` comes back bit for bit.
     """
-    if not tol > 0:
-        raise ValueError(f"PSD tolerance must be positive, got {tol!r}")
     diag = sym.diagonal().copy()
-    np.fill_diagonal(sym, diag + tol)
+    np.fill_diagonal(sym, diag + psd_tol(sym))
     try:
         np.linalg.cholesky(sym)
         return True

@@ -19,8 +19,7 @@ from .errors import InfeasibleMoment
 from .game import (BasicGame, GaussianInfo, _assemble_info, relative_tol,
                    second_moment_residuals, solve_mean)
 from .grid import GridFunction, MeasureGrid
-from .kernels import (Kernel, check_r2, constant_kernel, psd_project_tol,
-                      psd_within)
+from .kernels import Kernel, check_r2, constant_kernel, psd_within
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,11 @@ def check_obedience(m: EquilibriumMoment, R: Kernel) -> float:
 
 
 def check_positivity(m: EquilibriumMoment) -> bool:
-    """PSD test of the bordered matrix M = [[xi, zeta], [zeta', Var theta]]: no
-    eigenvalue below -``psd_project_tol(M)``."""
+    """PSD test (``psd_within``) of the bordered matrix
+    M = [[xi, zeta], [zeta', Var theta]]."""
     z = m.zeta.values[:, None]
     M = np.block([[m.xi.values, z], [z.T, np.full((1, 1), float(m.state_var))]])
-    return psd_within(M, psd_project_tol(M))
+    return psd_within(M)
 
 
 @dataclass(frozen=True)

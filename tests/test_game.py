@@ -356,7 +356,7 @@ def test_info_rejects_non_psd_joint_cov_with_min_eigenvalue():
     joint[5, 5] = -0.1
     with pytest.raises(ValueError, match=r"joint_cov must be positive "
                        r"semidefinite \(min eigenvalue -1\.000e-01 < -tol "
-                       r"4\.9e-08\)"):
+                       r"2\.0e-08\)"):
         _info_of(joint)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kernelgames.cli import _Q_EXPR_NAMES, _parse
-from kernelgames.game import BasicGame
+from kernelgames.game import BasicGame, GaussianInfo
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (Kernel, cauchy_schwarz_audit,
                                  check_psd,
@@ -16,9 +16,11 @@ from kernelgames.kernels import (Kernel, cauchy_schwarz_audit,
                                  exchangeable_kernel, graph_kernel,
                                  hadamard_eigen_bound,
                                  numerical_range_bounds, operator_matrix,
-                                 operator_norm_bound, psd_within,
+                                 operator_norm_bound, psd_tol, psd_within,
                                  rayleigh_quotient, separable_kernel,
                                  spectral_report, unidirectional_kernel)
+from kernelgames.moments import EquilibriumMoment, check_positivity
+from kernelgames.montecarlo import sample_gaussian
 
 
 def _random_kernel(rng, n, undirected):
@@ -211,45 +213,82 @@ def test_cauchy_schwarz_audit_examples():
         assert cauchy_schwarz_audit(K) <= 1e-10
 
 
-def _with_spectrum(rng, eigs):
-    q, _ = np.linalg.qr(rng.normal(size=(eigs.size, eigs.size)))
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
+def _with_spectrum(q, eigs):
     m = (q * eigs) @ q.T
     return 0.5 * (m + m.T)
 
 
+def _one_eigenvalue_at(q, eigs, depth):
+    # eigs[0] moved to -depth times the PSD tolerance of the matrix
+    eigs = eigs.copy()
+    eigs[0] = 0.0
+    eigs[0] = -depth * psd_tol(_with_spectrum(q, eigs))
+    return _with_spectrum(q, eigs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), zeros=st.integers(0, 40),
-       seed=st.integers(0, 2 ** 32 - 1), log_tol=st.floats(-8.0, -2.0),
+       seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-6.0, 6.0),
        depth=st.floats(-1.0, 3.0))
-def test_psd_within_matches_min_eigenvalue(n, zeros, seed, log_tol, depth):
-    # spectrum in [0, 1] with `zeros` exact zeros and one eigenvalue at
-    # -depth * tol; the gate must agree with eigvalsh away from -tol
-    tol = 10.0 ** log_tol
+def test_psd_within_matches_min_eigenvalue(n, zeros, seed, log_scale, depth):
+    # spectrum in [0, 10**log_scale] with `zeros` exact zeros and one
+    # eigenvalue near -depth * tol, so tol = 1e-8 (1 + max diag) spans six
+    # decades; the gate must agree with eigvalsh away from -tol
     rng = np.random.default_rng(seed)
-    eigs = rng.uniform(0.0, 1.0, n)
+    eigs = rng.uniform(0.0, 10.0 ** log_scale, n)
     eigs[:zeros] = 0.0
-    eigs[0] = -depth * tol
-    m = _with_spectrum(rng, eigs)
+    m = _one_eigenvalue_at(_orthogonal(rng, n), eigs, depth)
     min_eig = np.linalg.eigvalsh(m)[0]
+    tol = psd_tol(m)
+    assert tol == 1e-8 * (1.0 + max(np.max(np.diag(m)), 0.0))
     assume(abs(min_eig + tol) > 0.01 * tol)
-    assert psd_within(m, tol) == (min_eig >= -tol)
+    assert psd_within(m) == (min_eig >= -tol)
 
 
 @pytest.mark.parametrize("depth", [0.5, 2.0])
 def test_psd_within_restores_input_bit_for_bit(depth):
     rng = np.random.default_rng(5)
-    eigs = rng.uniform(0.0, 1.0, 50)
-    eigs[0] = -depth * 1e-6
-    m = _with_spectrum(rng, eigs)
+    m = _one_eigenvalue_at(_orthogonal(rng, 50), rng.uniform(0.0, 1.0, 50),
+                           depth)
     before = m.copy()
-    assert psd_within(m, 1e-6) == (depth < 1.0)
+    assert psd_within(m) == (depth < 1.0)
     assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
-def test_psd_within_needs_positive_tol(tol):
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        psd_within(np.eye(3), tol)
+@pytest.mark.parametrize("bad, psd", [(-1e-7, False), (-1e-9, True)])
+def test_one_psd_verdict_at_every_entry_point(bad, psd):
+    # eigenvalues in [1, 2] plus one at `bad`: the tolerance 1e-8 (1 + max
+    # diag) is about 2.5e-8, below 1e-7 and above 1e-9, at every entry point
+    n = 400
+    rng = np.random.default_rng(400)
+    eigs = rng.uniform(1.0, 2.0, n)
+    eigs[0] = bad
+    cov = _with_spectrum(_orthogonal(rng, n), eigs)
+    g = uniform_grid(n)
+    moment = EquilibriumMoment(g, Kernel(g, cov), g.constant(0.0), 1.0)
+    assert check_psd(Kernel(g, cov)) is psd
+    assert check_positivity(moment) is psd
+    entry_points = [
+        lambda: BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0),
+                          Kernel(g, cov)),
+        lambda: GaussianInfo(g, np.ones(n, int), np.zeros(n),
+                             np.block([[cov, np.zeros((n, n))],
+                                       [np.zeros((n, n)), np.eye(n)]])),
+        lambda: sample_gaussian(np.zeros(n), cov, 10, seed=0),
+    ]
+    if psd:
+        for build in entry_points:
+            build()
+        assert sample_gaussian(np.zeros(n), cov, 10, seed=0).clamp == \
+            pytest.approx(-bad, rel=1e-2)
+    else:
+        for build in entry_points:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                build()
 
 
 def test_psd_closure_under_sum_and_entrywise_product():

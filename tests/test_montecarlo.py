@@ -107,8 +107,9 @@ def test_covariance_exchange_is_exact():
         n = int(rng.integers(5, 60))
         grid = uniform_grid(n)
         B = rng.normal(size=(n, 6))
-        assert covariance_exchange_residual(B @ B.T, grid,
-                                            rng.normal(size=n)) <= 1e-12
+        rep = covariance_exchange_residual(B @ B.T, grid, rng.normal(size=n))
+        assert rep.passed
+        assert rep.statistic <= 1e-12
 
 
 def test_conditional_aggregation_commutes():
@@ -131,6 +132,42 @@ def test_conditional_fubini_perfectly_correlated_single_node():
     sample = sample_gaussian(np.zeros(n), cov, 1000, seed=11)
     rep = verify_conditional_fubini(sample, grid, [0], np.zeros(n), cov)
     assert rep.statistic <= 1e-9
+
+
+def test_conditional_fubini_near_singular_block_within_rounding_scale():
+    # nodes 0 and 1 almost collinear: the block pseudo-inverse has entries of
+    # order 1e8, and rounding through it leaves a discrepancy above 1e-9
+    n = 12
+    grid = uniform_grid(n)
+    rng = np.random.default_rng(1)
+    B = rng.normal(size=(n, 4))
+    B[1] = B[0] + 1e-4 * rng.normal(size=4)
+    cov = B @ B.T
+    mean = rng.normal(size=n)
+    sample = sample_gaussian(mean, cov, 200, seed=1)
+    rep = verify_conditional_fubini(sample, grid, [0, 1], mean, cov)
+    assert rep.statistic > 1e-9
+    assert rep.passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 20), rank=st.integers(1, 6), k=st.integers(1, 3),
+       log_gap=st.floats(-12.0, 0.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_aggregation_identities_within_rounding_scale(n, rank, k,
+                                                            log_gap, seed):
+    # random weights and a rank <= 6 covariance whose conditioning block has
+    # its last node within 10**log_gap of its first, so the block is as
+    # near-singular as the property draws it
+    rng = np.random.default_rng(seed)
+    grid = MeasureGrid(np.arange(n, dtype=float), rng.dirichlet(np.ones(n)))
+    B = rng.normal(size=(n, rank))
+    nodes = rng.choice(n, size=min(k, n), replace=False)
+    B[nodes[-1]] = B[nodes[0]] + 10.0 ** log_gap * rng.normal(size=rank)
+    cov = B @ B.T
+    mean = rng.normal(size=n)
+    sample = sample_gaussian(mean, cov, 200, seed=seed)
+    assert covariance_exchange_residual(cov, grid, rng.normal(size=n)).passed
+    assert verify_conditional_fubini(sample, grid, nodes, mean, cov).passed
 
 
 def test_conditional_fubini_independent_process():
