@@ -24,6 +24,7 @@ class CheckResult:
     name: str
     passed: bool
     stats: dict = field(default_factory=dict)
+    seconds: float = 0.0    # wall time, set by ``run_all``; not in ``as_dict``
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": bool(self.passed),
@@ -476,10 +477,14 @@ QUICK_KWARGS = {
 
 
 def run_all(quick: bool = False):
-    """Run every check; returns (results, elapsed seconds)."""
+    """Run every check, recording each one's ``seconds``; returns (results,
+    elapsed seconds)."""
     results = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name, fn in ALL_CHECKS.items():
         kwargs = QUICK_KWARGS.get(name, {}) if quick else {}
-        results.append(fn(**kwargs))
-    return results, time.time() - t0
+        start = time.perf_counter()
+        res = fn(**kwargs)
+        res.seconds = time.perf_counter() - start
+        results.append(res)
+    return results, time.perf_counter() - t0

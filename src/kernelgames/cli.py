@@ -501,7 +501,8 @@ def _cmd_reproduce_all(args) -> int:
         "generated_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
         "quick": bool(args.quick),
-        "elapsed_seconds": round(elapsed, 3),
+        "elapsed_seconds": elapsed,
+        "battery_seconds": {r.name: r.seconds for r in results},
         "generator_id": montecarlo.GENERATOR_ID,
         "checks": [r.as_dict() for r in results],
         "all_passed": all(r.passed for r in results),

@@ -11,6 +11,7 @@ Gaussian formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,22 @@ class BasicGame:
         return (np.max(np.abs(v - v.flat[0])) <= tol
                 and np.max(np.abs(self.state_mean.values
                                   - self.state_mean.values[0])) <= tol)
+
+    @cached_property
+    def _mean_solution(self) -> GridFunction:
+        """``solve_mean``'s result, solved on first use and kept (the arrays
+        it reads are read-only); a singular game keeps nothing and raises on
+        every call."""
+        A = operator_matrix(self.payoff)
+        eigs = eigenvalues(self.payoff)
+        if np.any(np.abs(eigs - 1.0) <= 1e-9 * (1.0 + np.abs(eigs))):
+            raise SingularMeanEquation("payoff operator has eigenvalue 1")
+        mu = self.state_mean.values
+        phi = np.linalg.solve(np.eye(self.grid.n) - A, mu)
+        scale = 1.0 + float(np.max(np.abs(phi)))
+        if np.max(np.abs(phi - A @ phi - mu)) > 1e-9 * scale:
+            raise SingularMeanEquation("mean equation residual above tolerance")
+        return self.grid.function(phi)
 
 
 def common_state_game(grid: MeasureGrid, payoff: Kernel,
@@ -149,10 +166,6 @@ class GaussianInfo:
     def _own_entries(self, m: np.ndarray) -> np.ndarray:
         """Entry (i, t) of a (D, n) array for each signal coordinate i of node t."""
         return m[np.arange(self.total_dim), self._node_of()]
-
-    def theta_block(self) -> np.ndarray:
-        n = self.grid.n
-        return self.joint_cov[:n, :n]
 
     def signal_block(self) -> np.ndarray:
         n = self.grid.n
@@ -279,17 +292,9 @@ class LinearEquilibrium:
 
 
 def solve_mean(game: BasicGame) -> GridFunction:
-    """Solve the first-moment restriction (I - R-operator) phi = E[theta]."""
-    A = operator_matrix(game.payoff)
-    eigs = eigenvalues(game.payoff)
-    if np.any(np.abs(eigs - 1.0) <= 1e-9 * (1.0 + np.abs(eigs))):
-        raise SingularMeanEquation("payoff operator has eigenvalue 1")
-    mu = game.state_mean.values
-    phi = np.linalg.solve(np.eye(game.grid.n) - A, mu)
-    scale = 1.0 + float(np.max(np.abs(phi)))
-    if np.max(np.abs(phi - A @ phi - mu)) > 1e-9 * scale:
-        raise SingularMeanEquation("mean equation residual above tolerance")
-    return game.grid.function(phi)
+    """Solve the first-moment restriction (I - R-operator) phi = E[theta],
+    once per game."""
+    return game._mean_solution
 
 
 def _coefficient_system(game: BasicGame, info: GaussianInfo):
@@ -339,7 +344,7 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
         raise ValueError(f"method must be 'direct' or 'fixed_point', got {method!r}")
     if not info.grid.same_nodes(game.grid):
         raise ValueError("game and information structure grids differ")
-    theta = info.theta_block()
+    theta = info.joint_cov[:game.grid.n, :game.grid.n]
     sc = game.state_cov.values
     if np.max(np.abs(theta - sc)) > 1e-9 * (1.0 + np.abs(sc).max()):
         raise ValueError("information structure theta block does not match the game")

@@ -160,23 +160,6 @@ class GridFunction:
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            if not self.grid.same_nodes(other.grid):
-                raise ValueError("grids do not match")
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
 
 def uniform_grid(n: int, a: float = 0.0, b: float = 1.0) -> MeasureGrid:
     """Midpoint discretization of the uniform measure on [a, b].

@@ -12,6 +12,7 @@ signal; ``construct_canonical_signals`` builds exactly that structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,14 @@ class EquilibriumMoment:
             raise ValueError("state variance must be non-negative")
         if self.state_var == 0 and np.any(self.zeta.values != 0):
             raise ValueError("zero state variance forces zeta to vanish")
+
+    @cached_property
+    def _positive(self) -> bool:
+        """``check_positivity``'s verdict, decided on first use and kept."""
+        z = self.zeta.values[:, None]
+        M = np.block([[self.xi.values, z],
+                      [z.T, np.full((1, 1), float(self.state_var))]])
+        return psd_within(M)
 
 
 @dataclass(frozen=True)
@@ -80,10 +89,8 @@ def check_obedience(m: EquilibriumMoment, R: Kernel) -> float:
 
 def check_positivity(m: EquilibriumMoment) -> bool:
     """PSD test (``psd_within``) of the bordered matrix
-    M = [[xi, zeta], [zeta', Var theta]]."""
-    z = m.zeta.values[:, None]
-    M = np.block([[m.xi.values, z], [z.T, np.full((1, 1), float(m.state_var))]])
-    return psd_within(M)
+    M = [[xi, zeta], [zeta', Var theta]], once per moment."""
+    return m._positive
 
 
 @dataclass(frozen=True)

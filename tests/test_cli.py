@@ -368,6 +368,10 @@ def test_reproduce_all_quick_manifest(tmp_path):
     assert len(manifest["checks"]) == 11
     names = {c["name"] for c in manifest["checks"]}
     assert "targeted_optimum" in names and "bm_example" in names
+    seconds = manifest["battery_seconds"]
+    assert set(seconds) == names and len(seconds) == 11
+    assert all(s >= 0.0 for s in seconds.values())
+    assert sum(seconds.values()) <= manifest["elapsed_seconds"]
 
 
 

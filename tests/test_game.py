@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelgames.design import moment_from_equilibrium
+from kernelgames import game as game_module
+from kernelgames.design import _random_info, moment_from_equilibrium
 from kernelgames.errors import NoConvergence, SingularMeanEquation
 from kernelgames.game import (BasicGame, GaussianInfo, _package_equilibrium,
                               _sym_pinv, common_state_game, full_info, info_from_parts,
@@ -59,8 +61,38 @@ def test_solve_mean_zero_forcing():
 def test_solve_mean_singular_at_eigenvalue_one():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 1.0), 1.0, 1.0)
-    with pytest.raises(SingularMeanEquation):
-        solve_mean(game)
+    for _ in range(2):      # nothing is kept: every call raises
+        with pytest.raises(SingularMeanEquation):
+            solve_mean(game)
+
+
+def test_solve_mean_is_solved_once_per_game():
+    g = uniform_grid(10)
+    game = common_state_game(g, constant_kernel(g, 0.5), 1.0, 1.0)
+    phi = solve_mean(game)
+    assert solve_mean(game) is phi
+    assert np.allclose(phi.values, 2.0)     # 1 / (1 - r)
+    assert not phi.values.flags.writeable
+    other = dataclasses.replace(game, state_mean=g.constant(3.0))
+    assert np.allclose(solve_mean(other).values, 6.0)
+    assert solve_mean(game) is phi
+
+
+def test_equilibria_of_one_game_compute_its_spectrum_once(monkeypatch):
+    calls = []
+    eigenvalues = game_module.eigenvalues
+
+    def counted(kernel):
+        calls.append(kernel)
+        return eigenvalues(kernel)
+    monkeypatch.setattr(game_module, "eigenvalues", counted)
+    g = uniform_grid(30)
+    game = common_state_game(g, constant_kernel(g, 0.5), 1.0, 1.0)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        eq = solve_linear_equilibrium(game, _random_info(game, rng))
+        assert verify_moment_restrictions(eq, game).passed
+    assert len(calls) == 1
 
 
 # -- solve_linear_equilibrium ------------------------------------------------

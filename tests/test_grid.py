@@ -86,7 +86,7 @@ def test_integrate_linearity():
     g = uniform_grid(64)
     f = g.function(rng.normal(size=64))
     h = g.function(rng.normal(size=64))
-    lhs = integrate(2.5 * f + (-1.25) * h)
+    lhs = integrate(g.function(2.5 * f.values - 1.25 * h.values))
     rhs = 2.5 * integrate(f) - 1.25 * integrate(h)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 

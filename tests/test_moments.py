@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernelgames import moments as moments_module
 from kernelgames.design import (_random_info, moment_from_equilibrium,
                                 optimal_targeted, symmetric_moment,
                                 targeted_equilibrium_moment)
@@ -86,6 +87,25 @@ def test_positivity_of_constructed_gaussian_covariance():
         m = EquilibriumMoment(grid, Kernel(grid, 0.5 * (xi + xi.T)),
                               grid.function(zeta), 1.0)
         assert check_positivity(m)
+
+
+def test_positivity_is_decided_once_per_moment(monkeypatch):
+    verdicts = []
+    psd_within = moments_module.psd_within
+
+    def counted(M):
+        verdicts.append((M, psd_within(M)))
+        return verdicts[-1][1]
+    monkeypatch.setattr(moments_module, "psd_within", counted)
+    m, _ = _targeted_half()
+    pos = check_positivity(m)
+    rep = bounds_check(m, 0.5)
+    assert len(verdicts) == 1
+    M, verdict = verdicts[0]
+    z = m.zeta.values[:, None]
+    var = np.full((1, 1), m.state_var)
+    assert np.array_equal(M, np.block([[m.xi.values, z], [z.T, var]]))
+    assert type(pos) is bool and pos is verdict is rep.positivity_ok
 
 
 # -- bounds ------------------------------------------------------------------
