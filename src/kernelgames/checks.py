@@ -331,16 +331,14 @@ def check_pettis(n_procs: int = 20, draws: int = 100_000, n: int = 40,
         B = rng.normal(size=(n, 5))
         cov = B @ B.T + 0.1 * np.eye(n)
         sample = montecarlo.sample_gaussian(mean, cov, draws, seed=seed + i)
-        exch = montecarlo.covariance_exchange_residual(cov, grid,
-                                                       rng.normal(size=n))
-        cond = montecarlo.verify_conditional_fubini(
-            sample, grid, rng.choice(n, size=3, replace=False), mean, cov)
-        worst_exact = max(worst_exact, exch.statistic, cond.statistic)
-        ok = ok and exch.passed and cond.passed
-        mrep = montecarlo.verify_aggregate_mean(sample, grid, mean)
-        vrep = montecarlo.verify_aggregate_variance(sample, grid, cov)
-        worst_z = max(worst_z, abs(mrep.zscore), abs(vrep.zscore))
-        ok = ok and mrep.passed and vrep.passed
+        x_coeffs = rng.normal(size=n)
+        rep = montecarlo.verify_process(
+            sample, grid, mean, cov, x_coeffs,
+            rng.choice(n, size=3, replace=False))
+        worst_exact = max(worst_exact, rep.exchange.statistic,
+                          rep.conditional.statistic)
+        worst_z = max(worst_z, abs(rep.mean.zscore), abs(rep.variance.zscore))
+        ok = ok and rep.passed
     return CheckResult("pettis_calculus", ok,
                        {"worst_exact_residual": worst_exact,
                         "worst_zscore": worst_z})
@@ -360,21 +358,9 @@ def _bm_fixed_point_oracle(mu, vt, vx, vy, r, s, k, iters=10_000):
     return a0, ax, ay
 
 
-def check_bm_example(n: int = 200, draws: int = 50_000,
-                     seed: int = 55) -> CheckResult:
-    """Symmetric LQG example: closed form, fixed-point oracle, discretized
-    solve, moment restrictions, and the standard-deviation identity."""
-    mu, vt, vx, vy, r, s, k = 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0
-    bm = montecarlo.bm_example_equilibrium(mu, vt, vx, vy, r, s, k)
-    hand = np.array([0.0, 0.2, 0.4])
-    dev_hand = float(np.max(np.abs(np.array([bm.alpha0, bm.alpha_x, bm.alpha_y])
-                                   - hand)))
-    o0, ox, oy = _bm_fixed_point_oracle(mu, vt, vx, vy, r, s, k)
-    dev_oracle = max(abs(bm.alpha0 - o0), abs(bm.alpha_x - ox),
-                     abs(bm.alpha_y - oy))
-    dev_vd = max(abs(bm.volatility - 0.52), abs(bm.dispersion - 0.04))
-
-    # discretized game: theta_tilde = s theta + k, signals (x_i, y) per node
+def _bm_discretized(n, mu, vt, vx, vy, r, s, k):
+    """The symmetric example on ``n`` nodes: theta_tilde = s theta + k, and
+    each node sees its private x_i and the public y (two signals)."""
     grid = uniform_grid(n)
     g = game.common_state_game(grid, constant_kernel(grid, r), s * mu + k,
                                s * s * vt)
@@ -394,6 +380,24 @@ def check_bm_example(n: int = 200, draws: int = 50_000,
     mean_sig[xi_idx] = mu
     mean_sig[y_idx] = mu
     info = game.info_from_parts(g, np.full(n, 2, int), mean_sig, sig_cov, cross)
+    return g, info
+
+
+def check_bm_example(n: int = 200, draws: int = 50_000,
+                     seed: int = 55) -> CheckResult:
+    """Symmetric LQG example: closed form, fixed-point oracle, discretized
+    solve, moment restrictions, and the standard-deviation identity."""
+    mu, vt, vx, vy, r, s, k = 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0
+    bm = montecarlo.bm_example_equilibrium(mu, vt, vx, vy, r, s, k)
+    hand = np.array([0.0, 0.2, 0.4])
+    dev_hand = float(np.max(np.abs(np.array([bm.alpha0, bm.alpha_x, bm.alpha_y])
+                                   - hand)))
+    o0, ox, oy = _bm_fixed_point_oracle(mu, vt, vx, vy, r, s, k)
+    dev_oracle = max(abs(bm.alpha0 - o0), abs(bm.alpha_x - ox),
+                     abs(bm.alpha_y - oy))
+    dev_vd = max(abs(bm.volatility - 0.52), abs(bm.dispersion - 0.04))
+
+    g, info = _bm_discretized(n, mu, vt, vx, vy, r, s, k)
     eq = game.solve_linear_equilibrium(g, info)
     dev_disc = max(
         float(np.max(np.abs(np.array([c[0] for c in eq.loadings]) - bm.alpha_x))),

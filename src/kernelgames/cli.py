@@ -35,6 +35,11 @@ EXIT_VERIFY = 2
 #: this size with one signal per node takes 128 MB.
 MAX_GRID_NODES = 2048
 
+#: Most Monte Carlo draws ``mc`` may ask for.  The audits of ``bm`` and
+#: ``duplicate`` stream their draws, so memory alone would not stop a run of
+#: days; this bound does.
+MAX_DRAWS = 10 ** 8
+
 
 class ConfigError(ValueError):
     """Malformed configuration or command line."""
@@ -449,8 +454,9 @@ def _cmd_design(args) -> int:
 def _cmd_mc(args) -> int:
     opts = _mode_options(args, "check")
     n, draws, seed = opts["n"], opts["draws"], opts["seed"]
-    if draws < 2:
-        raise ConfigError(f"--draws must be at least 2, got {draws}")
+    if not 2 <= draws <= MAX_DRAWS:
+        raise ConfigError(f"--draws must be at least 2 and at most "
+                          f"{MAX_DRAWS}, got {draws}")
     config = dict(opts, command="mc", check=args.check,
                   generator_id=montecarlo.GENERATOR_ID)
     if args.check == "aggregate":
@@ -460,22 +466,18 @@ def _cmd_mc(args) -> int:
         B = rng.normal(size=(n, 5))
         cov = B @ B.T + 0.1 * np.eye(n)
         sample = montecarlo.sample_gaussian(mean, cov, draws, seed=seed)
-        mrep = montecarlo.verify_aggregate_mean(sample, grid, mean)
-        vrep = montecarlo.verify_aggregate_variance(sample, grid, cov)
-        exch = montecarlo.covariance_exchange_residual(
-            cov, grid, rng.normal(size=n))
-        cond = montecarlo.verify_conditional_fubini(
-            sample, grid, [0, n // 2], mean, cov)
-        passed = mrep.passed and vrep.passed and cond.passed and exch.passed
+        rep = montecarlo.verify_process(sample, grid, mean, cov,
+                                        rng.normal(size=n), [0, n // 2])
         payload = {
             "config": config,
-            "mean_zscore": mrep.zscore, "variance_zscore": vrep.zscore,
-            "exchange_residual": exch.statistic,
-            "conditional_discrepancy": cond.statistic,
-            "passed": passed,
+            "mean_zscore": rep.mean.zscore,
+            "variance_zscore": rep.variance.zscore,
+            "exchange_residual": rep.exchange.statistic,
+            "conditional_discrepancy": rep.conditional.statistic,
+            "passed": rep.passed,
         }
         _emit(payload, args.out)
-        return EXIT_OK if passed else EXIT_VERIFY
+        return EXIT_OK if rep.passed else EXIT_VERIFY
     if args.check == "duplicate":
         grid = uniform_grid(n)
         g = game.common_state_game(

@@ -27,6 +27,9 @@ GENERATOR_ID = "pcg64-spectral-v1"
 #: standard errors a sampled mean or variance may stray from its target
 TOL_SE = 4.0
 
+#: standard normal values drawn per block; memory is O(block) in the draws
+_BLOCK_VALUES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ProcessSample:
@@ -39,12 +42,14 @@ class ProcessSample:
     generator_id: str = GENERATOR_ID
 
 
-def sample_gaussian(mean, cov, d: int, seed: int) -> ProcessSample:
-    """d i.i.d. draws of N(mean, cov) via the spectral square-root factor.
+def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
+    """Validate and factor ``cov``; return (clamp, blocks), where ``blocks``
+    yields the coordinates ``rows`` of d draws of N(mean, cov) in
+    consecutive blocks of draws.
 
-    The symmetrized ``cov`` must pass ``kernels.psd_within`` (ValueError
-    naming its smallest eigenvalue otherwise); negative eigenvalues are then
-    clamped at zero.
+    Each block is mean[rows] + z @ factor[rows].T for the next
+    ``_BLOCK_VALUES`` // dim standard normal rows z of the seeded stream, so
+    the draws do not depend on the block size.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -54,11 +59,33 @@ def sample_gaussian(mean, cov, d: int, seed: int) -> ProcessSample:
     sym = 0.5 * (cov + cov.T)
     _require_psd(sym, "covariance")
     lam, vec = np.linalg.eigh(sym)
-    factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+    factor_t = (vec * np.sqrt(np.clip(lam, 0.0, None)))[rows].T
+    mean = mean[rows]
+    step = max(1, _BLOCK_VALUES // k)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(d), k))
-    return ProcessSample(mean + z @ factor.T, int(seed),
-                         max(0.0, -float(lam[0])))
+
+    def blocks():
+        for start in range(0, d, step):
+            yield mean + rng.standard_normal((min(step, d - start), k)) @ factor_t
+    return max(0.0, -float(lam[0])), blocks()
+
+
+def sample_gaussian(mean, cov, d: int, seed: int) -> ProcessSample:
+    """d i.i.d. draws of N(mean, cov) via the spectral square-root factor,
+    drawn block by block (``_gaussian_blocks``).
+
+    The symmetrized ``cov`` must pass ``kernels.psd_within`` (ValueError
+    naming its smallest eigenvalue otherwise); negative eigenvalues are then
+    clamped at zero.
+    """
+    d = int(d)
+    clamp, blocks = _gaussian_blocks(mean, cov, d, seed)
+    draws = np.empty((d, np.size(mean)))
+    start = 0
+    for block in blocks:
+        draws[start:start + len(block)] = block
+        start += len(block)
+    return ProcessSample(draws, int(seed), clamp)
 
 
 @dataclass(frozen=True)
@@ -75,27 +102,23 @@ class MCReport:
         return (self.statistic - self.expected) / self.stderr
 
 
-def verify_aggregate_mean(sample: ProcessSample, grid: MeasureGrid,
-                          mean) -> MCReport:
-    """Empirical mean of the weighted aggregate vs the quadrature of means."""
-    w = grid.weights
-    agg = sample.draws @ w
-    expected = float(w @ np.asarray(mean, float))
-    d = agg.size
-    se = float(agg.std(ddof=1)) / math.sqrt(d) if d > 1 else 0.0
-    stat = float(agg.mean())
+def verify_aggregate_mean(aggregate, grid: MeasureGrid, mean) -> MCReport:
+    """Empirical mean of the sampled aggregates (draws @ weights) vs the
+    quadrature of means."""
+    expected = float(grid.weights @ np.asarray(mean, float))
+    d = aggregate.size
+    se = float(aggregate.std(ddof=1)) / math.sqrt(d) if d > 1 else 0.0
+    stat = float(aggregate.mean())
     return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
 
 
-def verify_aggregate_variance(sample: ProcessSample, grid: MeasureGrid,
-                              cov) -> MCReport:
-    """Empirical variance of the aggregate vs the double integral of the
-    covariance kernel."""
+def verify_aggregate_variance(aggregate, grid: MeasureGrid, cov) -> MCReport:
+    """Empirical variance of the sampled aggregates (draws @ weights) vs the
+    double integral of the covariance kernel."""
     w = grid.weights
-    agg = sample.draws @ w
     expected = float(w @ np.asarray(cov, float) @ w)
-    d = agg.size
-    stat = float(agg.var(ddof=1))
+    d = aggregate.size
+    stat = float(aggregate.var(ddof=1))
     # variance-of-sample-variance for a Gaussian statistic
     se = expected * math.sqrt(2.0 / (d - 1)) if d > 1 else 0.0
     if se == 0.0:
@@ -145,6 +168,34 @@ def verify_conditional_fubini(sample: ProcessSample, grid: MeasureGrid,
 
 
 @dataclass(frozen=True)
+class ProcessReport:
+    """The four verdicts on one sampled process."""
+
+    mean: MCReport
+    variance: MCReport
+    exchange: MCReport
+    conditional: MCReport
+
+    @property
+    def passed(self) -> bool:
+        return (self.mean.passed and self.variance.passed
+                and self.exchange.passed and self.conditional.passed)
+
+
+def verify_process(sample: ProcessSample, grid: MeasureGrid, mean, cov,
+                   x_coeffs, cond_nodes) -> ProcessReport:
+    """Judge one sampled process N(mean, cov): the mean and variance of its
+    aggregate (z-tests), the covariance exchange for x = ``x_coeffs`` . f and
+    conditional aggregation on ``cond_nodes`` (exact identities)."""
+    aggregate = sample.draws @ grid.weights
+    return ProcessReport(
+        verify_aggregate_mean(aggregate, grid, mean),
+        verify_aggregate_variance(aggregate, grid, cov),
+        covariance_exchange_residual(cov, grid, x_coeffs),
+        verify_conditional_fubini(sample, grid, cond_nodes, mean, cov))
+
+
+@dataclass(frozen=True)
 class NodeAuditReport:
     mean_z: np.ndarray
     rms: np.ndarray
@@ -157,31 +208,50 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
                         seed: int = 0) -> NodeAuditReport:
     """Monte Carlo check that each agent's strategy is a best response.
 
-    Samples joint (theta, signal) draws, evaluates every agent's action and
-    the conditional-formula right-hand side E_t[aggregate] + E_t[theta(t)],
-    and tests that the residual has mean within ``TOL_SE`` standard errors of
-    zero and negligible spread at every node.
+    Samples the signal coordinates of joint (theta, signal) draws, evaluates
+    every agent's action and the conditional-formula right-hand side
+    E_t[aggregate] + E_t[theta(t)], and tests that the residual has mean
+    within ``TOL_SE`` standard errors of zero and negligible spread at every
+    node.  The draws are consumed block by block as they are sampled, so
+    memory does not grow with ``d``.
     """
     n = game.grid.n
     mean = np.concatenate([game.state_mean.values, info.signal_mean])
-    x = sample_gaussian(mean, info.joint_cov, d, seed).draws[:, n:]
+    _, blocks = _gaussian_blocks(mean, info.joint_cov, d, seed,
+                                 rows=slice(n, None))
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
-    f = eq.intercepts.values + info._block_sum(x * c, axis=1)    # actions per draw
     # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
     # k_t = P_t (Cov[x_t, aggregate] + Cov[x_t, theta(t)])
     cov_x_f = info._block_sum(info.signal_block() * c, axis=1)   # Cov[x, f(t')]
     k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
-    x -= info.signal_mean
-    x *= k
     rhs_mean = Rw @ eq.induced_mean.values + game.state_mean.values
-    resid = f - rhs_mean - info._block_sum(x, axis=1)
 
-    scale = 1.0 + float(np.sqrt(np.mean(f ** 2)))
-    means = resid.mean(axis=0)
-    sds = resid.std(axis=0, ddof=1)
-    se = sds / math.sqrt(d)
-    rms = np.sqrt(np.mean(resid ** 2, axis=0))
+    # per-node residual mean and centred sum of squares, merged block by
+    # block (Chan et al.), the sums of resid^2 and f^2, and the draw count
+    means = np.zeros(n)
+    m2 = np.zeros(n)
+    sq = np.zeros(n)
+    f_sq = 0.0
+    count = 0
+    for x in blocks:
+        f = eq.intercepts.values + info._block_sum(x * c, axis=1)  # actions
+        x -= info.signal_mean
+        x *= k
+        resid = f - rhs_mean - info._block_sum(x, axis=1)
+        b = len(resid)
+        block_mean = resid.mean(axis=0)
+        delta = block_mean - means
+        count += b
+        means += delta * (b / count)
+        m2 += np.sum((resid - block_mean) ** 2, axis=0) + delta ** 2 * (
+            (count - b) * b / count)
+        sq += np.sum(resid ** 2, axis=0)
+        f_sq += float(np.sum(f ** 2))
+
+    scale = 1.0 + math.sqrt(f_sq / (d * n))
+    se = np.sqrt(m2 / (d - 1)) / math.sqrt(d)
+    rms = np.sqrt(sq / d)
     mean_ok = np.abs(means) <= TOL_SE * se + 1e-8 * scale
     rms_ok = rms <= 1e-6 * scale
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,6 +9,7 @@ recorded statistics in ``battery_stats_full.json`` (see
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 from test_battery_stats import assert_matches
@@ -82,7 +83,14 @@ def test_09_aggregation_calculus():
 
 
 def test_10_lqg_example_reproduction():
-    res, _ = _run(checks.check_bm_example, n=200, draws=100_000)
+    # the audit streams its draws: one (100,000 x 600) array would be 458 MiB
+    tracemalloc.start()
+    try:
+        res, _ = _run(checks.check_bm_example, n=200, draws=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
     assert res.passed
     assert res.stats["dev_discretized"] <= 1e-6
     assert res.stats["moment_residual"] <= 1e-8

@@ -314,9 +314,11 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
     pytest.param(["design", "--mode", "diagram", "--resolution", "-3"],
                  "resolution must be at least 1, got -3",
                  id="diagram-negative-resolution"),
-    pytest.param(["mc", "--check", "aggregate", "--n", "5",
-                  "--draws", "10000000000000"],
-                 "Unable to allocate", id="aggregate-huge-draws"),
+    *(pytest.param(["mc", "--check", check, "--n", "5",
+                    "--draws", "10000000000000"],
+                   "--draws must be at least 2 and at most 100000000, "
+                   "got 10000000000000", id=f"{check}-huge-draws")
+      for check in ("aggregate", "duplicate", "bm")),
     pytest.param(["mc", "--check", "duplicate", "--r", "30", "--n", "20",
                   "--draws", "100"],
                  "node 0 has 1.500e+00", id="duplicate-own-cell-above-one"),

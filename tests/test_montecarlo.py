@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_game import _ragged_game_and_info
 
+from kernelgames import montecarlo
+from kernelgames.checks import _bm_discretized
 from kernelgames.errors import NoRealEigenvalueAtLeastOne
 from kernelgames.game import (_package_equilibrium, common_state_game,
                               full_info, no_info, private_iid_info,
@@ -10,13 +16,13 @@ from kernelgames.game import (_package_equilibrium, common_state_game,
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (Kernel, check_r1, constant_kernel,
                                  real_eigenvalues)
-from kernelgames.montecarlo import (best_response_audit,
+from kernelgames.montecarlo import (TOL_SE, best_response_audit,
                                     bm_example_equilibrium,
                                     covariance_exchange_residual,
                                     duplicate_equilibria, sample_gaussian,
                                     verify_aggregate_mean,
                                     verify_aggregate_variance,
-                                    verify_conditional_fubini)
+                                    verify_conditional_fubini, verify_process)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -54,13 +60,38 @@ def test_sample_rejects_non_psd():
         sample_gaussian(np.zeros(2), bad, 10, seed=0)
 
 
+def _one_shot_draws(mean, cov, d, seed):
+    """The whole (d, k) standard normal array at once, through the same
+    spectral factor."""
+    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
+    factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+    z = np.random.default_rng(seed).standard_normal((d, mean.size))
+    return mean + z @ factor.T
+
+
+@pytest.mark.parametrize("k, d", [
+    (5, 2),                                             # two draws
+    (3, 1000),                                          # below one block
+    (3, 2 * (montecarlo._BLOCK_VALUES // 3) + 7),       # ragged last block
+    (40, 3 * (montecarlo._BLOCK_VALUES // 40) - 1),
+])
+def test_blocked_draws_match_one_shot_reference(k, d):
+    rng = np.random.default_rng(k + d)
+    B = rng.normal(size=(k, 2))                         # rank 2 at most
+    mean, cov = rng.normal(size=k), B @ B.T
+    ref = _one_shot_draws(mean, cov, d, seed=d)
+    draws = sample_gaussian(mean, cov, d, seed=d).draws
+    assert draws.shape == (d, k)
+    assert np.all(np.abs(draws - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
 # -- aggregate mean / variance -----------------------------------------------
 
 def test_aggregate_variance_iid_process():
     n, d = 50, 100_000
     grid = uniform_grid(n)
     sample = sample_gaussian(np.zeros(n), np.eye(n), d, seed=4)
-    rep = verify_aggregate_variance(sample, grid, np.eye(n))
+    rep = verify_aggregate_variance(sample.draws @ grid.weights, grid, np.eye(n))
     assert rep.expected == pytest.approx(1.0 / n, abs=1e-15)
     assert rep.passed
 
@@ -70,7 +101,7 @@ def test_aggregate_variance_common_shock():
     grid = uniform_grid(n)
     cov = np.full((n, n), 2.5)   # one shared random variable
     sample = sample_gaussian(np.zeros(n), cov, 50_000, seed=5)
-    rep = verify_aggregate_variance(sample, grid, cov)
+    rep = verify_aggregate_variance(sample.draws @ grid.weights, grid, cov)
     assert rep.expected == pytest.approx(2.5, abs=1e-12)
     assert rep.passed
 
@@ -82,7 +113,7 @@ def test_aggregate_variance_lqg_equilibrium_process():
     cov = np.full((n, n), 0.52)
     np.fill_diagonal(cov, 0.56)
     sample = sample_gaussian(np.zeros(n), cov, 100_000, seed=6)
-    rep = verify_aggregate_variance(sample, grid, cov)
+    rep = verify_aggregate_variance(sample.draws @ grid.weights, grid, cov)
     assert rep.expected == pytest.approx(0.52 + 0.04 / n, abs=1e-12)
     assert rep.passed
 
@@ -95,8 +126,31 @@ def test_aggregate_mean_matches_quadrature():
     B = rng.normal(size=(n, 4))
     cov = B @ B.T
     sample = sample_gaussian(mean, cov, 100_000, seed=7)
-    rep = verify_aggregate_mean(sample, grid, mean)
+    rep = verify_aggregate_mean(sample.draws @ grid.weights, grid, mean)
     assert rep.passed
+
+
+def test_verify_process_returns_each_verdict_on_its_own():
+    rng = np.random.default_rng(21)
+    n = 25
+    grid = uniform_grid(n)
+    mean = rng.normal(size=n)
+    B = rng.normal(size=(n, 5))
+    cov = B @ B.T + 0.1 * np.eye(n)
+    sample = sample_gaussian(mean, cov, 20_000, seed=21)
+    a, nodes = rng.normal(size=n), [0, 7, 19]
+    rep = verify_process(sample, grid, mean, cov, a, nodes)
+    agg = sample.draws @ grid.weights
+    assert rep.mean == verify_aggregate_mean(agg, grid, mean)
+    assert rep.variance == verify_aggregate_variance(agg, grid, cov)
+    assert rep.exchange == covariance_exchange_residual(cov, grid, a)
+    assert rep.conditional == verify_conditional_fubini(sample, grid, nodes,
+                                                        mean, cov)
+    assert rep.passed
+    # a wrong mean fails the mean test only
+    off = verify_process(sample, grid, mean + 1.0, cov, a, nodes)
+    assert not off.mean.passed and not off.passed
+    assert off.variance.passed and off.exchange.passed and off.conditional.passed
 
 
 # -- exact aggregation identities --------------------------------------------
@@ -212,6 +266,88 @@ def test_audit_no_information_residual_zero():
     rep = best_response_audit(eq, game, info, d=2000, seed=16)
     assert rep.passed
     assert np.max(rep.rms) <= 1e-10
+
+
+def _one_shot_audit(eq, game, info, d, seed):
+    """The audit with all d joint draws in memory at once: (mean_z, rms,
+    scale, passed)."""
+    n = game.grid.n
+    mean = np.concatenate([game.state_mean.values, info.signal_mean])
+    x = _one_shot_draws(mean, np.asarray(info.joint_cov), d, seed)[:, n:]
+    c = eq.loading_vector()
+    Rw = game.payoff.values * game.grid.weights
+    f = eq.intercepts.values + info._block_sum(x * c, axis=1)
+    cov_x_f = info._block_sum(info.signal_block() * c, axis=1)
+    k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
+    rhs_mean = Rw @ eq.induced_mean.values + game.state_mean.values
+    resid = f - rhs_mean - info._block_sum((x - info.signal_mean) * k, axis=1)
+    scale = 1.0 + float(np.sqrt(np.mean(f ** 2)))
+    means = resid.mean(axis=0)
+    se = resid.std(axis=0, ddof=1) / math.sqrt(d)
+    rms = np.sqrt(np.mean(resid ** 2, axis=0))
+    passed = np.all((np.abs(means) <= TOL_SE * se + 1e-8 * scale)
+                    & (rms <= 1e-6 * scale))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_z = np.where(se > 0, means / se, 0.0)
+    return mean_z, rms, scale, bool(passed)
+
+
+def _bm_equilibrium(n):
+    game, info = _bm_discretized(n, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0)
+    return solve_linear_equilibrium(game, info), game, info
+
+
+def _assert_matches_one_shot(rep, eq, game, info, d, seed):
+    mean_z, rms, scale, passed = _one_shot_audit(eq, game, info, d, seed)
+    assert rep.passed == passed
+    assert abs(rep.scale - scale) <= 1e-12 * scale
+    assert np.all(np.abs(rep.rms - rms) <= 1e-12 * rms)
+    assert np.all(np.abs(rep.mean_z - mean_z) <= 1e-9 * (1.0 + np.abs(mean_z)))
+
+
+@pytest.mark.parametrize("case, d", [("ragged", 3_001), ("ragged", 40_000),
+                                     ("bm", 20_000)])
+def test_streamed_audit_matches_one_shot_reference(case, d):
+    if case == "ragged":        # signal dims 1-3, rank-deficient joint law
+        game, info = _ragged_game_and_info()
+        eq = solve_linear_equilibrium(game, info)
+    else:                       # two signals per node, rounding-noise residuals
+        eq, game, info = _bm_equilibrium(60)
+    rep = best_response_audit(eq, game, info, d=d, seed=5)
+    _assert_matches_one_shot(rep, eq, game, info, d, seed=5)
+
+
+def test_streamed_audit_matches_one_shot_on_duplicate_equilibria(monkeypatch):
+    # the shifted equilibrium's rounding-noise residual means sit hundreds of
+    # standard errors from zero
+    calls = []
+
+    def audit(eq, game, info, d, seed):
+        calls.append((audit_of(eq, game, info, d=d, seed=seed),
+                      eq, game, info, d, seed))
+        return calls[-1][0]
+    audit_of = montecarlo.best_response_audit
+    monkeypatch.setattr(montecarlo, "best_response_audit", audit)
+    grid = uniform_grid(20)
+    game = common_state_game(grid, constant_kernel(grid, 2.0), 1.0, 1.0)
+    duplicate_equilibria(game, d=50_000, seed=1000)
+    assert len(calls) == 2
+    assert np.max(np.abs(calls[1][0].mean_z)) > 100.0
+    for call in calls:
+        _assert_matches_one_shot(*call)
+
+
+def test_audit_memory_does_not_grow_with_draws():
+    # one (20,000 x 360) joint draws array alone is 54.9 MiB
+    eq, game, info = _bm_equilibrium(120)
+    tracemalloc.start()
+    try:
+        rep = best_response_audit(eq, game, info, d=20_000, seed=55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 32 * 2 ** 20
 
 
 # -- duplicate equilibria ----------------------------------------------------
