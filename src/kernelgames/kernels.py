@@ -236,7 +236,7 @@ def check_psd(K: Kernel) -> bool:
     """PSD test on the raw value matrix (``psd_within``)."""
     if not K.undirected:
         raise ValueError("PSD check requires an undirected kernel")
-    return psd_within(K.values.copy())
+    return psd_within(K.values)
 
 
 def cauchy_schwarz_audit(K: Kernel) -> float:
@@ -285,23 +285,53 @@ def psd_tol(sym: np.ndarray) -> float:
     return 1e-8 * (1.0 + float(np.max(sym.diagonal(), initial=0.0)))
 
 
+def _repeated_rows(sym: np.ndarray) -> np.ndarray:
+    """Mask of length N + 1: entry i is True iff rows i - 1 and i of the
+    symmetric ``sym`` are equal entry for entry; entries 0 and N are False.
+
+    Equal rows force sym[i - 1, i - 1] == sym[i, i - 1] == sym[i, i], an O(N)
+    prefilter; only stretches of candidates are then compared in full, each
+    as one slice against the slice one row below.
+    """
+    diag, sub = sym.diagonal(), sym.diagonal(-1)
+    same = np.zeros(len(sym) + 1, bool)
+    np.equal(diag[:-1], sub, out=same[1:-1])
+    same[1:-1] &= sub == diag[1:]
+    if same.any():
+        edges = np.flatnonzero(same[1:] != same[:-1]).tolist()
+        for a, b in zip(edges[::2], edges[1::2]):
+            same[a + 1:b + 1] = np.all(sym[a:b] == sym[a + 1:b + 1], axis=1)
+    return same
+
+
 def psd_within(sym: np.ndarray) -> bool:
     """True iff the symmetric matrix ``sym`` has no eigenvalue below
     -``psd_tol(sym)``: the library's one PSD verdict.
 
-    Decided by a Cholesky factorization of sym + tol * I, which exists exactly
-    when the smallest eigenvalue exceeds -tol; its backward error moves an
+    Each run of g consecutive equal rows is merged first into one coordinate
+    of variance g * sym[i, i] and cross term sqrt(g h) * sym[i, j] with a run
+    of h rows.  The run's other g - 1 eigenvalues are exactly 0 (sym (e_i -
+    e_i+1) = 0 for equal rows i, i + 1), so sym passes iff the merged matrix
+    does; a common state shared by n nodes is factored at size 1, not n.  Decided by a Cholesky factorization of the merged matrix
+    + tol * I, with tol taken from the unmerged ``sym``; it exists exactly
+    when the smallest eigenvalue exceeds -tol, and its backward error moves an
     eigenvalue by about N^2 * eps * max diag at most, below the tolerance for
-    any N up to several thousand.  The diagonal of ``sym`` (writable, lower
-    triangle read) is shifted in place and restored before returning, so
-    ``sym`` comes back bit for bit.
+    any N up to several thousand.  ``sym`` is only read.
     """
-    diag = sym.diagonal().copy()
-    np.fill_diagonal(sym, diag + psd_tol(sym))
+    tol = psd_tol(sym)
+    same = _repeated_rows(sym)
+    if same.any():
+        bounds = np.flatnonzero(~same)      # the first row of each run, then N
+        first = bounds[:-1]
+        root = np.sqrt(bounds[1:] - first)
+        shifted = sym[first[:, None], first]
+        shifted *= root[:, None]
+        shifted *= root
+    else:
+        shifted = sym.copy()
+    shifted.flat[::len(shifted) + 1] += tol
     try:
-        np.linalg.cholesky(sym)
+        np.linalg.cholesky(shifted)
         return True
     except np.linalg.LinAlgError:
         return False
-    finally:
-        np.fill_diagonal(sym, diag)

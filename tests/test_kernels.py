@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kernelgames.cli import _Q_EXPR_NAMES, _parse
-from kernelgames.game import BasicGame, GaussianInfo
+from kernelgames.game import (BasicGame, GaussianInfo, common_state_game,
+                              full_info, private_iid_info)
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (Kernel, cauchy_schwarz_audit,
                                  check_psd,
@@ -251,12 +252,116 @@ def test_psd_within_matches_min_eigenvalue(n, zeros, seed, log_scale, depth):
 
 @pytest.mark.parametrize("depth", [0.5, 2.0])
 def test_psd_within_restores_input_bit_for_bit(depth):
+    # a matrix without repeated rows and one with runs of them, each passed
+    # writable and read-only
     rng = np.random.default_rng(5)
     m = _one_eigenvalue_at(_orthogonal(rng, 50), rng.uniform(0.0, 1.0, 50),
                            depth)
-    before = m.copy()
-    assert psd_within(m) == (depth < 1.0)
-    assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
+    for sym in (m, _expand_runs(m, rng.integers(1, 4, 50))):
+        for writeable in (True, False):
+            sym = sym.copy()
+            before = sym.copy()
+            sym.flags.writeable = writeable
+            assert psd_within(sym) == (depth < 1.0)
+            assert np.array_equal(sym.view(np.uint64), before.view(np.uint64))
+
+
+def _expand_runs(merged, runs):
+    """The matrix with runs[r] equal rows per coordinate r of ``merged``,
+    scaled so that merging each run gives ``merged`` back."""
+    root = np.sqrt(runs)
+    return np.repeat(np.repeat(merged / np.outer(root, root), runs, axis=0),
+                     runs, axis=1)
+
+
+def _cholesky_passes(sym):
+    try:
+        np.linalg.cholesky(sym + psd_tol(sym) * np.eye(len(sym)))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       kind=st.sampled_from(["runs", "common_state", "public_signal",
+                             "no_signal"]),
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-3.0, 3.0),
+       depth=st.sampled_from([0.5, 0.99, 1.01, 2.0]))
+def test_psd_within_merges_repeated_rows_without_changing_the_verdict(
+        data, kind, n, seed, log_scale, depth):
+    # runs of equal rows: a common state shared by n nodes followed by own
+    # signals, distinct states followed by one public (or all-zero) signal
+    # block at the last index, or any run lengths with some runs all zero;
+    # one eigenvalue at -depth * tol along a direction that keeps the runs
+    if kind == "runs":
+        runs = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=10))
+        dead = data.draw(st.lists(st.booleans(), min_size=len(runs),
+                                  max_size=len(runs)))
+    elif kind == "common_state":
+        runs = [n] + [1] * data.draw(st.integers(0, 12))
+        dead = [False] * len(runs)
+    else:
+        runs = [1] * n + [n]
+        dead = [False] * n + [kind == "no_signal"]
+    live = np.flatnonzero(~np.array(dead))
+    if live.size == 0:
+        live = np.arange(1)
+    rng = np.random.default_rng(seed)
+    q = _orthogonal(rng, live.size)
+    eigs = rng.uniform(0.0, 10.0 ** log_scale, live.size)
+    eigs[1:1 + data.draw(st.integers(0, live.size - 1))] = 0.0
+
+    def build(eigs):
+        merged = np.zeros((len(runs), len(runs)))
+        merged[np.ix_(live, live)] = _with_spectrum(q, eigs)
+        return _expand_runs(merged, np.array(runs))
+
+    eigs[0] = 0.0
+    eigs[0] = -depth * psd_tol(build(eigs))
+    sym = build(eigs)
+    assert np.array_equal(sym, sym.T)
+    assert _cholesky_passes(sym) == (depth < 1.0)
+    assert psd_within(sym) == _cholesky_passes(sym)
+
+
+def test_psd_within_factors_one_coordinate_per_run(monkeypatch):
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def recorded(a):
+        sizes.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    g = uniform_grid(50)
+    game = common_state_game(g, constant_kernel(g, 0.5))
+    assert sizes == [1]         # the state covariance: one run of 50 rows
+    sizes.clear()
+    full_info(game)             # x(t) = theta: all 100 rows are equal
+    assert sizes == [1]
+    sizes.clear()
+    private_iid_info(game, 0.5, exact_lln=False)   # theta run + 50 signals
+    assert sizes == [51]
+    sizes.clear()
+    m = np.eye(50) + 0.5        # no repeated rows: factored at full size
+    assert psd_within(m) and sizes == [50]
+
+
+def test_psd_within_merges_only_rows_equal_in_full():
+    # rows 0 and 1 agree on the diagonal and sub-diagonal but not in column
+    # 2: (e0 - e1)' M (e0 - e1) = 0 while M (e0 - e1) != 0, so M is
+    # indefinite; merging them would give the PD [[2, sqrt 2], [sqrt 2, 3]]
+    m = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+    assert np.linalg.eigvalsh(m)[0] < -0.1
+    assert not psd_within(m)
+    # the same pair in a second stretch of candidates, after a true run
+    big = np.zeros((6, 6))
+    big[:2, :2] = 1.0
+    big[2, 2] = 5.0
+    big[3:, 3:] = m
+    assert not psd_within(big)
 
 
 @pytest.mark.parametrize("bad, psd", [(-1e-7, False), (-1e-9, True)])
