@@ -183,18 +183,33 @@ class GaussianInfo:
 # ---------------------------------------------------------------------------
 # named information structures
 
+def _assemble_info(game: BasicGame, dims, signal_mean, sig_cov, cross) -> GaussianInfo:
+    """Stack (theta, signals) covariance blocks into a GaussianInfo.
+
+    ``cross`` is Cov[signals, theta-vector] with shape (D, n).
+    """
+    n = game.grid.n
+    D = int(np.sum(dims))
+    joint = np.zeros((n + D, n + D))
+    joint[:n, :n] = game.state_cov.values
+    joint[n:, :n] = cross
+    joint[:n, n:] = cross.T
+    joint[n:, n:] = sig_cov
+    return GaussianInfo(game.grid, np.asarray(dims, int), np.asarray(signal_mean, float), joint)
+
+
 def no_info(game: BasicGame) -> GaussianInfo:
     """Every agent observes a degenerate (zero-variance) signal."""
     n = game.grid.n
-    return info_from_parts(game, np.ones(n, int), np.zeros(n),
-                           np.zeros((n, n)), np.zeros((n, n)))
+    return _assemble_info(game, np.ones(n, int), np.zeros(n),
+                          np.zeros((n, n)), np.zeros((n, n)))
 
 
 def full_info(game: BasicGame) -> GaussianInfo:
     """Every agent observes its own state exactly: x(t) = theta(t)."""
     n = game.grid.n
     S = game.state_cov.values
-    return info_from_parts(game, np.ones(n, int), game.state_mean.values, S, S)
+    return _assemble_info(game, np.ones(n, int), game.state_mean.values, S, S)
 
 
 def public_info(game: BasicGame, noise_var: float = 0.0) -> GaussianInfo:
@@ -209,7 +224,7 @@ def public_info(game: BasicGame, noise_var: float = 0.0) -> GaussianInfo:
     sig_cov = np.full((n, n), var_x)
     cross = np.tile(cross_row, (n, 1))
     mean = np.full(n, float(w @ game.state_mean.values))
-    return info_from_parts(game, np.ones(n, int), mean, sig_cov, cross)
+    return _assemble_info(game, np.ones(n, int), mean, sig_cov, cross)
 
 
 def private_iid_info(game: BasicGame, noise_var: float,
@@ -236,7 +251,7 @@ def private_iid_info(game: BasicGame, noise_var: float,
     else:
         N = noise_var * np.eye(n)
     S = game.state_cov.values
-    return info_from_parts(game, np.ones(n, int), game.state_mean.values, S + N, S)
+    return _assemble_info(game, np.ones(n, int), game.state_mean.values, S + N, S)
 
 
 def targeted_info(game: BasicGame, members) -> GaussianInfo:
@@ -249,25 +264,14 @@ def targeted_info(game: BasicGame, members) -> GaussianInfo:
     sig_cov = np.where(sel, S, 0.0)
     cross = np.where(mask[:, None], S, 0.0)
     mean = np.where(mask, game.state_mean.values, 0.0)
-    return info_from_parts(game, np.ones(n, int), mean, sig_cov, cross)
+    return _assemble_info(game, np.ones(n, int), mean, sig_cov, cross)
 
 
 def info_from_parts(game: BasicGame, signal_dims, signal_mean,
                     sig_cov, cross) -> GaussianInfo:
-    """Custom structure from explicit signal covariance ``sig_cov`` and
-    signal-state cross covariance ``cross`` = Cov[signals, theta-vector],
-    shape (D, n): the (theta, signals) blocks are stacked into one joint."""
-    n = game.grid.n
-    sig_cov = np.asarray(sig_cov, float)
-    cross = np.asarray(cross, float)
-    D = int(np.sum(signal_dims))
-    joint = np.zeros((n + D, n + D))
-    joint[:n, :n] = game.state_cov.values
-    joint[n:, :n] = cross
-    joint[:n, n:] = cross.T
-    joint[n:, n:] = sig_cov
-    return GaussianInfo(game.grid, np.asarray(signal_dims, int),
-                        np.asarray(signal_mean, float), joint)
+    """Custom structure from explicit signal covariance and signal-state cross."""
+    return _assemble_info(game, signal_dims, signal_mean,
+                          np.asarray(sig_cov, float), np.asarray(cross, float))
 
 
 # ---------------------------------------------------------------------------

@@ -312,11 +312,12 @@ def psd_within(sym: np.ndarray) -> bool:
     of variance g * sym[i, i] and cross term sqrt(g h) * sym[i, j] with a run
     of h rows.  The run's other g - 1 eigenvalues are exactly 0 (sym (e_i -
     e_i+1) = 0 for equal rows i, i + 1), so sym passes iff the merged matrix
-    does; a common state shared by n nodes is factored at size 1, not n.  Decided by a Cholesky factorization of the merged matrix
-    + tol * I, with tol taken from the unmerged ``sym``; it exists exactly
-    when the smallest eigenvalue exceeds -tol, and its backward error moves an
-    eigenvalue by about N^2 * eps * max diag at most, below the tolerance for
-    any N up to several thousand.  ``sym`` is only read.
+    does; a common state shared by n nodes is factored at size 1, not n.
+    Decided by a Cholesky factorization of the merged matrix + tol * I, with
+    tol taken from the unmerged ``sym``; it exists exactly when the smallest
+    eigenvalue exceeds -tol, and its backward error moves an eigenvalue by
+    about N^2 * eps * max diag at most, below the tolerance for any N up to
+    several thousand.  ``sym`` is only read.
     """
     tol = psd_tol(sym)
     same = _repeated_rows(sym)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMoment
-from .game import (BasicGame, GaussianInfo, info_from_parts, relative_tol,
+from .game import (BasicGame, GaussianInfo, _assemble_info, relative_tol,
                    second_moment_residuals, solve_mean)
 from .grid import GridFunction, MeasureGrid
 from .kernels import Kernel, check_r2, constant_kernel, psd_within
@@ -192,7 +192,7 @@ def construct_canonical_signals(m: EquilibriumMoment, game: BasicGame) -> Gaussi
     n = m.grid.n
     sig_cov = m.xi.values.copy()
     cross = np.outer(m.zeta.values, np.ones(n))  # Cov[x(t), theta(s)] = zeta(t)
-    return info_from_parts(game, np.ones(n, int), phi.values, sig_cov, cross)
+    return _assemble_info(game, np.ones(n, int), phi.values, sig_cov, cross)
 
 
 def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
-from .game import BasicGame, GaussianInfo, LinearEquilibrium, info_from_parts, \
+from .game import BasicGame, GaussianInfo, LinearEquilibrium, _assemble_info, \
     _require_psd, _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _real_mask, operator_matrix
@@ -316,8 +316,8 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
     n = game.grid.n
     sig_cov = np.outer(c, c)
     np.fill_diagonal(sig_cov, 1.0)
-    info = info_from_parts(base_game, np.ones(n, int), np.zeros(n),
-                           sig_cov, np.zeros((n, n)))
+    info = _assemble_info(base_game, np.ones(n, int), np.zeros(n),
+                          sig_cov, np.zeros((n, n)))
     eq_f = _package_equilibrium(base_game, info, np.zeros(n), base_mean)
     eq_g = _package_equilibrium(base_game, info, scale * phi, base_mean)
     audit_f = best_response_audit(eq_f, base_game, info, d=d, seed=seed)
