@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import design, game, kernels, moments, montecarlo
+from .errors import NoConvergence
 from .grid import MeasureGrid, uniform_grid
 from .kernels import Kernel, constant_kernel, unidirectional_kernel
 from .moments import DesignObjective
@@ -120,7 +121,7 @@ def check_symmetric_equivalence(ns=(100, 200, 400)) -> CheckResult:
         vals = []
         for n in ns:
             grid = uniform_grid(n)
-            mom, _ = design.symmetric_moment(m, r, grid)
+            mom = design.symmetric_moment(m, r, grid)
             vals.append(moments.objective_value(mom, obj))
         # fit V_n = a + b / n and extrapolate to the continuum
         A = np.vstack([np.ones(len(ns)), 1.0 / np.asarray(ns, float)]).T
@@ -128,7 +129,7 @@ def check_symmetric_equivalence(ns=(100, 200, 400)) -> CheckResult:
         worst_rel = max(worst_rel, abs(coef[0] - target) / (1.0 + abs(target)))
         # round trip through the canonical signal construction
         grid = uniform_grid(ns[0])
-        mom, _ = design.symmetric_moment(m, r, grid, match_grid_obedience=True)
+        mom = design.symmetric_moment(m, r, grid, match_grid_obedience=True)
         g = game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
         info = moments.construct_canonical_signals(mom, g)
         eq = game.solve_linear_equilibrium(g, info)
@@ -206,10 +207,30 @@ def _random_r1_game(rng: np.random.Generator, n: int):
     return game.common_state_game(kern.grid, kern, float(rng.normal()), 1.0)
 
 
+def _fixed_point_loadings(A: np.ndarray, rhs: np.ndarray,
+                          initial: np.ndarray) -> np.ndarray:
+    """Oracle for the dense solve: iterate c <- A c + rhs from ``initial``
+    until a step is at most 1e-12 (1 + max|c|), which happens under (R1)."""
+    c = np.asarray(initial, float)
+    bound = 1e12 * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
+    for _ in range(100_000):
+        c_next = A @ c + rhs
+        if not np.all(np.isfinite(c_next)) or np.max(np.abs(c_next)) > bound:
+            raise NoConvergence("fixed-point iteration diverged")
+        step = np.max(np.abs(c_next - c))
+        c = c_next
+        if step <= 1e-12 * (1.0 + np.max(np.abs(c))):
+            break
+    else:
+        raise NoConvergence("fixed-point iteration cap reached")
+    game._require_fixed_point(A, rhs, c)
+    return c
+
+
 def check_uniqueness(n_games: int = 20, n: int = 25, starts: int = 5,
                      dup_draws: int = 100_000, seed: int = 123) -> CheckResult:
-    """Direct and fixed-point solves agree under (R1); above eigenvalue one,
-    the duplicate construction yields two audited equilibria."""
+    """Dense solve and fixed-point iteration agree under (R1); above eigenvalue
+    one, the duplicate construction yields two audited equilibria."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True
@@ -219,13 +240,11 @@ def check_uniqueness(n_games: int = 20, n: int = 25, starts: int = 5,
             ok = False
             continue
         info = design._random_info(g, rng)
-        eq = game.solve_linear_equilibrium(g, info, method="direct")
-        ref = eq.loading_vector()
+        ref = game.solve_linear_equilibrium(g, info).loading_vector()
+        A, rhs = game._coefficient_system(g, info)
         for _ in range(starts):
-            init = rng.normal(size=ref.size)
-            eq2 = game.solve_linear_equilibrium(g, info, method="fixed_point",
-                                                initial=init)
-            worst = max(worst, float(np.max(np.abs(eq2.loading_vector() - ref))))
+            c = _fixed_point_loadings(A, rhs, rng.normal(size=ref.size))
+            worst = max(worst, float(np.max(np.abs(c - ref))))
         if worst > 1e-7:
             ok = False
     # multiplicity side: payoff operators with a real eigenvalue >= 1

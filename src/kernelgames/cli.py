@@ -37,7 +37,8 @@ MAX_GRID_NODES = 2048
 
 #: Most Monte Carlo draws ``mc`` may ask for.  The audits of ``bm`` and
 #: ``duplicate`` stream their draws, so memory alone would not stop a run of
-#: days; this bound does.
+#: days; this bound does.  ``aggregate`` holds every value it draws, so it
+#: bounds draws x n instead (800 MB of float64).
 MAX_DRAWS = 10 ** 8
 
 
@@ -194,7 +195,7 @@ _SCHEMA = {
                        "match_grid_obedience": (_flag, False)},
                       lambda grid, r, m, match_grid_obedience:
                       design.symmetric_moment(m, r, grid,
-                                              match_grid_obedience)[0]),
+                                              match_grid_obedience)),
         "explicit": ({"xi": (_array, ...), "zeta": (_array, ...),
                       "state_var": (_number, 1.0)},
                      lambda grid, r, xi, zeta, state_var:
@@ -460,6 +461,9 @@ def _cmd_mc(args) -> int:
     config = dict(opts, command="mc", check=args.check,
                   generator_id=montecarlo.GENERATOR_ID)
     if args.check == "aggregate":
+        if draws * n > MAX_DRAWS:
+            raise ConfigError(f"--draws times --n must be at most {MAX_DRAWS} "
+                              f"for aggregate, got {draws} x {n}")
         rng = np.random.default_rng(seed)
         grid = uniform_grid(n)
         mean = rng.normal(size=n)

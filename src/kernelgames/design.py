@@ -153,13 +153,13 @@ def symmetric_coefficients(m: float, r: float) -> tuple:
 
 
 def symmetric_moment(m: float, r: float, grid: MeasureGrid,
-                     match_grid_obedience: bool = False):
+                     match_grid_obedience: bool = False) -> EquilibriumMoment:
     """Symmetric-disclosure moment: xi has diagonal xi1 = m/(1-rm)^2 and
     off-diagonal xi2 = m^2/(1-rm)^2, zeta = m/(1-rm) everywhere.
 
-    Returns (moment, (coef_theta, coef_noise)).  The continuum values satisfy
-    the obedience identity xi1 = r xi2 + zeta exactly; on a finite grid the
-    quadrature row aggregate mixes in the diagonal cell and is off by O(1/n).
+    The continuum values satisfy the obedience identity xi1 = r xi2 + zeta
+    exactly; on a finite grid the quadrature row aggregate mixes in the
+    diagonal cell and is off by O(1/n).
     With ``match_grid_obedience`` the diagonal level is re-solved so that the
     finite-grid obedience holds exactly (useful for signal-construction round
     trips); the off-diagonal level and zeta keep their closed forms.
@@ -181,9 +181,7 @@ def symmetric_moment(m: float, r: float, grid: MeasureGrid,
     else:
         diag = np.full(n, xi1)
     np.fill_diagonal(values, diag)
-    moment = EquilibriumMoment(grid, Kernel(grid, values),
-                               grid.constant(zbar), 1.0)
-    return moment, symmetric_coefficients(m, r)
+    return EquilibriumMoment(grid, Kernel(grid, values), grid.constant(zbar), 1.0)
 
 
 @dataclass(frozen=True)
@@ -222,9 +220,9 @@ def _random_info(game: BasicGame, rng: np.random.Generator) -> GaussianInfo:
 
 
 def moment_from_equilibrium(eq) -> EquilibriumMoment:
-    tv = float(eq.theta_var[0])
     return EquilibriumMoment(eq.grid, eq.induced_action_cov,
-                             eq.induced_action_state_cov, tv)
+                             eq.induced_action_state_cov,
+                             float(eq.info.joint_cov[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -275,8 +273,7 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
             consider(targeted_equilibrium_moment(members, r, grid))
         else:
             mm = float(rng.uniform())
-            consider(symmetric_moment(mm, r, grid,
-                                      match_grid_obedience=True)[0])
+            consider(symmetric_moment(mm, r, grid, match_grid_obedience=True))
     return AuditReport(max_excess, v_star, count, 1e-6 * (1.0 + abs(v_star)))
 
 

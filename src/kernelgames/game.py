@@ -122,10 +122,12 @@ class GaussianInfo:
         scale = max(float(cov.max()), -float(cov.min()))  # non-finite iff an entry is
         if not np.isfinite(scale):
             raise ValueError("joint_cov must be finite")
-        sym = np.subtract(cov, cov.T)
-        if np.abs(sym, out=sym).max() > 1e-12 * (1 + scale):
+        sym = np.add(cov, cov.T)
+        sym *= 0.5
+        # by blocks of rows, so no second N x N array is made
+        if 2.0 * max(np.abs(cov[i:i + 64] - sym[i:i + 64]).max()
+                     for i in range(0, total, 64)) > 1e-12 * (1 + scale):
             raise ValueError("joint_cov must be symmetric")
-        sym = np.multiply(np.add(cov, cov.T, out=sym), 0.5, out=sym)
         _require_psd(sym, "joint_cov")
         dims.flags.writeable = sym.flags.writeable = False
         object.__setattr__(self, "signal_dims", dims)
@@ -188,13 +190,7 @@ def _assemble_info(game: BasicGame, dims, signal_mean, sig_cov, cross) -> Gaussi
 
     ``cross`` is Cov[signals, theta-vector] with shape (D, n).
     """
-    n = game.grid.n
-    D = int(np.sum(dims))
-    joint = np.zeros((n + D, n + D))
-    joint[:n, :n] = game.state_cov.values
-    joint[n:, :n] = cross
-    joint[:n, n:] = cross.T
-    joint[n:, n:] = sig_cov
+    joint = np.block([[game.state_cov.values, cross.T], [cross, sig_cov]])
     return GaussianInfo(game.grid, np.asarray(dims, int), np.asarray(signal_mean, float), joint)
 
 
@@ -279,19 +275,23 @@ def info_from_parts(game: BasicGame, signal_dims, signal_mean,
 
 @dataclass(frozen=True)
 class LinearEquilibrium:
-    """Linear strategy profile f(t) = intercept(t) + loadings(t) . x(t)."""
+    """Linear strategy profile f(t) = intercept(t) + loadings(t) . x(t); the
+    read-only ``coefficients`` hold all loadings in signal order."""
 
     grid: MeasureGrid
     info: GaussianInfo
     intercepts: GridFunction
-    loadings: tuple
+    coefficients: np.ndarray
     induced_mean: GridFunction
     induced_action_cov: Kernel
     induced_action_state_cov: GridFunction
-    theta_var: np.ndarray
 
     def loading_vector(self) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(c) for c in self.loadings])
+        return self.coefficients
+
+    @property
+    def loadings(self) -> tuple:
+        return tuple(np.split(self.coefficients, self.info.offsets[1:-1]))
 
 
 def solve_mean(game: BasicGame) -> GridFunction:
@@ -310,8 +310,13 @@ def _coefficient_system(game: BasicGame, info: GaussianInfo):
     return A, rhs
 
 
+def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> None:
+    """NoConvergence unless c = A c + rhs within 1e-8 (1 + max|c|)."""
+    if np.max(np.abs(c - (A @ c + rhs)), initial=0.0) > relative_tol(1e-8, c):
+        raise NoConvergence("coefficient fixed point residual above tolerance")
+
+
 def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEquilibrium:
-    loadings = tuple(np.split(c.copy(), info.offsets[1:-1]))
     # Cov[f(s), x] summed over node s's block, then against each block of x
     cov_fx = info._block_sum(c[:, None] * info.signal_block(), axis=0)
     xi = info._block_sum(cov_fx * c, axis=1)
@@ -322,29 +327,16 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
         grid=game.grid,
         info=info,
         intercepts=game.grid.function(intercept),
-        loadings=loadings,
+        coefficients=_frozen(c),
         induced_mean=game.grid.function(b),
         induced_action_cov=Kernel(game.grid, xi),
         induced_action_state_cov=game.grid.function(zeta),
-        theta_var=game.state_cov.diag().copy(),
     )
 
 
-#: relative step size at which the fixed-point iteration stops, and its cap
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITER = 100_000
-
-
-def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
-                             method: str = "direct",
-                             initial: np.ndarray = None) -> LinearEquilibrium:
-    """Matching-coefficient solution of the linear Bayesian equilibrium.
-
-    ``method`` is ``direct`` (one dense solve) or ``fixed_point``, the
-    iteration c <- A c + rhs from ``initial`` that converges under (R1).
-    """
-    if method not in ("direct", "fixed_point"):
-        raise ValueError(f"method must be 'direct' or 'fixed_point', got {method!r}")
+def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquilibrium:
+    """Matching-coefficient solution of the linear Bayesian equilibrium: one
+    dense solve of c = A c + rhs."""
     if not info.grid.same_nodes(game.grid):
         raise ValueError("game and information structure grids differ")
     theta = info.joint_cov[:game.grid.n, :game.grid.n]
@@ -353,31 +345,12 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo,
         raise ValueError("information structure theta block does not match the game")
 
     A, rhs = _coefficient_system(game, info)
-    D = rhs.size
-    if method == "direct":
-        try:
-            c = np.linalg.solve(np.eye(D) - A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"direct coefficient solve failed: {exc}") from exc
-    else:
-        c = np.zeros(D) if initial is None else np.asarray(initial, float)
-        bound = 1e12 * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-        for _ in range(FIXED_POINT_MAX_ITER):
-            c_next = A @ c + rhs
-            if not np.all(np.isfinite(c_next)) or np.max(np.abs(c_next)) > bound:
-                raise NoConvergence("fixed-point iteration diverged")
-            step = np.max(np.abs(c_next - c))
-            c = c_next
-            if step <= FIXED_POINT_TOL * (1.0 + np.max(np.abs(c))):
-                break
-        else:
-            raise NoConvergence("fixed-point iteration cap reached")
-
-    res = c - (A @ c + rhs)
-    if np.max(np.abs(res), initial=0.0) > 1e-8 * (1.0 + np.max(np.abs(c), initial=0.0)):
-        raise NoConvergence("coefficient fixed point residual above tolerance")
-    b = solve_mean(game).values
-    return _package_equilibrium(game, info, c, b)
+    try:
+        c = np.linalg.solve(np.eye(rhs.size) - A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"direct coefficient solve failed: {exc}") from exc
+    _require_fixed_point(A, rhs, c)
+    return _package_equilibrium(game, info, c, solve_mean(game).values)
 
 
 def relative_tol(c: float, values) -> float:

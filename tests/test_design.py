@@ -156,20 +156,20 @@ def test_targeted_moment_matches_solved_equilibrium():
 
 def test_symmetric_moment_levels():
     grid = uniform_grid(12)
-    mom, coefs = symmetric_moment(0.5, 0.5, grid)
+    mom = symmetric_moment(0.5, 0.5, grid)
     assert mom.xi.values[0, 0] == pytest.approx(8 / 9)
     assert mom.xi.values[0, 1] == pytest.approx(4 / 9)
     assert mom.zeta.values[3] == pytest.approx(2 / 3)
-    assert coefs == pytest.approx((2 / 3, 2 / 3))
+    assert symmetric_coefficients(0.5, 0.5) == pytest.approx((2 / 3, 2 / 3))
 
 
 def test_symmetric_moment_full_and_none():
     grid = uniform_grid(8)
-    mom, coefs = symmetric_moment(1.0, 0.5, grid)
+    mom = symmetric_moment(1.0, 0.5, grid)
     assert np.allclose(mom.xi.values, 4.0)
     assert np.allclose(mom.zeta.values, 2.0)
-    assert coefs[1] == 0.0
-    mom, _ = symmetric_moment(0.0, 0.5, grid)
+    assert symmetric_coefficients(1.0, 0.5)[1] == 0.0
+    mom = symmetric_moment(0.0, 0.5, grid)
     assert np.max(np.abs(mom.xi.values)) == 0.0
 
 

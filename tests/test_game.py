@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelgames import game as game_module
+from kernelgames.checks import _fixed_point_loadings
 from kernelgames.design import _random_info, moment_from_equilibrium
 from kernelgames.errors import NoConvergence, SingularMeanEquation
-from kernelgames.game import (BasicGame, GaussianInfo, _package_equilibrium,
+from kernelgames.game import (BasicGame, GaussianInfo, _coefficient_system,
+                              _package_equilibrium,
                               _sym_pinv, common_state_game, full_info, info_from_parts,
                               no_info,
                               private_iid_info, public_info,
@@ -141,15 +143,9 @@ def test_degenerate_own_signal_block_falls_back_to_mean():
 def test_fixed_point_diverges_outside_r1():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 2.0), 0.0, 1.0)
-    with pytest.raises(NoConvergence):
-        solve_linear_equilibrium(game, full_info(game), method="fixed_point")
-
-
-def test_solver_method_is_explicit():
-    g = uniform_grid(4)
-    game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
-    with pytest.raises(ValueError, match="'direct' or 'fixed_point'"):
-        solve_linear_equilibrium(game, full_info(game), method="auto")
+    A, rhs = _coefficient_system(game, full_info(game))
+    with pytest.raises(NoConvergence, match="diverged"):
+        _fixed_point_loadings(A, rhs, np.zeros(rhs.size))
 
 
 def test_direct_and_fixed_point_agree_under_r1():
@@ -159,13 +155,11 @@ def test_direct_and_fixed_point_agree_under_r1():
         values = rng.uniform(-0.9, 0.9, size=(20, 20))
         game = common_state_game(g, Kernel(g, values), 0.0, 1.0)
         info = private_iid_info(game, 0.5)
-        ref = solve_linear_equilibrium(game, info, method="direct")
+        ref = solve_linear_equilibrium(game, info).loading_vector()
+        A, rhs = _coefficient_system(game, info)
         for _ in range(3):
-            eq = solve_linear_equilibrium(
-                game, info, method="fixed_point",
-                initial=rng.normal(size=ref.loading_vector().size))
-            assert np.max(np.abs(eq.loading_vector()
-                                 - ref.loading_vector())) <= 1e-7
+            c = _fixed_point_loadings(A, rhs, rng.normal(size=ref.size))
+            assert np.max(np.abs(c - ref)) <= 1e-7
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,11 +178,11 @@ def test_direct_and_fixed_point_agree_under_r1_with_ragged_dims(dims, seed):
     game = BasicGame(g, R, g.function(rng.normal(size=n)), Kernel(g, J[:n, :n]))
     info = info_from_parts(game, np.array(dims), rng.normal(size=D),
                            J[n:, n:], J[n:, :n])
-    ref = solve_linear_equilibrium(game, info, method="direct").loading_vector()
+    ref = solve_linear_equilibrium(game, info).loading_vector()
+    A, rhs = _coefficient_system(game, info)
     for _ in range(3):
-        eq = solve_linear_equilibrium(game, info, method="fixed_point",
-                                      initial=rng.normal(size=D))
-        assert np.max(np.abs(eq.loading_vector() - ref)) <= 1e-7
+        c = _fixed_point_loadings(A, rhs, rng.normal(size=D))
+        assert np.max(np.abs(c - ref)) <= 1e-7
 
 
 def _ragged_game_and_info(n=12, seed=31):
@@ -235,8 +229,11 @@ def test_ragged_signal_dims_match_dense_reference():
     game, info = _ragged_game_and_info()
     eq = solve_linear_equilibrium(game, info)
     c, xi, zeta, intercept = _dense_reference(game, info)
+    vec = eq.loading_vector()
+    assert not vec.flags.writeable and eq.loading_vector() is vec
     assert [len(l) for l in eq.loadings] == list(info.signal_dims)
-    np.testing.assert_allclose(eq.loading_vector(), c, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.concatenate(eq.loadings), vec)
+    np.testing.assert_allclose(vec, c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(eq.induced_action_cov.values, xi, rtol=0, atol=1e-12)
     np.testing.assert_allclose(eq.induced_action_state_cov.values, zeta,
                                rtol=0, atol=1e-12)
@@ -393,10 +390,12 @@ def test_info_rejects_non_psd_joint_cov_with_min_eigenvalue():
 
 
 def test_info_rejects_asymmetric_joint_cov():
-    joint = np.eye(6)
-    joint[0, 4] = 1e-3
-    with pytest.raises(ValueError, match="joint_cov must be symmetric"):
-        _info_of(joint)
+    # the asymmetry is scanned by blocks of rows; (130, 190) lies past the first
+    for n, i, j in ((3, 0, 4), (100, 130, 190)):
+        joint = np.eye(2 * n)
+        joint[i, j] = 1e-3
+        with pytest.raises(ValueError, match="joint_cov must be symmetric"):
+            _info_of(joint, n)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

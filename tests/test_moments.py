@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from kernelgames import moments as moments_module
 from kernelgames.design import (_random_info, moment_from_equilibrium,
-                                optimal_targeted, symmetric_moment,
-                                targeted_equilibrium_moment)
+                                optimal_targeted, symmetric_coefficients,
+                                symmetric_moment, targeted_equilibrium_moment)
 from kernelgames.errors import InfeasibleMoment
 from kernelgames.game import (common_state_game, full_info,
                               solve_linear_equilibrium,
@@ -58,7 +58,7 @@ def test_obedience_symmetric_levels_arithmetic():
 
 def test_obedience_of_grid_matched_symmetric_moment():
     grid = uniform_grid(64)
-    mom, _ = symmetric_moment(0.5, 0.5, grid, match_grid_obedience=True)
+    mom = symmetric_moment(0.5, 0.5, grid, match_grid_obedience=True)
     assert check_obedience(mom, constant_kernel(grid, 0.5)) <= 1e-12
 
 
@@ -181,7 +181,7 @@ def test_objective_double_integral_on_symmetric_moment():
     obj = DesignObjective(1.0, 0.0, 0.0)
     vals = {}
     for n in (100, 200, 400):
-        mom, _ = symmetric_moment(0.5, 0.5, uniform_grid(n))
+        mom = symmetric_moment(0.5, 0.5, uniform_grid(n))
         v = objective_value(mom, obj)
         assert v == pytest.approx(4 / 9, abs=2.0 / n)
         vals[n] = v
@@ -209,8 +209,7 @@ def test_canonical_signals_reproduce_targeted_equilibrium():
 
 
 def test_symmetric_signal_coefficients():
-    grid = uniform_grid(10)
-    _, (state_coef, noise_coef) = symmetric_moment(0.5, 0.5, grid)
+    state_coef, noise_coef = symmetric_coefficients(0.5, 0.5)
     assert state_coef == pytest.approx(2 / 3, abs=1e-12)
     assert noise_coef == pytest.approx(2 / 3, abs=1e-12)
 
@@ -296,7 +295,7 @@ def test_grid_matched_symmetric_moment_round_trips(n, r, m):
     # canonical signals of the grid-matched symmetric moment reproduce it
     grid = uniform_grid(n)
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
-    mom, _ = symmetric_moment(m, r, grid, match_grid_obedience=True)
+    mom = symmetric_moment(m, r, grid, match_grid_obedience=True)
     eq = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
     assert np.max(np.abs(eq.induced_action_cov.values - mom.xi.values)) <= 1e-8
     assert np.max(np.abs(eq.induced_action_state_cov.values
