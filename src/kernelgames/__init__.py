@@ -15,13 +15,12 @@ from .errors import (InfeasibleMoment, KernelGamesError, NoConvergence,
                      NoRealEigenvalueAtLeastOne, SingularMeanEquation)
 from .grid import (GridFunction, MeasureGrid, inner_product, integrate, norm,
                    uniform_grid)
-from .kernels import (Kernel, SpectralReport, cauchy_schwarz_audit, check_psd,
-                      check_r1, check_r2, constant_kernel, diagonal_kernel,
-                      eigenvalues, exchangeable_kernel, graph_kernel,
-                      hadamard_eigen_bound, numerical_range_bounds,
-                      operator_matrix, operator_norm_bound, rayleigh_quotient,
-                      real_eigenvalues, separable_kernel, spectral_report,
-                      unidirectional_kernel)
+from .kernels import (Kernel, SpectralReport, check_psd, check_r1, check_r2,
+                      constant_kernel, diagonal_kernel, eigenvalues,
+                      exchangeable_kernel, graph_kernel, hadamard_eigen_bound,
+                      numerical_range_bounds, operator_matrix,
+                      operator_norm_bound, rayleigh_quotient, real_eigenvalues,
+                      separable_kernel, spectral_report, unidirectional_kernel)
 from .game import (BasicGame, GaussianInfo, LinearEquilibrium, MomentReport,
                    common_state_game, full_info, info_from_parts, no_info,
                    private_iid_info, public_info, solve_linear_equilibrium,
@@ -39,10 +38,9 @@ from .design import (AuditReport, CournotReport, PublicReport, RegimeReport,
                      targeted_equilibrium_moment, targeted_grid_scan,
                      targeted_value)
 from .montecarlo import (BMEquilibrium, DuplicateReport, MCReport,
-                         ProcessSample, best_response_audit,
+                         ProcessReport, best_response_audit,
                          bm_example_equilibrium, covariance_exchange_residual,
-                         duplicate_equilibria, sample_gaussian,
-                         verify_aggregate_mean, verify_aggregate_variance,
-                         verify_conditional_fubini)
+                         duplicate_equilibria, verify_aggregate_mean,
+                         verify_aggregate_variance, verify_process)
 
 __version__ = "0.1.0"

@@ -349,10 +349,8 @@ def check_pettis(n_procs: int = 20, draws: int = 100_000, n: int = 40,
         mean = rng.normal(size=n)
         B = rng.normal(size=(n, 5))
         cov = B @ B.T + 0.1 * np.eye(n)
-        sample = montecarlo.sample_gaussian(mean, cov, draws, seed=seed + i)
-        x_coeffs = rng.normal(size=n)
         rep = montecarlo.verify_process(
-            sample, grid, mean, cov, x_coeffs,
+            grid, mean, cov, draws, seed + i, rng.normal(size=n),
             rng.choice(n, size=3, replace=False))
         worst_exact = max(worst_exact, rep.exchange.statistic,
                           rep.conditional.statistic)

@@ -35,10 +35,9 @@ EXIT_VERIFY = 2
 #: this size with one signal per node takes 128 MB.
 MAX_GRID_NODES = 2048
 
-#: Most Monte Carlo draws ``mc`` may ask for.  The audits of ``bm`` and
-#: ``duplicate`` stream their draws, so memory alone would not stop a run of
-#: days; this bound does.  ``aggregate`` holds every value it draws, so it
-#: bounds draws x n instead (800 MB of float64).
+#: Most Monte Carlo draws ``mc`` may ask for.  Every check streams its draws,
+#: so memory alone would not stop a run of days; this bound does.
+#: ``aggregate`` keeps one float per draw (800 MB at the bound).
 MAX_DRAWS = 10 ** 8
 
 
@@ -461,16 +460,12 @@ def _cmd_mc(args) -> int:
     config = dict(opts, command="mc", check=args.check,
                   generator_id=montecarlo.GENERATOR_ID)
     if args.check == "aggregate":
-        if draws * n > MAX_DRAWS:
-            raise ConfigError(f"--draws times --n must be at most {MAX_DRAWS} "
-                              f"for aggregate, got {draws} x {n}")
         rng = np.random.default_rng(seed)
         grid = uniform_grid(n)
         mean = rng.normal(size=n)
         B = rng.normal(size=(n, 5))
         cov = B @ B.T + 0.1 * np.eye(n)
-        sample = montecarlo.sample_gaussian(mean, cov, draws, seed=seed)
-        rep = montecarlo.verify_process(sample, grid, mean, cov,
+        rep = montecarlo.verify_process(grid, mean, cov, draws, seed,
                                         rng.normal(size=n), [0, n // 2])
         payload = {
             "config": config,

@@ -239,15 +239,6 @@ def check_psd(K: Kernel) -> bool:
     return psd_within(K.values)
 
 
-def cauchy_schwarz_audit(K: Kernel) -> float:
-    """Max over node pairs of K(s,t) - sqrt(K(s,s) K(t,t)); <= tol when PSD."""
-    if not K.undirected:
-        raise ValueError("Cauchy-Schwarz audit requires an undirected kernel")
-    d = np.clip(K.diag(), 0.0, None)
-    bound = np.sqrt(np.outer(d, d))
-    return float(np.max(K.values - bound))
-
-
 def spectral_report(K: Kernel) -> SpectralReport:
     eigs = eigenvalues(K)
     nr_inf, nr_sup = numerical_range_bounds(K)

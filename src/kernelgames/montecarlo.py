@@ -31,21 +31,13 @@ TOL_SE = 4.0
 _BLOCK_VALUES = 1 << 18
 
 
-@dataclass(frozen=True)
-class ProcessSample:
-    """Seeded joint draws of a Gaussian vector: draws[k] is the k-th sample;
-    ``clamp`` is max(0, -lambda_min) of the sampled covariance."""
-
-    draws: np.ndarray
-    seed: int
-    clamp: float
-    generator_id: str = GENERATOR_ID
-
-
 def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
     """Validate and factor ``cov``; return (clamp, blocks), where ``blocks``
     yields the coordinates ``rows`` of d draws of N(mean, cov) in
-    consecutive blocks of draws.
+    consecutive blocks of draws.  The symmetrized ``cov`` must pass
+    ``kernels.psd_within`` (ValueError naming its smallest eigenvalue
+    otherwise); its negative eigenvalues are clamped at zero, and clamp is
+    max(0, -lambda_min).
 
     Each block is mean[rows] + z @ factor[rows].T for the next
     ``_BLOCK_VALUES`` // dim standard normal rows z of the seeded stream, so
@@ -68,24 +60,6 @@ def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
         for start in range(0, d, step):
             yield mean + rng.standard_normal((min(step, d - start), k)) @ factor_t
     return max(0.0, -float(lam[0])), blocks()
-
-
-def sample_gaussian(mean, cov, d: int, seed: int) -> ProcessSample:
-    """d i.i.d. draws of N(mean, cov) via the spectral square-root factor,
-    drawn block by block (``_gaussian_blocks``).
-
-    The symmetrized ``cov`` must pass ``kernels.psd_within`` (ValueError
-    naming its smallest eigenvalue otherwise); negative eigenvalues are then
-    clamped at zero.
-    """
-    d = int(d)
-    clamp, blocks = _gaussian_blocks(mean, cov, d, seed)
-    draws = np.empty((d, np.size(mean)))
-    start = 0
-    for block in blocks:
-        draws[start:start + len(block)] = block
-        start += len(block)
-    return ProcessSample(draws, int(seed), clamp)
 
 
 @dataclass(frozen=True)
@@ -138,43 +112,16 @@ def covariance_exchange_residual(cov, grid: MeasureGrid, x_coeffs) -> MCReport:
     return MCReport(res, 0.0, 0.0, res <= 1e-9 * (1.0 + scale))
 
 
-def verify_conditional_fubini(sample: ProcessSample, grid: MeasureGrid,
-                              cond_nodes, mean, cov) -> MCReport:
-    """Conditioning and aggregation commute: at each sampled draw, the
-    conditional mean of the aggregate equals the aggregate of conditional
-    means.  Both sides use the conditional Gaussian formula; the identity is
-    exact, so the max discrepancy over draws must be within 1e-9 s, where
-    s = 1 + |int mean| + max|x_c - mean_c| ||P||_inf max|Sigma[:, c]| bounds
-    the rounding through the block pseudo-inverse P."""
-    mean = np.asarray(mean, float)
-    cov = np.asarray(cov, float)
-    w = grid.weights
-    idx = np.asarray(cond_nodes, dtype=int)
-    Scc = cov[np.ix_(idx, idx)]
-    P = _sym_pinv(Scc)
-    dev = sample.draws[:, idx] - mean[idx]          # (d, k)
-    # LHS: E[aggregate | conditioning block]
-    cov_agg_c = w @ cov[:, idx]                     # (k,)
-    lhs = float(w @ mean) + dev @ (P @ cov_agg_c)
-    # RHS: aggregate of per-node conditional means
-    gains = cov[:, idx] @ P                         # (n, k)
-    cond_means = mean[None, :] + dev @ gains.T      # (d, n)
-    rhs = cond_means @ w
-    disc = float(np.max(np.abs(lhs - rhs)))
-    scale = (1.0 + abs(float(w @ mean)) + np.max(np.abs(dev), initial=0.0)
-             * np.max(np.abs(P).sum(axis=1), initial=0.0)
-             * np.max(np.abs(cov[:, idx]), initial=0.0))
-    return MCReport(disc, 0.0, 0.0, disc <= 1e-9 * scale)
-
-
 @dataclass(frozen=True)
 class ProcessReport:
-    """The four verdicts on one sampled process."""
+    """The four verdicts on one sampled process; ``clamp`` is
+    max(0, -lambda_min) of its covariance."""
 
     mean: MCReport
     variance: MCReport
     exchange: MCReport
     conditional: MCReport
+    clamp: float
 
     @property
     def passed(self) -> bool:
@@ -182,17 +129,51 @@ class ProcessReport:
                 and self.exchange.passed and self.conditional.passed)
 
 
-def verify_process(sample: ProcessSample, grid: MeasureGrid, mean, cov,
+def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
                    x_coeffs, cond_nodes) -> ProcessReport:
-    """Judge one sampled process N(mean, cov): the mean and variance of its
+    """Draw d samples of the process N(mean, cov) block by block
+    (``_gaussian_blocks``) and judge them: the mean and variance of the
     aggregate (z-tests), the covariance exchange for x = ``x_coeffs`` . f and
-    conditional aggregation on ``cond_nodes`` (exact identities)."""
-    aggregate = sample.draws @ grid.weights
+    conditional aggregation on ``cond_nodes`` (exact identities).
+
+    Conditioning and aggregation commute: at each draw, the conditional mean
+    of the aggregate equals the aggregate of conditional means.  Both sides
+    use the conditional Gaussian formula; the identity is exact, so the max
+    discrepancy over draws must be within 1e-9 s, where s = 1 + |int mean| +
+    max|x_c - mean_c| ||P||_inf max|Sigma[:, c]| bounds the rounding through
+    the block pseudo-inverse P.  Only the d aggregates and the two maxima
+    outlive a block.
+    """
+    clamp, blocks = _gaussian_blocks(mean, cov, d, seed)
+    mean = np.asarray(mean, float)
+    cov = np.asarray(cov, float)
+    w = grid.weights
+    idx = np.asarray(cond_nodes, dtype=int)
+    P = _sym_pinv(cov[np.ix_(idx, idx)])
+    mean_agg = float(w @ mean)
+    lhs_gain = P @ (w @ cov[:, idx])                # P Cov[x_c, aggregate]
+    gains = cov[:, idx] @ P                         # (n, k)
+    aggregate = np.empty(d)
+    disc = dev_max = 0.0
+    start = 0
+    for x in blocks:
+        aggregate[start:start + len(x)] = x @ w
+        start += len(x)
+        dev = x[:, idx] - mean[idx]                 # (b, k)
+        # LHS: E[aggregate | conditioning block]
+        lhs = mean_agg + dev @ lhs_gain
+        # RHS: aggregate of per-node conditional means
+        rhs = (mean[None, :] + dev @ gains.T) @ w
+        disc = max(disc, float(np.max(np.abs(lhs - rhs))))
+        dev_max = max(dev_max, float(np.max(np.abs(dev), initial=0.0)))
+    scale = (1.0 + abs(mean_agg) + dev_max
+             * np.max(np.abs(P).sum(axis=1), initial=0.0)
+             * np.max(np.abs(cov[:, idx]), initial=0.0))
     return ProcessReport(
         verify_aggregate_mean(aggregate, grid, mean),
         verify_aggregate_variance(aggregate, grid, cov),
         covariance_exchange_residual(cov, grid, x_coeffs),
-        verify_conditional_fubini(sample, grid, cond_nodes, mean, cov))
+        MCReport(disc, 0.0, 0.0, disc <= 1e-9 * scale), clamp)
 
 
 @dataclass(frozen=True)

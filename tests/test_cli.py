@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kernelgames import cli, kernels, montecarlo
+from kernelgames import cli, kernels
 from kernelgames.grid import uniform_grid
 
 
@@ -276,19 +276,6 @@ def test_mc_aggregate_check(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"]
     assert payload["exchange_residual"] <= 1e-9
-
-
-def test_mc_aggregate_bounds_held_values_before_sampling(capsys, monkeypatch):
-    # aggregate holds every drawn value, so draws x n is bounded, not draws
-    def never(*args, **kwargs):
-        raise AssertionError("sample_gaussian must not be called")
-    monkeypatch.setattr(montecarlo, "sample_gaussian", never)
-    assert cli.main(["mc", "--check", "aggregate", "--n", "5",
-                     "--draws", str(cli.MAX_DRAWS // 5 + 1)]) == 1
-    err = capsys.readouterr().err
-    assert ("--draws times --n must be at most 100000000 for aggregate, "
-            "got 20000001 x 5") in err
-    assert "Traceback" not in err
 
 
 def test_mc_duplicate_check(capsys):

@@ -10,10 +10,8 @@ from kernelgames.cli import _Q_EXPR_NAMES, _parse
 from kernelgames.game import (BasicGame, GaussianInfo, common_state_game,
                               full_info, private_iid_info)
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import (Kernel, cauchy_schwarz_audit,
-                                 check_psd,
-                                 check_r1, check_r2, constant_kernel,
-                                 diagonal_kernel, eigenvalues,
+from kernelgames.kernels import (Kernel, check_psd, check_r1, check_r2,
+                                 constant_kernel, diagonal_kernel, eigenvalues,
                                  exchangeable_kernel, graph_kernel,
                                  hadamard_eigen_bound,
                                  numerical_range_bounds, operator_matrix,
@@ -21,7 +19,7 @@ from kernelgames.kernels import (Kernel, cauchy_schwarz_audit,
                                  rayleigh_quotient, separable_kernel,
                                  spectral_report, unidirectional_kernel)
 from kernelgames.moments import EquilibriumMoment, check_positivity
-from kernelgames.montecarlo import sample_gaussian
+from kernelgames.montecarlo import verify_process
 
 
 def _random_kernel(rng, n, undirected):
@@ -202,18 +200,6 @@ def test_check_psd_rejects_directed():
         check_psd(K)
 
 
-def test_cauchy_schwarz_audit_examples():
-    g = uniform_grid(12)
-    assert cauchy_schwarz_audit(constant_kernel(g, 1.0)) == 0.0
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        B = rng.normal(size=(12, 4))
-        vals = B @ B.T
-        K = Kernel(g, 0.5 * (vals + vals.T))
-        assert check_psd(K)
-        assert cauchy_schwarz_audit(K) <= 1e-10
-
-
 def _orthogonal(rng, n):
     return np.linalg.qr(rng.normal(size=(n, n)))[0]
 
@@ -383,13 +369,12 @@ def test_one_psd_verdict_at_every_entry_point(bad, psd):
         lambda: GaussianInfo(g, np.ones(n, int), np.zeros(n),
                              np.block([[cov, np.zeros((n, n))],
                                        [np.zeros((n, n)), np.eye(n)]])),
-        lambda: sample_gaussian(np.zeros(n), cov, 10, seed=0),
+        lambda: verify_process(g, np.zeros(n), cov, 10, 0, np.zeros(n), [0]),
     ]
     if psd:
         for build in entry_points:
             build()
-        assert sample_gaussian(np.zeros(n), cov, 10, seed=0).clamp == \
-            pytest.approx(-bad, rel=1e-2)
+        assert entry_points[-1]().clamp == pytest.approx(-bad, rel=1e-2)
     else:
         for build in entry_points:
             with pytest.raises(ValueError, match="positive semidefinite"):

@@ -16,48 +16,56 @@ from kernelgames.game import (_package_equilibrium, common_state_game,
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (Kernel, check_r1, constant_kernel,
                                  real_eigenvalues)
-from kernelgames.montecarlo import (TOL_SE, best_response_audit,
+from kernelgames.montecarlo import (TOL_SE, _gaussian_blocks,
+                                    best_response_audit,
                                     bm_example_equilibrium,
                                     covariance_exchange_residual,
-                                    duplicate_equilibria, sample_gaussian,
+                                    duplicate_equilibria,
                                     verify_aggregate_mean,
-                                    verify_aggregate_variance,
-                                    verify_conditional_fubini, verify_process)
+                                    verify_aggregate_variance, verify_process)
 
 
 # -- sampling ----------------------------------------------------------------
 
+def _draws(mean, cov, d, seed):
+    """The sampler's d seeded draws, joined from its blocks."""
+    return np.concatenate(list(_gaussian_blocks(mean, cov, d, seed)[1]))
+
+
 def test_sample_identity_covariance():
     n, d = 10, 100_000
-    sample = sample_gaussian(np.zeros(n), np.eye(n), d, seed=1)
-    emp = np.cov(sample.draws.T)
+    draws = _draws(np.zeros(n), np.eye(n), d, seed=1)
+    emp = np.cov(draws.T)
     assert np.max(np.abs(emp - np.eye(n))) <= 0.02
 
 
 def test_sample_zero_covariance_is_deterministic():
     mean = np.array([1.0, -2.0, 3.0])
-    sample = sample_gaussian(mean, np.zeros((3, 3)), 100, seed=2)
-    assert np.allclose(sample.draws, mean[None, :])
+    draws = _draws(mean, np.zeros((3, 3)), 100, seed=2)
+    assert np.allclose(draws, mean[None, :])
 
 
 def test_sample_rank_one_perfect_correlation():
     z = np.array([1.0, 2.0, -1.0])
-    sample = sample_gaussian(np.zeros(3), np.outer(z, z), 5000, seed=3)
-    corr = np.corrcoef(sample.draws[:, 0], sample.draws[:, 1])[0, 1]
+    draws = _draws(np.zeros(3), np.outer(z, z), 5000, seed=3)
+    corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
     assert abs(corr) >= 0.999
 
 
 def test_sampling_is_reproducible():
-    a = sample_gaussian(np.zeros(4), np.eye(4), 1000, seed=9)
-    b = sample_gaussian(np.zeros(4), np.eye(4), 1000, seed=9)
-    assert np.array_equal(a.draws, b.draws)
-    assert a.generator_id == b.generator_id
+    a = _draws(np.zeros(4), np.eye(4), 1000, seed=9)
+    b = _draws(np.zeros(4), np.eye(4), 1000, seed=9)
+    assert np.array_equal(a, b)
+    grid = uniform_grid(4)
+    reports = [verify_process(grid, np.zeros(4), np.eye(4), 1000, 9,
+                              np.ones(4), [1]) for _ in range(2)]
+    assert reports[0] == reports[1]
 
 
 def test_sample_rejects_non_psd():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
-        sample_gaussian(np.zeros(2), bad, 10, seed=0)
+        verify_process(uniform_grid(2), np.zeros(2), bad, 10, 0, np.ones(2), [0])
 
 
 def _one_shot_draws(mean, cov, d, seed):
@@ -80,7 +88,7 @@ def test_blocked_draws_match_one_shot_reference(k, d):
     B = rng.normal(size=(k, 2))                         # rank 2 at most
     mean, cov = rng.normal(size=k), B @ B.T
     ref = _one_shot_draws(mean, cov, d, seed=d)
-    draws = sample_gaussian(mean, cov, d, seed=d).draws
+    draws = _draws(mean, cov, d, seed=d)
     assert draws.shape == (d, k)
     assert np.all(np.abs(draws - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
@@ -90,8 +98,8 @@ def test_blocked_draws_match_one_shot_reference(k, d):
 def test_aggregate_variance_iid_process():
     n, d = 50, 100_000
     grid = uniform_grid(n)
-    sample = sample_gaussian(np.zeros(n), np.eye(n), d, seed=4)
-    rep = verify_aggregate_variance(sample.draws @ grid.weights, grid, np.eye(n))
+    rep = verify_process(grid, np.zeros(n), np.eye(n), d, 4, np.ones(n),
+                         [0]).variance
     assert rep.expected == pytest.approx(1.0 / n, abs=1e-15)
     assert rep.passed
 
@@ -100,8 +108,8 @@ def test_aggregate_variance_common_shock():
     n = 20
     grid = uniform_grid(n)
     cov = np.full((n, n), 2.5)   # one shared random variable
-    sample = sample_gaussian(np.zeros(n), cov, 50_000, seed=5)
-    rep = verify_aggregate_variance(sample.draws @ grid.weights, grid, cov)
+    rep = verify_process(grid, np.zeros(n), cov, 50_000, 5, np.ones(n),
+                         [0]).variance
     assert rep.expected == pytest.approx(2.5, abs=1e-12)
     assert rep.passed
 
@@ -112,8 +120,8 @@ def test_aggregate_variance_lqg_equilibrium_process():
     grid = uniform_grid(n)
     cov = np.full((n, n), 0.52)
     np.fill_diagonal(cov, 0.56)
-    sample = sample_gaussian(np.zeros(n), cov, 100_000, seed=6)
-    rep = verify_aggregate_variance(sample.draws @ grid.weights, grid, cov)
+    rep = verify_process(grid, np.zeros(n), cov, 100_000, 6, np.ones(n),
+                         [0]).variance
     assert rep.expected == pytest.approx(0.52 + 0.04 / n, abs=1e-12)
     assert rep.passed
 
@@ -125,32 +133,97 @@ def test_aggregate_mean_matches_quadrature():
     mean = rng.normal(size=n)
     B = rng.normal(size=(n, 4))
     cov = B @ B.T
-    sample = sample_gaussian(mean, cov, 100_000, seed=7)
-    rep = verify_aggregate_mean(sample.draws @ grid.weights, grid, mean)
+    rep = verify_process(grid, mean, cov, 100_000, 7, np.ones(n), [0]).mean
     assert rep.passed
 
 
-def test_verify_process_returns_each_verdict_on_its_own():
+def _one_shot_conditional(draws, grid, cond_nodes, mean, cov):
+    """Conditional-aggregation discrepancy over all draws at once, and the
+    rounding scale it is judged against: (per-draw |lhs - rhs|, scale)."""
+    w = grid.weights
+    idx = np.asarray(cond_nodes, dtype=int)
+    P = montecarlo._sym_pinv(cov[np.ix_(idx, idx)])
+    dev = draws[:, idx] - mean[idx]
+    lhs = float(w @ mean) + dev @ (P @ (w @ cov[:, idx]))
+    rhs = (mean[None, :] + dev @ (cov[:, idx] @ P).T) @ w
+    scale = (1.0 + abs(float(w @ mean)) + np.max(np.abs(dev), initial=0.0)
+             * np.max(np.abs(P).sum(axis=1), initial=0.0)
+             * np.max(np.abs(cov[:, idx]), initial=0.0))
+    return np.abs(lhs - rhs), scale
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_streamed_process_matches_one_shot_reference(monkeypatch):
     rng = np.random.default_rng(21)
     n = 25
     grid = uniform_grid(n)
     mean = rng.normal(size=n)
     B = rng.normal(size=(n, 5))
     cov = B @ B.T + 0.1 * np.eye(n)
-    sample = sample_gaussian(mean, cov, 20_000, seed=21)
     a, nodes = rng.normal(size=n), [0, 7, 19]
-    rep = verify_process(sample, grid, mean, cov, a, nodes)
-    agg = sample.draws @ grid.weights
-    assert rep.mean == verify_aggregate_mean(agg, grid, mean)
-    assert rep.variance == verify_aggregate_variance(agg, grid, cov)
-    assert rep.exchange == covariance_exchange_residual(cov, grid, a)
-    assert rep.conditional == verify_conditional_fubini(sample, grid, nodes,
-                                                        mean, cov)
+    step = montecarlo._BLOCK_VALUES // n
+    d = 3 * step + 7                                    # ragged fourth block
+    ref = _one_shot_draws(mean, cov, d, seed=21)
+    agg = ref @ grid.weights
+
+    def assert_matches(rep):
+        for got, want in ((rep.mean, verify_aggregate_mean(agg, grid, mean)),
+                          (rep.variance,
+                           verify_aggregate_variance(agg, grid, cov))):
+            _assert_close(got.statistic, want.statistic)
+            _assert_close(got.expected, want.expected)
+            _assert_close(got.stderr, want.stderr)
+            assert got.passed == want.passed
+        assert rep.exchange == covariance_exchange_residual(cov, grid, a)
+        disc, scale = _one_shot_conditional(ref, grid, nodes, mean, cov)
+        _assert_close(rep.conditional.statistic, float(np.max(disc)))
+        assert rep.conditional.passed == (np.max(disc) <= 1e-9 * scale)
+        return disc
+
+    rep = verify_process(grid, mean, cov, d, 21, a, nodes)
+    assert_matches(rep)
     assert rep.passed
-    # a wrong mean fails the mean test only
-    off = verify_process(sample, grid, mean + 1.0, cov, a, nodes)
+    # a wrong mean fails the mean test only: draw N(mean, cov), judge it
+    # against mean + 1
+    blocks_of = montecarlo._gaussian_blocks
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_gaussian_blocks",
+                  lambda mu, *args: blocks_of(mu - 1.0, *args))
+        off = verify_process(grid, mean + 1.0, cov, d, 21, a, nodes)
     assert not off.mean.passed and not off.passed
     assert off.variance.passed and off.exchange.passed and off.conditional.passed
+    # a skewed block pseudo-inverse P puts P c on one side and P' c on the
+    # other, so the discrepancy is of order one and its max over draws has
+    # to survive the blocks after the one it sits in
+    pinv = montecarlo._sym_pinv
+    skew = np.triu(np.ones((3, 3)), 1)
+    monkeypatch.setattr(montecarlo, "_sym_pinv", lambda S: pinv(S) + skew)
+    bad = verify_process(grid, mean, cov, d, 21, a, nodes)
+    disc = assert_matches(bad)
+    assert not bad.conditional.passed
+    assert np.argmax(disc) < 3 * step
+
+
+def test_process_memory_does_not_grow_with_draws():
+    # the (200,000 x 40) draws array alone is 61 MiB
+    rng = np.random.default_rng(40)
+    n = 40
+    grid = uniform_grid(n)
+    mean = rng.normal(size=n)
+    B = rng.normal(size=(n, 5))
+    cov = B @ B.T + 0.1 * np.eye(n)
+    a = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        rep = verify_process(grid, mean, cov, 200_000, 40, a, [0, 20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 16 * 2 ** 20
 
 
 # -- exact aggregation identities --------------------------------------------
@@ -173,8 +246,8 @@ def test_conditional_aggregation_commutes():
     mean = rng.normal(size=n)
     B = rng.normal(size=(n, 5))
     cov = B @ B.T + 0.2 * np.eye(n)
-    sample = sample_gaussian(mean, cov, 5000, seed=10)
-    rep = verify_conditional_fubini(sample, grid, [0, 7, 19], mean, cov)
+    rep = verify_process(grid, mean, cov, 5000, 10, np.ones(n),
+                         [0, 7, 19]).conditional
     assert rep.passed
     assert rep.statistic <= 1e-9
 
@@ -183,8 +256,8 @@ def test_conditional_fubini_perfectly_correlated_single_node():
     n = 10
     grid = uniform_grid(n)
     cov = np.full((n, n), 1.0)
-    sample = sample_gaussian(np.zeros(n), cov, 1000, seed=11)
-    rep = verify_conditional_fubini(sample, grid, [0], np.zeros(n), cov)
+    rep = verify_process(grid, np.zeros(n), cov, 1000, 11, np.ones(n),
+                         [0]).conditional
     assert rep.statistic <= 1e-9
 
 
@@ -198,8 +271,8 @@ def test_conditional_fubini_near_singular_block_within_rounding_scale():
     B[1] = B[0] + 1e-4 * rng.normal(size=4)
     cov = B @ B.T
     mean = rng.normal(size=n)
-    sample = sample_gaussian(mean, cov, 200, seed=1)
-    rep = verify_conditional_fubini(sample, grid, [0, 1], mean, cov)
+    rep = verify_process(grid, mean, cov, 200, 1, np.ones(n),
+                         [0, 1]).conditional
     assert rep.statistic > 1e-9
     assert rep.passed
 
@@ -219,16 +292,16 @@ def test_exact_aggregation_identities_within_rounding_scale(n, rank, k,
     B[nodes[-1]] = B[nodes[0]] + 10.0 ** log_gap * rng.normal(size=rank)
     cov = B @ B.T
     mean = rng.normal(size=n)
-    sample = sample_gaussian(mean, cov, 200, seed=seed)
-    assert covariance_exchange_residual(cov, grid, rng.normal(size=n)).passed
-    assert verify_conditional_fubini(sample, grid, nodes, mean, cov).passed
+    rep = verify_process(grid, mean, cov, 200, seed, rng.normal(size=n), nodes)
+    assert rep.exchange.passed
+    assert rep.conditional.passed
 
 
 def test_conditional_fubini_independent_process():
     n = 8
     grid = uniform_grid(n)
-    sample = sample_gaussian(np.zeros(n), np.eye(n), 1000, seed=12)
-    rep = verify_conditional_fubini(sample, grid, [2], np.zeros(n), np.eye(n))
+    rep = verify_process(grid, np.zeros(n), np.eye(n), 1000, 12, np.ones(n),
+                         [2]).conditional
     assert rep.passed
 
 
