@@ -22,7 +22,7 @@ from .game import BasicGame, GaussianInfo, LinearEquilibrium, _assemble_info, \
 from .grid import MeasureGrid
 from .kernels import _real_mask, operator_matrix
 
-GENERATOR_ID = "pcg64-spectral-v1"
+GENERATOR_ID = "pcg64-spectral-v2"
 
 #: standard errors a sampled mean or variance may stray from its target
 TOL_SE = 4.0
@@ -32,17 +32,21 @@ _BLOCK_VALUES = 1 << 18
 
 
 def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
-    """Validate and factor ``cov``; return (clamp, blocks), where ``blocks``
-    yields the coordinates ``rows`` of d draws of N(mean, cov) in
-    consecutive blocks of draws.  The symmetrized ``cov`` must pass
-    ``kernels.psd_within`` (ValueError naming its smallest eigenvalue
-    otherwise); its negative eigenvalues are clamped at zero, and clamp is
-    max(0, -lambda_min).
+    """Validate ``cov`` and factor the marginal of the coordinates ``rows``
+    (a slice); return (clamp, blocks), where ``blocks`` yields those
+    coordinates of d >= 2 draws of N(mean, cov) in consecutive blocks of
+    draws.  The symmetrized ``cov`` must pass ``kernels.psd_within``
+    (ValueError naming its smallest eigenvalue otherwise), and clamp is
+    max(0, -lambda_min) of the factored marginal.
 
-    Each block is mean[rows] + z @ factor[rows].T for the next
-    ``_BLOCK_VALUES`` // dim standard normal rows z of the seeded stream, so
-    the draws do not depend on the block size.
+    The factor keeps the marginal's eigenpairs with lambda > 1e-12
+    lambda_max, r of them, so each block is mean[rows] + z @ factor.T for the
+    next ``_BLOCK_VALUES`` // dim(cov) rows z of r standard normals of the
+    seeded stream: the draws do not depend on the block size, and a zero
+    marginal draws no normals.
     """
+    if d < 2:
+        raise ValueError(f"d = {d} draws; the sampled statistics need d >= 2")
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     k = mean.size
@@ -50,15 +54,20 @@ def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
         raise ValueError("covariance shape must match the mean")
     sym = 0.5 * (cov + cov.T)
     _require_psd(sym, "covariance")
-    lam, vec = np.linalg.eigh(sym)
-    factor_t = (vec * np.sqrt(np.clip(lam, 0.0, None)))[rows].T
+    lam, vec = np.linalg.eigh(sym[rows, rows])
+    # eigh sorts lam ascending, so the kept eigenpairs are its last ones
+    top = np.searchsorted(lam, 1e-12 * lam[-1], side="right")
+    factor_t = (vec[:, top:] * np.sqrt(lam[top:])).T
     mean = mean[rows]
     step = max(1, _BLOCK_VALUES // k)
     rng = np.random.default_rng(seed)
 
     def blocks():
         for start in range(0, d, step):
-            yield mean + rng.standard_normal((min(step, d - start), k)) @ factor_t
+            block = rng.standard_normal(
+                (min(step, d - start), len(factor_t))) @ factor_t
+            block += mean
+            yield block
     return max(0.0, -float(lam[0])), blocks()
 
 

@@ -39,10 +39,41 @@ def test_sample_identity_covariance():
     assert np.max(np.abs(emp - np.eye(n))) <= 0.02
 
 
-def test_sample_zero_covariance_is_deterministic():
+_default_rng = np.random.default_rng
+
+
+class _CountingRng:
+    """A generator that records the shape of every standard normal draw."""
+
+    def __init__(self, seed, sizes):
+        self._rng = _default_rng(seed)
+        self._sizes = sizes
+
+    def standard_normal(self, size):
+        self._sizes.append(size)
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def normal_draws(monkeypatch):
+    """The shapes of the standard normal arrays drawn during the test."""
+    sizes = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingRng(seed, sizes))
+    return sizes
+
+
+def test_sample_zero_covariance_is_deterministic(normal_draws):
     mean = np.array([1.0, -2.0, 3.0])
     draws = _draws(mean, np.zeros((3, 3)), 100, seed=2)
-    assert np.allclose(draws, mean[None, :])
+    assert np.array_equal(draws, np.tile(mean, (100, 1)))
+    rep = verify_process(uniform_grid(3), mean, np.zeros((3, 3)), 100, 2,
+                         np.ones(3), [1])
+    assert rep.passed and rep.clamp == 0.0
+    assert sum(math.prod(size) for size in normal_draws) == 0
 
 
 def test_sample_rank_one_perfect_correlation():
@@ -68,13 +99,15 @@ def test_sample_rejects_non_psd():
         verify_process(uniform_grid(2), np.zeros(2), bad, 10, 0, np.ones(2), [0])
 
 
-def _one_shot_draws(mean, cov, d, seed):
-    """The whole (d, k) standard normal array at once, through the same
-    spectral factor."""
-    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
-    factor = vec * np.sqrt(np.clip(lam, 0.0, None))
-    z = np.random.default_rng(seed).standard_normal((d, mean.size))
-    return mean + z @ factor.T
+def _one_shot_draws(mean, cov, d, seed, rows=slice(None)):
+    """The coordinates ``rows`` of d draws at once: the whole (d, rank)
+    standard normal array times the spectral factor of the rows' marginal,
+    truncated to its eigenvalues above 1e-12 lambda_max."""
+    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T)[rows, rows])
+    keep = lam > 1e-12 * lam.max()
+    factor = vec[:, keep] * np.sqrt(lam[keep])
+    z = np.random.default_rng(seed).standard_normal((d, factor.shape[1]))
+    return mean[rows] + z @ factor.T
 
 
 @pytest.mark.parametrize("k, d", [
@@ -91,6 +124,57 @@ def test_blocked_draws_match_one_shot_reference(k, d):
     draws = _draws(mean, cov, d, seed=d)
     assert draws.shape == (d, k)
     assert np.all(np.abs(draws - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+def test_full_rank_draws_match_untruncated_factor_bit_for_bit():
+    # with every eigenvalue kept and every row drawn, each block is exactly
+    # mean + z @ (V sqrt(Lambda)).T for the next (step, k) normals z, as
+    # before truncation: every full-rank process draws the same values
+    rng = np.random.default_rng(3)
+    k = 40
+    B = rng.normal(size=(k, 5))
+    mean, cov = rng.normal(size=k), B @ B.T + 0.1 * np.eye(k)
+    step = montecarlo._BLOCK_VALUES // k
+    d = 2 * step + 11
+    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
+    factor_t = (vec * np.sqrt(np.clip(lam, 0.0, None))).T
+    z = np.random.default_rng(8)
+    ref = np.concatenate([mean + z.standard_normal((min(step, d - s), k))
+                          @ factor_t for s in range(0, d, step)])
+    assert np.array_equal(_draws(mean, cov, d, seed=8), ref)
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(3, None)])
+def test_rank_deficient_draws_lie_in_the_range(rows, normal_draws):
+    # draws of a rank-3 covariance have no component along its null vectors
+    rng = np.random.default_rng(31)
+    k = 12
+    B = rng.normal(size=(k, 3))
+    mean = rng.normal(size=k)
+    draws = np.concatenate(list(_gaussian_blocks(mean, B @ B.T, 5000, 31,
+                                                 rows=rows)[1]))
+    u, _, _ = np.linalg.svd(B[rows])
+    null = u[:, 3:]
+    assert null.shape[1] > 0
+    dev = draws - mean[rows]
+    assert np.max(np.abs(dev @ null)) <= 1e-12 * (1.0 + np.max(np.abs(dev)))
+    assert [size[1] for size in normal_draws] == [3]
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_every_sampling_caller_rejects_fewer_than_two_draws(d):
+    with pytest.raises(ValueError, match=f"d = {d} draws"):
+        verify_process(uniform_grid(4), np.zeros(4), np.eye(4), d, 0,
+                       np.ones(4), [0])
+    grid = uniform_grid(5)
+    game = common_state_game(grid, constant_kernel(grid, 0.5), 0.0, 1.0)
+    info = private_iid_info(game, 1.0)
+    eq = solve_linear_equilibrium(game, info)
+    with pytest.raises(ValueError, match=f"d = {d} draws"):
+        best_response_audit(eq, game, info, d=d, seed=0)
+    dup = common_state_game(grid, constant_kernel(grid, 2.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"d = {d} draws"):
+        duplicate_equilibria(dup, d=d, seed=0)
 
 
 # -- aggregate mean / variance -----------------------------------------------
@@ -346,7 +430,8 @@ def _one_shot_audit(eq, game, info, d, seed):
     scale, passed)."""
     n = game.grid.n
     mean = np.concatenate([game.state_mean.values, info.signal_mean])
-    x = _one_shot_draws(mean, np.asarray(info.joint_cov), d, seed)[:, n:]
+    x = _one_shot_draws(mean, np.asarray(info.joint_cov), d, seed,
+                        rows=slice(n, None))
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
     f = eq.intercepts.values + info._block_sum(x * c, axis=1)
@@ -408,6 +493,17 @@ def test_streamed_audit_matches_one_shot_on_duplicate_equilibria(monkeypatch):
     assert np.max(np.abs(calls[1][0].mean_z)) > 100.0
     for call in calls:
         _assert_matches_one_shot(*call)
+
+
+def test_audit_draws_one_normal_per_rank(normal_draws):
+    # the quick bm joint law has rank 121 of 360: the common state, the n - 1
+    # centred private noises and the public noise; the audit draws 121
+    # normals per draw, not 360 (nor 240, the signal rows)
+    eq, game, info = _bm_equilibrium(120)
+    rep = best_response_audit(eq, game, info, d=20_000, seed=55)
+    assert rep.passed
+    assert {size[1] for size in normal_draws} == {121}
+    assert sum(size[0] for size in normal_draws) == 20_000
 
 
 def test_audit_memory_does_not_grow_with_draws():
