@@ -40,7 +40,6 @@ def check_targeted_optimum(triples: int = 10_000, points: int = 1_000_000,
     rng = np.random.default_rng(seed)
     worst_value = 0.0
     worst_arg = 0.0
-    step = 1.0 / (points - 1)
     ok = True
     for _ in range(triples):
         r = rng.uniform(-2.0, 0.75)
@@ -56,7 +55,7 @@ def check_targeted_optimum(triples: int = 10_000, points: int = 1_000_000,
         if rep.regime != "boundary":
             da = abs(rep.m_star - m_scan)
             worst_arg = max(worst_arg, da)
-            if da > 2.0 * step:
+            if da > 2.0 / (points - 1):     # two grid steps
                 ok = False
     return CheckResult("targeted_optimum", ok,
                        {"worst_value_dev": worst_value,

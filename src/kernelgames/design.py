@@ -16,6 +16,7 @@ optimum (T2), and full disclosure (T3).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,9 @@ _scan_kernel_jit = None  # no compiled scan; perfbench/run.py reports the backen
 def targeted_grid_scan(r: float, obj: DesignObjective,
                        points: int = 1_000_000) -> tuple:
     """Brute-force scan of V_tg over an equispaced m grid; returns (m, value)
-    at the first grid maximum."""
+    at the first grid maximum; ``points`` must be an integer >= 2."""
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"points = {points!r}: the scan needs an integer >= 2")
     if r >= 1.0:
         raise ValueError("r must be below 1")
     a, b = obj.alpha, obj.beta(r)

@@ -27,22 +27,25 @@ GENERATOR_ID = "pcg64-spectral-v2"
 #: standard errors a sampled mean or variance may stray from its target
 TOL_SE = 4.0
 
-#: standard normal values drawn per block; memory is O(block) in the draws
-_BLOCK_VALUES = 1 << 18
+#: values per block: neither a block's normals nor its image hold more
+_BLOCK_VALUES = 1 << 16
 
 
-def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
+def _gaussian_blocks(mean, cov, d: int, seed: int, maps, rows=slice(None)):
     """Validate ``cov`` and factor the marginal of the coordinates ``rows``
-    (a slice); return (clamp, blocks), where ``blocks`` yields those
-    coordinates of d >= 2 draws of N(mean, cov) in consecutive blocks of
-    draws.  The symmetrized ``cov`` must pass ``kernels.psd_within``
-    (ValueError naming its smallest eigenvalue otherwise), and clamp is
-    max(0, -lambda_min) of the factored marginal.
+    (a slice); return (clamp, blocks), where ``blocks`` yields x[:, rows] @
+    ``maps`` for d >= 2 draws x of N(mean, cov) in consecutive blocks of
+    draws.  ``maps`` is a (len(rows), p) matrix; the raw draws are never
+    formed.  The symmetrized ``cov`` (``cov`` itself when it is exactly
+    symmetric) must pass ``kernels.psd_within`` (ValueError naming its
+    smallest eigenvalue otherwise), and clamp is max(0, -lambda_min) of the
+    factored marginal.
 
     The factor keeps the marginal's eigenpairs with lambda > 1e-12
-    lambda_max, r of them, so each block is mean[rows] + z @ factor.T for the
-    next ``_BLOCK_VALUES`` // dim(cov) rows z of r standard normals of the
-    seeded stream: the draws do not depend on the block size, and a zero
+    lambda_max, r of them, so each block is mean[rows] @ maps + z @ (factor.T
+    @ maps) for the next max(1, ``_BLOCK_VALUES`` // max(r, p)) rows z of r
+    standard normals of the seeded stream: the draws do not depend on the
+    block size, maps = I yields the draws themselves bit for bit, and a zero
     marginal draws no normals.
     """
     if d < 2:
@@ -52,21 +55,25 @@ def _gaussian_blocks(mean, cov, d: int, seed: int, rows=slice(None)):
     k = mean.size
     if cov.shape != (k, k):
         raise ValueError("covariance shape must match the mean")
-    sym = 0.5 * (cov + cov.T)
+    # 0.5 (x + x) = x, so an exactly symmetric cov is used as it is
+    sym = cov if np.array_equal(cov, cov.T) else 0.5 * (cov + cov.T)
     _require_psd(sym, "covariance")
     lam, vec = np.linalg.eigh(sym[rows, rows])
     # eigh sorts lam ascending, so the kept eigenpairs are its last ones
     top = np.searchsorted(lam, 1e-12 * lam[-1], side="right")
-    factor_t = (vec[:, top:] * np.sqrt(lam[top:])).T
-    mean = mean[rows]
-    step = max(1, _BLOCK_VALUES // k)
+    # (maps.T @ factor).T, not factor.T @ maps: with maps = I it is the
+    # factor's transposed view, the layout for which z @ image_t rounds as
+    # z @ factor.T does (a C-ordered copy rounds small blocks differently)
+    image_t = (maps.T @ (vec[:, top:] * np.sqrt(lam[top:]))).T
+    offset = mean[rows] @ maps
+    step = max(1, _BLOCK_VALUES // max(image_t.shape))
     rng = np.random.default_rng(seed)
 
     def blocks():
         for start in range(0, d, step):
             block = rng.standard_normal(
-                (min(step, d - start), len(factor_t))) @ factor_t
-            block += mean
+                (min(step, d - start), len(image_t))) @ image_t
+            block += offset
             yield block
     return max(0.0, -float(lam[0])), blocks()
 
@@ -153,11 +160,15 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     the block pseudo-inverse P.  Only the d aggregates and the two maxima
     outlive a block.
     """
-    clamp, blocks = _gaussian_blocks(mean, cov, d, seed)
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
     w = grid.weights
     idx = np.asarray(cond_nodes, dtype=int)
+    # each block is the draws' aggregate, then their conditioning coordinates
+    maps = np.zeros((mean.size, 1 + idx.size))
+    maps[:, 0] = w
+    maps[idx, np.arange(1, 1 + idx.size)] = 1.0
+    clamp, blocks = _gaussian_blocks(mean, cov, d, seed, maps)
     P = _sym_pinv(cov[np.ix_(idx, idx)])
     mean_agg = float(w @ mean)
     lhs_gain = P @ (w @ cov[:, idx])                # P Cov[x_c, aggregate]
@@ -165,10 +176,10 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     aggregate = np.empty(d)
     disc = dev_max = 0.0
     start = 0
-    for x in blocks:
-        aggregate[start:start + len(x)] = x @ w
-        start += len(x)
-        dev = x[:, idx] - mean[idx]                 # (b, k)
+    for y in blocks:
+        aggregate[start:start + len(y)] = y[:, 0]
+        start += len(y)
+        dev = y[:, 1:] - mean[idx]                  # (b, k)
         # LHS: E[aggregate | conditioning block]
         lhs = mean_agg + dev @ lhs_gain
         # RHS: aggregate of per-node conditional means
@@ -206,16 +217,24 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     memory does not grow with ``d``.
     """
     n = game.grid.n
-    mean = np.concatenate([game.state_mean.values, info.signal_mean])
-    _, blocks = _gaussian_blocks(mean, info.joint_cov, d, seed,
-                                 rows=slice(n, None))
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
     # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
     # k_t = P_t (Cov[x_t, aggregate] + Cov[x_t, theta(t)])
     cov_x_f = info._block_sum(info.signal_block() * c, axis=1)   # Cov[x, f(t')]
     k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
-    rhs_mean = Rw @ eq.induced_mean.values + game.state_mean.values
+    # each block is the draws' c_t . x_t, then their k_t . x_t, per node;
+    # the mean of the right-hand side leaves out the k_t . mu_t that the
+    # second image already holds
+    rhs_mean = (Rw @ eq.induced_mean.values + game.state_mean.values
+                - info._block_sum(info.signal_mean * k))
+    coord, node = np.arange(info.total_dim), info._node_of()
+    maps = np.zeros((info.total_dim, 2 * n))
+    maps[coord, node] = c
+    maps[coord, n + node] = k
+    mean = np.concatenate([game.state_mean.values, info.signal_mean])
+    _, blocks = _gaussian_blocks(mean, info.joint_cov, d, seed, maps,
+                                 rows=slice(n, None))
 
     # per-node residual mean and centred sum of squares, merged block by
     # block (Chan et al.), the sums of resid^2 and f^2, and the draw count
@@ -224,11 +243,9 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     sq = np.zeros(n)
     f_sq = 0.0
     count = 0
-    for x in blocks:
-        f = eq.intercepts.values + info._block_sum(x * c, axis=1)  # actions
-        x -= info.signal_mean
-        x *= k
-        resid = f - rhs_mean - info._block_sum(x, axis=1)
+    for y in blocks:
+        f = eq.intercepts.values + y[:, :n]                         # actions
+        resid = f - rhs_mean - y[:, n:]
         b = len(resid)
         block_mean = resid.mean(axis=0)
         delta = block_mean - means

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from kernelgames.checks import check_targeted_optimum
 from kernelgames.design import (cournot_policy, global_optimality_audit,
                                 moment_from_equilibrium, optimal_targeted,
                                 public_optimum, regime_diagram,
@@ -110,6 +113,23 @@ def test_grid_scan_is_exact_at_chunk_edges():
     # for r >= 1 the denominator vanishes inside [0, 1]: the scan refuses
     with pytest.raises(ValueError):
         targeted_grid_scan(1.0, _obj(1.0, 0.0), 1001)
+
+
+@pytest.mark.parametrize("points", [1, 0, -3, 2.5, 2.0])
+def test_scan_rejects_points_other_than_an_integer_from_two(points):
+    # 1 divided by zero, 0 and -3 failed inside numpy, and 2.5 scanned
+    # int(2.5) points but divided by 1.5
+    message = re.escape(f"points = {points!r}")
+    with pytest.raises(ValueError, match=message):
+        targeted_grid_scan(0.5, _obj(1.0, 0.5), points)
+    with pytest.raises(ValueError, match=message):
+        check_targeted_optimum(triples=1, points=points)
+
+
+def test_scan_accepts_numpy_integer_points():
+    obj = _obj(1.0, 0.5)
+    assert (targeted_grid_scan(0.5, obj, np.int64(1001))
+            == targeted_grid_scan(0.5, obj, 1001))
 
 
 # -- targeted equilibrium moment ---------------------------------------------

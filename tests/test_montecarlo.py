@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from kernelgames.montecarlo import (TOL_SE, _gaussian_blocks,
 
 def _draws(mean, cov, d, seed):
     """The sampler's d seeded draws, joined from its blocks."""
-    return np.concatenate(list(_gaussian_blocks(mean, cov, d, seed)[1]))
+    return np.concatenate(list(_gaussian_blocks(mean, cov, d, seed,
+                                                np.eye(len(mean)))[1]))
 
 
 def test_sample_identity_covariance():
@@ -99,15 +101,28 @@ def test_sample_rejects_non_psd():
         verify_process(uniform_grid(2), np.zeros(2), bad, 10, 0, np.ones(2), [0])
 
 
-def _one_shot_draws(mean, cov, d, seed, rows=slice(None)):
-    """The coordinates ``rows`` of d draws at once: the whole (d, rank)
-    standard normal array times the spectral factor of the rows' marginal,
-    truncated to its eigenvalues above 1e-12 lambda_max."""
+def _one_shot_normals(cov, d, seed, rows):
+    """(z, factor): the whole (d, rank) standard normal array and the spectral
+    factor of the marginal of ``rows``, truncated to its eigenvalues above
+    1e-12 lambda_max."""
     lam, vec = np.linalg.eigh(0.5 * (cov + cov.T)[rows, rows])
     keep = lam > 1e-12 * lam.max()
     factor = vec[:, keep] * np.sqrt(lam[keep])
     z = np.random.default_rng(seed).standard_normal((d, factor.shape[1]))
+    return z, factor
+
+
+def _one_shot_draws(mean, cov, d, seed, rows=slice(None)):
+    """The coordinates ``rows`` of d draws at once."""
+    z, factor = _one_shot_normals(cov, d, seed, rows)
     return mean[rows] + z @ factor.T
+
+
+def _one_shot_image(mean, cov, d, seed, maps, rows=slice(None)):
+    """The image x[:, rows] @ ``maps`` of d draws x at once, formed as the
+    sampler forms it: mean[rows] @ maps + z @ (maps.T @ factor).T."""
+    z, factor = _one_shot_normals(cov, d, seed, rows)
+    return mean[rows] @ maps + z @ (maps.T @ factor).T
 
 
 @pytest.mark.parametrize("k, d", [
@@ -124,6 +139,34 @@ def test_blocked_draws_match_one_shot_reference(k, d):
     draws = _draws(mean, cov, d, seed=d)
     assert draws.shape == (d, k)
     assert np.all(np.abs(draws - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 12), rank=st.integers(0, 12), lo=st.integers(0, 11),
+       width=st.integers(1, 12), p_per_k=st.floats(0.0, 2.0),
+       block=st.integers(1, 200), d=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mapped_blocks_match_raw_draws_times_maps(k, rank, lo, width,
+                                                  p_per_k, block, d, seed):
+    # rows a random slice of a rank <= k covariance (rank 0: the zero
+    # matrix), p from 1 to 2k columns, and a small block so that most cases
+    # stream several blocks and end in a ragged one
+    rng = np.random.default_rng(seed)
+    lo = min(lo, k - 1)
+    rows = slice(lo, min(k, lo + width))
+    m = rows.stop - lo
+    p = max(1, round(p_per_k * k))
+    B = rng.normal(size=(k, rank))
+    mean, cov = rng.normal(size=k), B @ B.T
+    maps = rng.normal(size=(m, p))
+    with patch.object(montecarlo, "_BLOCK_VALUES", block):
+        raw = np.concatenate(list(_gaussian_blocks(mean, cov, d, seed,
+                                                   np.eye(m), rows)[1]))
+        images = list(_gaussian_blocks(mean, cov, d, seed, maps, rows)[1])
+    ref = raw @ maps
+    got = np.concatenate(images)
+    assert got.shape == (d, p)
+    assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 def test_full_rank_draws_match_untruncated_factor_bit_for_bit():
@@ -151,14 +194,37 @@ def test_rank_deficient_draws_lie_in_the_range(rows, normal_draws):
     k = 12
     B = rng.normal(size=(k, 3))
     mean = rng.normal(size=k)
-    draws = np.concatenate(list(_gaussian_blocks(mean, B @ B.T, 5000, 31,
-                                                 rows=rows)[1]))
+    draws = np.concatenate(list(_gaussian_blocks(
+        mean, B @ B.T, 5000, 31, np.eye(k)[rows, rows], rows=rows)[1]))
     u, _, _ = np.linalg.svd(B[rows])
     null = u[:, 3:]
     assert null.shape[1] > 0
     dev = draws - mean[rows]
     assert np.max(np.abs(dev @ null)) <= 1e-12 * (1.0 + np.max(np.abs(dev)))
     assert [size[1] for size in normal_draws] == [3]
+
+
+def test_blocks_hold_at_most_block_values(normal_draws, monkeypatch):
+    # the audit's image is wider than its rank (121 normals, 240 columns);
+    # verify_process's is narrower (300 normals, 3 columns)
+    images = []
+    blocks_of = montecarlo._gaussian_blocks
+
+    def recording(*args, **kwargs):
+        clamp, blocks = blocks_of(*args, **kwargs)
+        return clamp, (images.append(y.shape) or y for y in blocks)
+    monkeypatch.setattr(montecarlo, "_gaussian_blocks", recording)
+    eq, game, info = _bm_equilibrium(120)
+    assert best_response_audit(eq, game, info, d=5_000, seed=1).passed
+    n = 300
+    assert verify_process(uniform_grid(n), np.zeros(n), np.eye(n), 5_000, 2,
+                          np.ones(n), [0, 9]).passed
+    assert {size[1] for size in normal_draws} == {121, 300}
+    assert {size[1] for size in images} == {240, 3}
+    assert sum(size[0] for size in images) == 10_000
+    assert montecarlo._BLOCK_VALUES == 1 << 16
+    for size in normal_draws + images:
+        assert math.prod(size) <= 1 << 16
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -307,7 +373,7 @@ def test_process_memory_does_not_grow_with_draws():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 16 * 2 ** 20
+    assert peak < 5 * 2 ** 20
 
 
 # -- exact aggregation identities --------------------------------------------
@@ -425,20 +491,34 @@ def test_audit_no_information_residual_zero():
     assert np.max(rep.rms) <= 1e-10
 
 
-def _one_shot_audit(eq, game, info, d, seed):
-    """The audit with all d joint draws in memory at once: (mean_z, rms,
-    scale, passed)."""
+def _audit_image(eq, game, info):
+    """(maps, rhs_mean): the (D, 2n) map of the signals to every node's
+    action loading c_t . x_t and conditional-formula loading k_t . x_t, and
+    the residual's constant once k . mu is taken out."""
     n = game.grid.n
-    mean = np.concatenate([game.state_mean.values, info.signal_mean])
-    x = _one_shot_draws(mean, np.asarray(info.joint_cov), d, seed,
-                        rows=slice(n, None))
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
-    f = eq.intercepts.values + info._block_sum(x * c, axis=1)
     cov_x_f = info._block_sum(info.signal_block() * c, axis=1)
     k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
-    rhs_mean = Rw @ eq.induced_mean.values + game.state_mean.values
-    resid = f - rhs_mean - info._block_sum((x - info.signal_mean) * k, axis=1)
+    rhs_mean = (Rw @ eq.induced_mean.values + game.state_mean.values
+                - info._block_sum(info.signal_mean * k))
+    node, D = info._node_of(), info.total_dim
+    maps = np.zeros((D, 2 * n))
+    maps[np.arange(D), node] = c
+    maps[np.arange(D), n + node] = k
+    return maps, rhs_mean
+
+
+def _one_shot_audit(eq, game, info, d, seed):
+    """The audit with the image of all d draws in memory at once: (mean_z,
+    rms, scale, passed)."""
+    n = game.grid.n
+    mean = np.concatenate([game.state_mean.values, info.signal_mean])
+    maps, rhs_mean = _audit_image(eq, game, info)
+    y = _one_shot_image(mean, np.asarray(info.joint_cov), d, seed, maps,
+                        rows=slice(n, None))
+    f = eq.intercepts.values + y[:, :n]
+    resid = f - rhs_mean - y[:, n:]
     scale = 1.0 + float(np.sqrt(np.mean(f ** 2)))
     means = resid.mean(axis=0)
     se = resid.std(axis=0, ddof=1) / math.sqrt(d)
@@ -506,6 +586,30 @@ def test_audit_draws_one_normal_per_rank(normal_draws):
     assert sum(size[0] for size in normal_draws) == 20_000
 
 
+def test_audit_block_sums_do_not_grow_with_draws(monkeypatch):
+    # the audit sums signal blocks (np.add.reduceat) while it sets up its
+    # maps, never per block of draws: 4 blocks at d = 2,000, 92 at 50,000
+    eq, game, info = _bm_equilibrium(60)
+    counts = []
+    add = np.add
+
+    class CountingAdd:
+        def __call__(self, *args, **kwargs):
+            return add(*args, **kwargs)
+
+        def reduceat(self, *args, **kwargs):
+            counts[-1] += 1
+            return add.reduceat(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(add, name)
+    monkeypatch.setattr(np, "add", CountingAdd())
+    for d in (2_000, 50_000):
+        counts.append(0)
+        assert best_response_audit(eq, game, info, d=d, seed=3).passed
+    assert counts[0] == counts[1] > 0
+
+
 def test_audit_memory_does_not_grow_with_draws():
     # one (20,000 x 360) joint draws array alone is 54.9 MiB
     eq, game, info = _bm_equilibrium(120)
@@ -516,7 +620,7 @@ def test_audit_memory_does_not_grow_with_draws():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 32 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 # -- duplicate equilibria ----------------------------------------------------
