@@ -13,13 +13,11 @@ cli         command-line front end
 
 from .errors import (InfeasibleMoment, KernelGamesError, NoConvergence,
                      NoRealEigenvalueAtLeastOne, SingularMeanEquation)
-from .grid import (GridFunction, MeasureGrid, inner_product, integrate, norm,
-                   uniform_grid)
+from .grid import GridFunction, MeasureGrid, uniform_grid
 from .kernels import (Kernel, SpectralReport, check_psd, check_r1, check_r2,
-                      constant_kernel, diagonal_kernel, eigenvalues,
-                      exchangeable_kernel, graph_kernel, hadamard_eigen_bound,
-                      numerical_range_bounds, operator_matrix,
-                      operator_norm_bound, rayleigh_quotient, real_eigenvalues,
+                      constant_kernel, eigenvalues, graph_kernel,
+                      hadamard_eigen_bound, numerical_range_bounds,
+                      operator_matrix, operator_norm_bound, real_eigenvalues,
                       separable_kernel, spectral_report, unidirectional_kernel)
 from .game import (BasicGame, GaussianInfo, LinearEquilibrium, MomentReport,
                    common_state_game, full_info, info_from_parts, no_info,
@@ -30,11 +28,11 @@ from .moments import (BoundsReport, DesignObjective, EquilibriumMoment,
                       check_obedience, check_positivity,
                       construct_canonical_signals, diag_integral,
                       double_integral, objective_value,
-                      symmetric_moment_identity, zero_moment, zeta_integral)
+                      symmetric_moment_identity, zeta_integral)
 from .design import (AuditReport, CournotReport, PublicReport, RegimeReport,
                      cournot_policy, global_optimality_audit,
                      moment_from_equilibrium, optimal_targeted, public_optimum,
-                     regime_diagram, symmetric_coefficients, symmetric_moment,
+                     regime_diagram, symmetric_moment,
                      targeted_equilibrium_moment, targeted_grid_scan,
                      targeted_value)
 from .montecarlo import (BMEquilibrium, DuplicateReport, MCReport,

@@ -149,12 +149,6 @@ def targeted_equilibrium_moment(members, r: float,
                              grid.function(zeta.astype(float)), 1.0)
 
 
-def symmetric_coefficients(m: float, r: float) -> tuple:
-    """Loadings (on theta, on own iid noise) of the symmetric noisy signal."""
-    den = 1.0 - r * m
-    return m / den, math.sqrt(max(m * (1.0 - m), 0.0)) / den
-
-
 def symmetric_moment(m: float, r: float, grid: MeasureGrid,
                      match_grid_obedience: bool = False) -> EquilibriumMoment:
     """Symmetric-disclosure moment: xi has diagonal xi1 = m/(1-rm)^2 and

@@ -8,8 +8,6 @@ library reduces to plain linear algebra on these arrays.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,17 +78,20 @@ class MeasureGrid:
     def constant(self, value: float) -> "GridFunction":
         return GridFunction(self, np.full(self.n, float(value)))
 
-    def from_callable(self, fn) -> "GridFunction":
-        return GridFunction(self, np.asarray(fn(self.coords), dtype=float))
-
-    def indicator(self, members) -> "GridFunction":
-        """0/1 function of a node subset given by an index array or bool mask."""
-        mask = np.zeros(self.n)
-        mask[np.asarray(members)] = 1.0
-        return GridFunction(self, mask)
-
     def node_indices(self, idx) -> np.ndarray:
-        """Integer node indices, checked to lie in 0..n-1."""
+        """Integer node indices, checked to lie in 0..n-1.
+
+        An integer array passes on its dtype; any other input is checked
+        entry by entry, so a fractional number, a string or a boolean is an
+        error instead of a cast index (0.7 -> 0, "2" -> 2, True -> 1).
+        """
+        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"):
+            for x in np.asarray(idx, dtype=object).flat:
+                if (isinstance(x, (bool, np.bool_))
+                        or not isinstance(x, (int, np.integer))
+                        and not (isinstance(x, (float, np.floating))
+                                 and float(x).is_integer())):
+                    raise ValueError(f"node index {x!r} is not an integer")
         try:
             arr = np.asarray(idx, dtype=int)
         except (TypeError, ValueError, OverflowError):
@@ -106,43 +107,11 @@ class MeasureGrid:
             and np.array_equal(self.weights, other.weights)
         )
 
-    # -- serialization ---------------------------------------------------
-    def to_json(self, path) -> None:
-        payload = {"coords": self.coords.tolist(), "weights": self.weights.tolist()}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-
-    @classmethod
-    def from_json(cls, path) -> "MeasureGrid":
-        with open(path) as fh:
-            return cls._from_payload(json.load(fh))
-
     @classmethod
     def _from_payload(cls, payload) -> "MeasureGrid":
         if not isinstance(payload, dict) or set(payload) != {"coords", "weights"}:
             raise ValueError("grid JSON must contain exactly 'coords' and 'weights'")
         return cls(payload["coords"], payload["weights"])
-
-    @classmethod
-    def weights_from_csv(cls, path) -> "MeasureGrid":
-        """Read a two-column CSV of (coord, weight) rows; only the first row
-        may be a non-numeric header."""
-        coords, weights = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    c, w = map(float, row)
-                except ValueError:
-                    if reader.line_num == 1:
-                        continue  # header line
-                    raise ValueError(f"{path}: line {reader.line_num} is not "
-                                     f"a (coord, weight) row: {row!r}") from None
-                coords.append(c)
-                weights.append(w)
-        return cls(coords, weights)
 
 
 @dataclass(frozen=True)
@@ -176,20 +145,3 @@ def uniform_grid(n: int, a: float = 0.0, b: float = 1.0) -> MeasureGrid:
     # nudge weights so they sum to one exactly despite rounding
     weights[-1] += 1.0 - weights.sum()
     return MeasureGrid(coords, weights)
-
-
-def integrate(f: GridFunction) -> float:
-    """Integral of f against the grid's measure: sum_i w_i f(t_i)."""
-    return float(f.grid.weights @ f.values)
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Weighted L2 inner product <f, g> = sum_i w_i f(t_i) g(t_i)."""
-    if not f.grid.same_nodes(g.grid):
-        raise ValueError("grids do not match")
-    return float(np.sum(f.grid.weights * f.values * g.values))
-
-
-def norm(f: GridFunction) -> float:
-    """Weighted L2 norm of f."""
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, MeasureGrid, _frozen, inner_product
+from .grid import MeasureGrid, _frozen
 
 #: |Im(lambda)| <= REAL_EIG_CUTOFF * (1 + |lambda|) counts as a real eigenvalue
 REAL_EIG_CUTOFF = 1e-9
@@ -44,15 +44,8 @@ class Kernel:
         object.__setattr__(self, "undirected",
                            bool(np.array_equal(values, values.T)))
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
     def diag(self) -> np.ndarray:
         return np.diag(self.values)
-
-    def scale(self, c: float) -> "Kernel":
-        return Kernel(self.grid, self.values * float(c))
 
     # -- serialization ---------------------------------------------------
     @classmethod
@@ -126,12 +119,6 @@ def separable_kernel(grid: MeasureGrid, r: float, q) -> Kernel:
     return Kernel(grid, float(r) * np.outer(qv, qv))
 
 
-def diagonal_kernel(grid: MeasureGrid, diag=1.0) -> Kernel:
-    """K(s, t) = diag(t) * 1{s = t}."""
-    d = np.full(grid.n, float(diag)) if np.isscalar(diag) else np.asarray(diag, float)
-    return Kernel(grid, np.diag(d))
-
-
 def graph_kernel(grid: MeasureGrid, edges, rbar: float,
                  undirected: bool = True) -> Kernel:
     """Network-game kernel R(s, t) = rbar * 1{(s, t) is an edge}."""
@@ -143,13 +130,6 @@ def graph_kernel(grid: MeasureGrid, edges, rbar: float,
     values[idx[:, 0], idx[:, 1]] = float(rbar)
     if undirected:
         values[idx[:, 1], idx[:, 0]] = float(rbar)
-    return Kernel(grid, values)
-
-
-def exchangeable_kernel(grid: MeasureGrid, diag: float, offdiag: float) -> Kernel:
-    """K(t, t) = diag, K(s, t) = offdiag for s != t."""
-    values = np.full((grid.n, grid.n), float(offdiag))
-    np.fill_diagonal(values, float(diag))
     return Kernel(grid, values)
 
 
@@ -208,18 +188,6 @@ def operator_norm_bound(K: Kernel) -> float:
     """The L2(nu x nu) norm of K, an upper bound for the operator norm."""
     w = K.grid.weights
     return float(np.sqrt(np.sum(w[:, None] * w[None, :] * K.values ** 2)))
-
-
-def rayleigh_quotient(K: Kernel, f) -> float:
-    """<f, K f> over ||f||^2 in the weighted L2 space."""
-    if not isinstance(f, GridFunction):
-        f = K.grid.function(f)
-    Kf = K.grid.function(operator_matrix(K) @ f.values)
-    num = inner_product(f, Kf)
-    den = inner_product(f, f)
-    if den == 0.0:
-        raise ValueError("zero function has no Rayleigh quotient")
-    return num / den
 
 
 def check_r1(K: Kernel) -> bool:

@@ -74,12 +74,6 @@ class DesignObjective:
         return cls(-beta, alpha, 0.0)
 
 
-def zero_moment(grid: MeasureGrid, state_var: float = 1.0) -> EquilibriumMoment:
-    return EquilibriumMoment(
-        grid, Kernel(grid, np.zeros((grid.n, grid.n))),
-        grid.constant(0.0), state_var)
-
-
 def check_obedience(m: EquilibriumMoment, R: Kernel) -> float:
     """Max over nodes of |xi(t,t) - sum_t' w R xi(t,t') - zeta(t)|."""
     if not R.grid.same_nodes(m.grid):

@@ -417,6 +417,15 @@ def test_reproduce_all_quick_manifest(tmp_path):
     ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
                      "info": {"kind": "none"}, "method": "direct"}),
     ("spectral", {"grid": _GRID, "kernel": _CONST, "r1_margin": 0.1}),
+    # node indices: a fractional number, a string or a boolean is not cast
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "targeted", "members": [0.7, "2", True]}}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "targeted", "members": [0, True]}}),
+    ("moments", {"grid": _GRID, "r": 0.5,
+                 "moment": {"kind": "targeted", "members": [0.5, 1]}}),
+    ("spectral", {"grid": _GRID, "kernel": {
+        "kind": "graph", "edge_list": [[0.9, 1.5]], "rbar": 0.3}}),
 ])
 def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     path = _write(tmp_path, "cfg.json", cfg)

@@ -7,8 +7,7 @@ from kernelgames.checks import check_targeted_optimum
 from kernelgames.design import (cournot_policy, global_optimality_audit,
                                 moment_from_equilibrium, optimal_targeted,
                                 public_optimum, regime_diagram,
-                                symmetric_coefficients, symmetric_moment,
-                                targeted_equilibrium_moment,
+                                symmetric_moment, targeted_equilibrium_moment,
                                 targeted_grid_scan, targeted_value)
 from kernelgames.game import common_state_game, solve_linear_equilibrium, targeted_info
 from kernelgames.grid import uniform_grid
@@ -180,7 +179,6 @@ def test_symmetric_moment_levels():
     assert mom.xi.values[0, 0] == pytest.approx(8 / 9)
     assert mom.xi.values[0, 1] == pytest.approx(4 / 9)
     assert mom.zeta.values[3] == pytest.approx(2 / 3)
-    assert symmetric_coefficients(0.5, 0.5) == pytest.approx((2 / 3, 2 / 3))
 
 
 def test_symmetric_moment_full_and_none():
@@ -188,16 +186,8 @@ def test_symmetric_moment_full_and_none():
     mom = symmetric_moment(1.0, 0.5, grid)
     assert np.allclose(mom.xi.values, 4.0)
     assert np.allclose(mom.zeta.values, 2.0)
-    assert symmetric_coefficients(1.0, 0.5)[1] == 0.0
     mom = symmetric_moment(0.0, 0.5, grid)
     assert np.max(np.abs(mom.xi.values)) == 0.0
-
-
-def test_symmetric_coefficients_formulae():
-    m, r = 0.3, -1.5
-    sc, nc = symmetric_coefficients(m, r)
-    assert sc == pytest.approx(m / (1 - r * m))
-    assert nc == pytest.approx(np.sqrt(m * (1 - m)) / (1 - r * m))
 
 
 # -- public disclosure -------------------------------------------------------

@@ -11,13 +11,12 @@ from kernelgames.game import (BasicGame, GaussianInfo, common_state_game,
                               full_info, private_iid_info)
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (Kernel, check_psd, check_r1, check_r2,
-                                 constant_kernel, diagonal_kernel, eigenvalues,
-                                 exchangeable_kernel, graph_kernel,
+                                 constant_kernel, eigenvalues, graph_kernel,
                                  hadamard_eigen_bound,
                                  numerical_range_bounds, operator_matrix,
                                  operator_norm_bound, psd_tol, psd_within,
-                                 rayleigh_quotient, separable_kernel,
-                                 spectral_report, unidirectional_kernel)
+                                 separable_kernel, spectral_report,
+                                 unidirectional_kernel)
 from kernelgames.moments import EquilibriumMoment, check_positivity
 from kernelgames.montecarlo import verify_process
 
@@ -27,6 +26,13 @@ def _random_kernel(rng, n, undirected):
     if undirected:
         values = 0.5 * (values + values.T)
     return Kernel(uniform_grid(n), values)
+
+
+def _exchangeable(g, diag, offdiag):
+    """K(t, t) = diag and K(s, t) = offdiag for s != t."""
+    values = np.full((g.n, g.n), float(offdiag))
+    np.fill_diagonal(values, float(diag))
+    return Kernel(g, values)
 
 
 # -- constructors and validation -------------------------------------------
@@ -66,7 +72,7 @@ def test_operator_matrix_constant():
 
 def test_operator_matrix_diagonal():
     g = uniform_grid(4)
-    A = operator_matrix(diagonal_kernel(g, 1.0))
+    A = operator_matrix(Kernel(g, np.eye(4)))
     assert np.allclose(A, np.diag(np.full(4, 0.25)))
 
 
@@ -148,7 +154,7 @@ def test_unidirectional_constant_function_rayleigh_quotient():
     r, n = 0.9, 400
     g = uniform_grid(n)
     K = unidirectional_kernel(g, r)
-    q = rayleigh_quotient(K, g.constant(1.0))
+    q = g.weights @ K.values @ g.weights     # the flat profile has norm 1
     assert q == pytest.approx(r / 2 * (1 - 1 / n), abs=1e-12)
 
 
@@ -184,14 +190,14 @@ def test_r1_equals_r2_for_undirected():
         assert check_r1(K) == check_r2(K) == (hi < 1.0)
 
 
-# -- PSD and Cauchy-Schwarz --------------------------------------------------
+# -- PSD verdict -------------------------------------------------------------
 
 def test_check_psd_examples():
     g = uniform_grid(6)
     assert check_psd(constant_kernel(g, 1.0))
     for lam in (1.0, 1.5, 4.0):
-        assert check_psd(exchangeable_kernel(g, 1.0, 1.0 / lam))
-    assert not check_psd(exchangeable_kernel(g, 1.0, 2.0))
+        assert check_psd(_exchangeable(g, 1.0, 1.0 / lam))
+    assert not check_psd(_exchangeable(g, 1.0, 2.0))
 
 
 def test_check_psd_rejects_directed():
@@ -407,7 +413,7 @@ def test_hadamard_bound_with_all_ones_kernel():
 
 def test_hadamard_bound_with_diagonal_correlation():
     g = uniform_grid(7)
-    K = diagonal_kernel(g, 1.0)
+    K = Kernel(g, np.eye(7))
     rng = np.random.default_rng(8)
     R = Kernel(g, rng.uniform(-0.9, 0.9, size=(7, 7)))
     assert check_r1(R)
@@ -432,7 +438,7 @@ def test_hadamard_bound_two_node_oracle():
 def test_hadamard_bound_rejects_bad_preconditions():
     g = uniform_grid(4)
     with pytest.raises(ValueError):
-        hadamard_eigen_bound(exchangeable_kernel(g, 1.0, 2.0),
+        hadamard_eigen_bound(_exchangeable(g, 1.0, 2.0),
                              constant_kernel(g, 0.5))
     with pytest.raises(ValueError):
         hadamard_eigen_bound(constant_kernel(g, 1.0),
@@ -527,7 +533,9 @@ def test_q_expr_rejects_everything_else(expr):
 
 def test_graph_kernel_rejects_bad_edges():
     g = uniform_grid(4)
-    for edges in ([(0, 4)], [(-1, 2)], [(0, 1, 2)], [[0, None]], "ab"):
+    for edges in ([(0, 4)], [(-1, 2)], [(0, 1, 2)], [[0, None]], "ab",
+                  [[0.9, 1.5]], [["0", 1]], [[True, 2]], [[0, 1], [2, False]]):
         with pytest.raises(ValueError):
             graph_kernel(g, edges, 0.3)
+    assert graph_kernel(g, [[0.0, 2.0]], 0.3).values[2, 0] == 0.3
     assert not graph_kernel(g, [], 0.3).values.any()

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from kernelgames import moments as moments_module
 from kernelgames.design import (_random_info, moment_from_equilibrium,
-                                optimal_targeted, symmetric_coefficients,
-                                symmetric_moment, targeted_equilibrium_moment)
+                                optimal_targeted, symmetric_moment,
+                                targeted_equilibrium_moment)
 from kernelgames.errors import InfeasibleMoment
 from kernelgames.game import (common_state_game, full_info,
                               solve_linear_equilibrium,
@@ -17,8 +17,14 @@ from kernelgames.moments import (DesignObjective, EquilibriumMoment,
                                  bounds_check, check_feasibility,
                                  check_obedience, check_positivity,
                                  construct_canonical_signals, diag_integral,
-                                 double_integral,
-                                 objective_value, zero_moment, zeta_integral)
+                                 double_integral, objective_value,
+                                 zeta_integral)
+
+
+def _zero_moment(grid):
+    """The moment of the no-information equilibrium: xi = 0, zeta = 0."""
+    return EquilibriumMoment(grid, Kernel(grid, np.zeros((grid.n, grid.n))),
+                             grid.constant(0.0), 1.0)
 
 
 def _targeted_half(n=10, r=0.5):
@@ -41,7 +47,7 @@ def test_obedience_targeted_half():
 
 def test_obedience_zero_moment():
     grid = uniform_grid(6)
-    assert check_obedience(zero_moment(grid), constant_kernel(grid, 0.9)) == 0.0
+    assert check_obedience(_zero_moment(grid), constant_kernel(grid, 0.9)) == 0.0
 
 
 def test_obedience_symmetric_levels_arithmetic():
@@ -130,7 +136,7 @@ def test_bounds_half_disclosure_cauchy_binds():
 
 def test_bounds_zero_moment_slacks():
     grid = uniform_grid(5)
-    rep = bounds_check(zero_moment(grid), 0.5)
+    rep = bounds_check(_zero_moment(grid), 0.5)
     assert rep.cauchy_slack == pytest.approx(0.0)
     assert rep.diag_slack == pytest.approx(0.0)
     assert rep.ceiling_slack == pytest.approx(4.0)
@@ -172,7 +178,7 @@ def test_objective_zeta_only_on_targeted():
 
 def test_objective_zero_moment():
     grid = uniform_grid(6)
-    assert objective_value(zero_moment(grid), DesignObjective(1, 2, 3)) == 0.0
+    assert objective_value(_zero_moment(grid), DesignObjective(1, 2, 3)) == 0.0
 
 
 def test_objective_double_integral_on_symmetric_moment():
@@ -208,16 +214,10 @@ def test_canonical_signals_reproduce_targeted_equilibrium():
     assert np.max(np.abs(loads[15:])) <= 1e-12
 
 
-def test_symmetric_signal_coefficients():
-    state_coef, noise_coef = symmetric_coefficients(0.5, 0.5)
-    assert state_coef == pytest.approx(2 / 3, abs=1e-12)
-    assert noise_coef == pytest.approx(2 / 3, abs=1e-12)
-
-
 def test_canonical_signals_zero_moment_recovers_mean():
     grid = uniform_grid(12)
     game = common_state_game(grid, constant_kernel(grid, 0.5), 1.0, 1.0)
-    info = construct_canonical_signals(zero_moment(grid), game)
+    info = construct_canonical_signals(_zero_moment(grid), game)
     eq = solve_linear_equilibrium(game, info)
     assert np.allclose(eq.intercepts.values, 2.0, atol=1e-9)
     assert np.max(np.abs(eq.induced_action_cov.values)) <= 1e-12
@@ -315,7 +315,7 @@ def test_canonical_signals_require_r2():
     grid = uniform_grid(6)
     game = common_state_game(grid, constant_kernel(grid, 2.0), 0.0, 1.0)
     with pytest.raises(ValueError):
-        construct_canonical_signals(zero_moment(grid), game)
+        construct_canonical_signals(_zero_moment(grid), game)
 
 
 # -- type invariants ---------------------------------------------------------

@@ -668,7 +668,7 @@ def _random_weights_grid(rng, n):
 def _scaled_to(K, lam):
     """``K`` rescaled so that its operator R W has largest real eigenvalue ``lam``."""
     top = float(real_eigenvalues(K).max())
-    return K.scale(lam / top)
+    return Kernel(K.grid, K.values * (lam / top))
 
 
 def _assert_exact_duplicate(rep, lam):
