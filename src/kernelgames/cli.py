@@ -12,6 +12,7 @@ import argparse
 import ast
 import csv
 import datetime
+import io
 import json
 import math
 import operator
@@ -37,7 +38,6 @@ MAX_GRID_NODES = 2048
 
 #: Most Monte Carlo draws ``mc`` may ask for.  Every check streams its draws,
 #: so memory alone would not stop a run of days; this bound does.
-#: ``aggregate`` keeps one float per draw (800 MB at the bound).
 MAX_DRAWS = 10 ** 8
 
 
@@ -294,7 +294,12 @@ def _mode_options(args, selector: str) -> dict:
 # ---------------------------------------------------------------------------
 # atomic artifact writing
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` (a temporary file, then a rename), or to
+    stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kg-", suffix=".tmp")
     try:
@@ -315,26 +320,36 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    # a non-finite number is not JSON: the inputs overflowed, an input error
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default) + "\n"
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
+def _non_finite(obj, where: str = ""):
+    """The path (``report.x``, ``loadings.0.1``) of the first non-finite
+    number in ``obj``, or None."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        obj = dict(enumerate(obj))
+    if not isinstance(obj, dict):
+        return where if isinstance(obj, float) and not math.isfinite(obj) else None
+    found = (_non_finite(v, f"{where}.{k}" if where else k) for k, v in obj.items())
+    return next(filter(None, found), None)
+
+
+def _emit(payload: dict, out: str | None, passed: bool = True) -> int:
+    """Write the JSON report; return the exit code of its verdict."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default) + "\n"
+    except ValueError:
+        # a non-finite number is not JSON: the inputs overflowed, an input error
+        raise ValueError(f"result {_non_finite(payload)} is not finite; an "
+                         "input is out of floating-point range") from None
+    _atomic_write(out, text)
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def _emit_csv(rows, header, out: str | None) -> None:
-    import io
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if out:
-        _atomic_write(out, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    csv.writer(buf).writerows([header, *rows])
+    _atomic_write(out, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +362,7 @@ def _cmd_spectral(args) -> int:
     report = kernels.spectral_report(K)
     resolved = dict(cfg, command="spectral", grid=_grid_config(grid),
                     kernel=kernel)
-    _emit({"config": resolved, "report": report.as_dict()}, args.out)
-    return EXIT_OK
+    return _emit({"config": resolved, "report": report.as_dict()}, args.out)
 
 
 def _cmd_equilibrium(args) -> int:
@@ -375,8 +389,7 @@ def _cmd_equilibrium(args) -> int:
         "obedience_tol": mrep.moment2_tol,
         "moment_check_passed": mrep.passed,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if mrep.passed else EXIT_VERIFY
+    return _emit(payload, args.out, mrep.passed)
 
 
 def _cmd_moments(args) -> int:
@@ -402,8 +415,7 @@ def _cmd_moments(args) -> int:
         "bounds": bounds,
         "passed": rep.passed,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if rep.passed else EXIT_VERIFY
+    return _emit(payload, args.out, rep.passed)
 
 
 def _cmd_design(args) -> int:
@@ -425,8 +437,7 @@ def _cmd_design(args) -> int:
             "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
             "full_disclosure": rep.full_disclosure,
         }
-        _emit(payload, args.out)
-        return EXIT_OK
+        return _emit(payload, args.out)
     obj = DesignObjective(opts["u"], opts["v"], opts["w"])
     if args.mode == "optimum":
         rep = design.optimal_targeted(opts["r"], obj)
@@ -438,8 +449,7 @@ def _cmd_design(args) -> int:
             "public": {"z_star": pub.z_star, "v_pub": pub.v_pub,
                        "boundary": pub.boundary},
         }
-        _emit(payload, args.out)
-        return EXIT_OK
+        return _emit(payload, args.out)
     rep = design.global_optimality_audit(opts["r"], obj, opts["samples"],
                                          opts["seed"], n=opts["n"])
     payload = {
@@ -447,8 +457,7 @@ def _cmd_design(args) -> int:
         "max_excess": rep.max_excess, "v_star": rep.v_star, "tol": rep.tol,
         "samples_checked": rep.samples, "passed": rep.passed,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if rep.passed else EXIT_VERIFY
+    return _emit(payload, args.out, rep.passed)
 
 
 def _cmd_mc(args) -> int:
@@ -475,8 +484,7 @@ def _cmd_mc(args) -> int:
             "conditional_discrepancy": rep.conditional.statistic,
             "passed": rep.passed,
         }
-        _emit(payload, args.out)
-        return EXIT_OK if rep.passed else EXIT_VERIFY
+        return _emit(payload, args.out, rep.passed)
     if args.check == "duplicate":
         grid = uniform_grid(n)
         g = game.common_state_game(
@@ -487,11 +495,9 @@ def _cmd_mc(args) -> int:
             "eigenvalue": rep.eigenvalue, "distance": rep.distance,
             "passed": rep.passed,
         }
-        _emit(payload, args.out)
-        return EXIT_OK if rep.passed else EXIT_VERIFY
+        return _emit(payload, args.out, rep.passed)
     res = checks.check_bm_example(n=n, draws=draws, seed=seed)
-    _emit({"config": config, **res.as_dict()}, args.out)
-    return EXIT_OK if res.passed else EXIT_VERIFY
+    return _emit({"config": config, **res.as_dict()}, args.out, res.passed)
 
 
 def _cmd_reproduce_all(args) -> int:
@@ -581,7 +587,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        # a FloatingPointError is one error line, not a warning before one
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _DISPATCH[args.command](args)
     except (ValueError, ArithmeticError, KernelGamesError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

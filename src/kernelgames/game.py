@@ -122,11 +122,15 @@ class GaussianInfo:
         scale = max(float(cov.max()), -float(cov.min()))  # non-finite iff an entry is
         if not np.isfinite(scale):
             raise ValueError("joint_cov must be finite")
-        sym = np.add(cov, cov.T)
-        sym *= 0.5
-        # by blocks of rows, so no second N x N array is made
-        if 2.0 * max(np.abs(cov[i:i + 64] - sym[i:i + 64]).max()
-                     for i in range(0, total, 64)) > 1e-12 * (1 + scale):
+        # 0.5 cov + 0.5 cov.T, halved first (exactly) so that no sum overflows,
+        # by blocks of rows so that no second N x N array is made
+        sym = np.multiply(cov, 0.5)
+        asym = 0.0
+        for i in range(0, total, 32):
+            half_t = 0.5 * cov[:, i:i + 32].T
+            asym = max(asym, float(np.abs(sym[i:i + 32] - half_t).max()))
+            sym[i:i + 32] += half_t
+        if 2.0 * asym > 1e-12 * (1 + scale):
             raise ValueError("joint_cov must be symmetric")
         _require_psd(sym, "joint_cov")
         dims.flags.writeable = sym.flags.writeable = False

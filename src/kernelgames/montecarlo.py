@@ -92,27 +92,40 @@ class MCReport:
         return (self.statistic - self.expected) / self.stderr
 
 
-def verify_aggregate_mean(aggregate, grid: MeasureGrid, mean) -> MCReport:
+def _merge_moments(moments, block):
+    """Merge a block of draws (rows; a 1-D block is one column) into the
+    running (count, mean, M2) of its columns, M2 the centred sum of squares
+    (Chan, Golub & LeVeque, 1979).  Start from (0, 0.0, 0.0) or zero vectors."""
+    count, mean, m2 = moments
+    b = len(block)
+    block_mean = block.mean(axis=0)
+    delta = block_mean - mean
+    count += b
+    mean = mean + delta * (b / count)
+    m2 = m2 + (np.sum((block - block_mean) ** 2, axis=0)
+               + delta ** 2 * ((count - b) * b / count))
+    return count, mean, m2
+
+
+def verify_aggregate_mean(moments, grid: MeasureGrid, mean) -> MCReport:
     """Empirical mean of the sampled aggregates (draws @ weights) vs the
-    quadrature of means."""
+    quadrature of means; ``moments`` is their (count d >= 2, mean, M2)."""
     expected = float(grid.weights @ np.asarray(mean, float))
-    d = aggregate.size
-    se = float(aggregate.std(ddof=1)) / math.sqrt(d) if d > 1 else 0.0
-    stat = float(aggregate.mean())
+    d, stat, m2 = moments
+    stat, se = float(stat), math.sqrt(m2 / (d - 1)) / math.sqrt(d)
     return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
 
 
-def verify_aggregate_variance(aggregate, grid: MeasureGrid, cov) -> MCReport:
+def verify_aggregate_variance(moments, grid: MeasureGrid, cov) -> MCReport:
     """Empirical variance of the sampled aggregates (draws @ weights) vs the
-    double integral of the covariance kernel."""
+    double integral of the covariance kernel; ``moments`` is their (count
+    d >= 2, mean, M2)."""
     w = grid.weights
     expected = float(w @ np.asarray(cov, float) @ w)
-    d = aggregate.size
-    stat = float(aggregate.var(ddof=1))
-    # variance-of-sample-variance for a Gaussian statistic
-    se = expected * math.sqrt(2.0 / (d - 1)) if d > 1 else 0.0
-    if se == 0.0:
-        se = stat * math.sqrt(2.0 / max(d - 1, 1))
+    d, _, m2 = moments
+    stat = float(m2 / (d - 1))
+    # variance-of-sample-variance for a Gaussian statistic (at stat if zero)
+    se = (expected or stat) * math.sqrt(2.0 / (d - 1))
     return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
 
 
@@ -157,8 +170,8 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     use the conditional Gaussian formula; the identity is exact, so the max
     discrepancy over draws must be within 1e-9 s, where s = 1 + |int mean| +
     max|x_c - mean_c| ||P||_inf max|Sigma[:, c]| bounds the rounding through
-    the block pseudo-inverse P.  Only the d aggregates and the two maxima
-    outlive a block.
+    the block pseudo-inverse P.  Only the aggregates' running moments and
+    the two maxima outlive a block, so memory does not grow with ``d``.
     """
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
@@ -173,12 +186,10 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     mean_agg = float(w @ mean)
     lhs_gain = P @ (w @ cov[:, idx])                # P Cov[x_c, aggregate]
     gains = cov[:, idx] @ P                         # (n, k)
-    aggregate = np.empty(d)
+    moments = (0, 0.0, 0.0)                         # the aggregates'
     disc = dev_max = 0.0
-    start = 0
     for y in blocks:
-        aggregate[start:start + len(y)] = y[:, 0]
-        start += len(y)
+        moments = _merge_moments(moments, y[:, 0])
         dev = y[:, 1:] - mean[idx]                  # (b, k)
         # LHS: E[aggregate | conditioning block]
         lhs = mean_agg + dev @ lhs_gain
@@ -190,8 +201,8 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
              * np.max(np.abs(P).sum(axis=1), initial=0.0)
              * np.max(np.abs(cov[:, idx]), initial=0.0))
     return ProcessReport(
-        verify_aggregate_mean(aggregate, grid, mean),
-        verify_aggregate_variance(aggregate, grid, cov),
+        verify_aggregate_mean(moments, grid, mean),
+        verify_aggregate_variance(moments, grid, cov),
         covariance_exchange_residual(cov, grid, x_coeffs),
         MCReport(disc, 0.0, 0.0, disc <= 1e-9 * scale), clamp)
 
@@ -236,33 +247,24 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     _, blocks = _gaussian_blocks(mean, info.joint_cov, d, seed, maps,
                                  rows=slice(n, None))
 
-    # per-node residual mean and centred sum of squares, merged block by
-    # block (Chan et al.), the sums of resid^2 and f^2, and the draw count
-    means = np.zeros(n)
-    m2 = np.zeros(n)
+    # per-node residual (count, mean, M2), and the sums of resid^2 and f^2
+    moments = (0, np.zeros(n), np.zeros(n))
     sq = np.zeros(n)
     f_sq = 0.0
-    count = 0
     for y in blocks:
         f = eq.intercepts.values + y[:, :n]                         # actions
         resid = f - rhs_mean - y[:, n:]
-        b = len(resid)
-        block_mean = resid.mean(axis=0)
-        delta = block_mean - means
-        count += b
-        means += delta * (b / count)
-        m2 += np.sum((resid - block_mean) ** 2, axis=0) + delta ** 2 * (
-            (count - b) * b / count)
+        moments = _merge_moments(moments, resid)
         sq += np.sum(resid ** 2, axis=0)
         f_sq += float(np.sum(f ** 2))
 
+    _, means, m2 = moments
     scale = 1.0 + math.sqrt(f_sq / (d * n))
     se = np.sqrt(m2 / (d - 1)) / math.sqrt(d)
     rms = np.sqrt(sq / d)
     mean_ok = np.abs(means) <= TOL_SE * se + 1e-8 * scale
     rms_ok = rms <= 1e-6 * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_z = np.where(se > 0, means / se, 0.0)
+    mean_z = np.divide(means, se, out=np.zeros(n), where=se > 0)
     return NodeAuditReport(mean_z, rms, scale, bool(np.all(mean_ok & rms_ok)))
 
 
@@ -279,8 +281,8 @@ class DuplicateReport:
                 and self.distance > 0.0)
 
 
-def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
-                         scale: float = 1.0) -> DuplicateReport:
+def duplicate_equilibria(game: BasicGame, d: int = 100_000,
+                         seed: int = 0) -> DuplicateReport:
     """Exhibit two distinct equilibria when the payoff operator A = R W has a
     real eigenvalue lambda >= 1 (eigenvector psi), directed or not.
 
@@ -289,8 +291,9 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
     (lambda - rho_t), where rho_t = w_t R(t, t) < 1 (else ValueError) is the
     weight of the agent's own cell.  For phi = psi / c this makes
     E_t[integral of R phi x] = phi_t x(t) exactly on the grid, so with f the
-    no-information equilibrium, g = f + scale * phi * x is one too; both must
-    pass the best-response audit.
+    no-information equilibrium, g = f + phi * x is one too; both must pass
+    the best-response audit.  ``distance`` is ||g - f|| in L2(nu x P),
+    measured from the two equilibria's loadings.
     """
     A = operator_matrix(game.payoff)
     lam_all, vec_all = np.linalg.eig(A)
@@ -326,10 +329,13 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000, seed: int = 0,
     info = _assemble_info(base_game, np.ones(n, int), np.zeros(n),
                           sig_cov, np.zeros((n, n)))
     eq_f = _package_equilibrium(base_game, info, np.zeros(n), base_mean)
-    eq_g = _package_equilibrium(base_game, info, scale * phi, base_mean)
+    eq_g = _package_equilibrium(base_game, info, phi, base_mean)
     audit_f = best_response_audit(eq_f, base_game, info, d=d, seed=seed)
     audit_g = best_response_audit(eq_g, base_game, info, d=d, seed=seed + 1)
-    distance = abs(scale)  # ||g - f||_{L2(nu x P)} = scale * ||phi|| * sd(x) = scale
+    # g - f = (c_g - c_f)_t x(t) with E x(t) = 0: ||g - f||^2 is the
+    # integral of (c_g - c_f)_t^2 Var x(t)
+    gap = eq_g.loading_vector() - eq_f.loading_vector()
+    distance = math.sqrt(float(np.sum(w * gap ** 2 * np.diag(sig_cov))))
     return DuplicateReport(lam, distance, audit_f, audit_g)
 
 

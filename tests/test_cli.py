@@ -327,7 +327,8 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
                  "out of range", id="optimum-overflow"),
     pytest.param(["design", "--mode", "optimum", "--u", "1e308", "--v", "1e308",
                   "--w", "1e308"],
-                 "not JSON compliant", id="optimum-infinite-result"),
+                 "result alpha is not finite; an input is out of "
+                 "floating-point range", id="optimum-infinite-result"),
     # a non-finite number is an input error, never a result or a failed check
     *(pytest.param(argv + [flag, value],
                    f"{flag} must be a finite number, got {value}",
@@ -433,6 +434,32 @@ def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# an overflow, invalid value or division by zero ends the run with one
+# error line and no warning before it
+@pytest.mark.parametrize("command, cfg, message", [
+    pytest.param("spectral", {"grid": _GRID,
+                              "kernel": {"kind": "constant", "r": 1e308}},
+                 "error: overflow encountered in square", id="kernel-r-1e308"),
+    pytest.param("equilibrium", {"grid": _GRID, "payoff": _CONST,
+                                 "state": {"mean": -1e308, "var": 1.0},
+                                 "info": {"kind": "none"}},
+                 "error: invalid value encountered", id="state-mean-minus-1e308"),
+    *(pytest.param("spectral", {"grid": _GRID, "kernel": {
+        "kind": "separable", "r": 1.0, "q_expr": q}},
+        f"cannot evaluate q_expr {q!r}", id=q)
+      for q in ("sqrt(-t)", "exp(t*1000)", "log(t-1)", "1/(t-t)")),
+])
+def test_floating_point_failure_is_one_error_line(tmp_path, capsys, command,
+                                                  cfg, message):
+    # a RuntimeWarning is an error under this suite's pytest settings
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def _eq_cfg(info):

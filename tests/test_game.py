@@ -18,7 +18,8 @@ from kernelgames.game import (BasicGame, GaussianInfo, _coefficient_system,
                               solve_linear_equilibrium, solve_mean, targeted_info,
                               verify_moment_restrictions)
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import Kernel, check_psd, check_r1, constant_kernel
+from kernelgames.kernels import (Kernel, check_psd, check_r1, constant_kernel,
+                                 separable_kernel)
 from kernelgames.moments import symmetric_moment_identity
 from kernelgames.montecarlo import best_response_audit
 
@@ -293,6 +294,40 @@ def test_aggregate_variance_fubini_identity():
     assert abs(agg_var - direct) <= 1e-10
 
 
+# -- continuum limit ---------------------------------------------------------
+
+def test_grid_equilibrium_converges_to_the_continuum_closed_form():
+    # R(s, t) = r q(s) q(t), a common state theta ~ N(0, v_theta) and private
+    # signals x(t) = theta + eps(t): E_t[x(s)] = kappa x(t), so matching
+    # coefficients gives a(t) = kappa (1 + r q(t) A) with
+    # A = kappa int q / (1 - kappa r int q^2), int zeta = v_theta int a and
+    # double-int xi = v_theta (int a)^2 (the noise averages out)
+    r, v_theta, v_eps = 0.6, 1.0, 0.5
+    kappa = v_theta / (v_theta + v_eps)
+    int_q, int_q2 = 1.5, 7.0 / 3.0                  # q(t) = 1 + t on [0, 1]
+    A = kappa * int_q / (1.0 - kappa * r * int_q2)
+    int_a = kappa * (1.0 + r * int_q * A)
+    errors, zetas, xis = [], [], []
+    for n in (50, 100, 200, 400):
+        grid = uniform_grid(n)
+        g = common_state_game(grid, separable_kernel(grid, r, lambda t: 1.0 + t),
+                              0.0, v_theta)
+        eq = solve_linear_equilibrium(g, private_iid_info(g, v_eps))
+        a = kappa * (1.0 + r * (1.0 + grid.coords) * A)
+        errors.append(np.max(np.abs(eq.loading_vector() - a)))
+        w = grid.weights
+        zetas.append(w @ eq.induced_action_state_cov.values)
+        xis.append(w @ eq.induced_action_cov.values @ w)
+    # the loadings converge at O(1/n): the error halves per doubling of n
+    ratios = np.divide(errors[:-1], errors[1:])
+    assert np.all(np.abs(ratios - 2.0) <= 0.1), ratios
+    # the Richardson values 2 V_2n - V_n of both integrals converge at O(1/n^2)
+    for values, limit in ((zetas, v_theta * int_a), (xis, v_theta * int_a ** 2)):
+        rich = 2.0 * np.array(values[1:]) - np.array(values[:-1]) - limit
+        assert np.all(np.abs(rich[:-1] / rich[1:] - 4.0) <= 0.5), rich
+        assert abs(rich[-1]) <= 1e-4 * limit
+
+
 # -- moment restrictions -----------------------------------------------------
 
 def test_moment_restrictions_on_lqg_example():
@@ -405,6 +440,17 @@ def test_info_rejects_non_finite_joint_cov_without_warning(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="joint_cov must be finite"):
+            _info_of(joint)
+
+
+def test_info_takes_entries_near_the_float_limit_without_warning():
+    # cov + cov.T would overflow on this diagonal
+    joint = np.diag(np.full(6, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_info_of(joint).joint_cov, joint)
+        joint[0, 4], joint[4, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="joint_cov must be symmetric"):
             _info_of(joint)
 
 

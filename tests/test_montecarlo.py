@@ -318,11 +318,12 @@ def test_streamed_process_matches_one_shot_reference(monkeypatch):
     d = 3 * step + 7                                    # ragged fourth block
     ref = _one_shot_draws(mean, cov, d, seed=21)
     agg = ref @ grid.weights
+    moments = (d, agg.mean(), np.sum((agg - agg.mean()) ** 2))
 
     def assert_matches(rep):
-        for got, want in ((rep.mean, verify_aggregate_mean(agg, grid, mean)),
+        for got, want in ((rep.mean, verify_aggregate_mean(moments, grid, mean)),
                           (rep.variance,
-                           verify_aggregate_variance(agg, grid, cov))):
+                           verify_aggregate_variance(moments, grid, cov))):
             _assert_close(got.statistic, want.statistic)
             _assert_close(got.expected, want.expected)
             _assert_close(got.stderr, want.stderr)
@@ -358,22 +359,25 @@ def test_streamed_process_matches_one_shot_reference(monkeypatch):
 
 
 def test_process_memory_does_not_grow_with_draws():
-    # the (200,000 x 40) draws array alone is 61 MiB
+    # the (200,000 x 40) draws array alone is 61 MiB, and one float per draw
+    # of the aggregate would be 7.6 MiB at 10^6 draws
     rng = np.random.default_rng(40)
-    n = 40
-    grid = uniform_grid(n)
-    mean = rng.normal(size=n)
-    B = rng.normal(size=(n, 5))
-    cov = B @ B.T + 0.1 * np.eye(n)
-    a = rng.normal(size=n)
-    tracemalloc.start()
-    try:
-        rep = verify_process(grid, mean, cov, 200_000, 40, a, [0, 20])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed
-    assert peak < 5 * 2 ** 20
+    peaks = []
+    for n, d in ((40, 200_000), (8, 100_000), (8, 1_000_000)):
+        grid = uniform_grid(n)
+        mean = rng.normal(size=n)
+        B = rng.normal(size=(n, 5))
+        cov = B @ B.T + 0.1 * np.eye(n)
+        a = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            rep = verify_process(grid, mean, cov, d, 40, a, [0, n // 2])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+    assert max(peaks) < 5 * 2 ** 20
+    assert abs(peaks[2] - peaks[1]) <= 0.1 * peaks[1]
 
 
 # -- exact aggregation identities --------------------------------------------
@@ -675,7 +679,7 @@ def _assert_exact_duplicate(rep, lam):
     assert rep.eigenvalue == pytest.approx(lam, rel=1e-9)
     assert rep.base_audit.passed and rep.shifted_audit.passed
     assert np.max(rep.shifted_audit.rms) <= 1e-12 * rep.shifted_audit.scale
-    assert rep.passed and rep.distance == 1.0
+    assert rep.passed and rep.distance == pytest.approx(1.0, rel=1e-12)
 
 
 # the paper's necessity direction: for undirected interactions (R1) fails
@@ -718,12 +722,22 @@ def test_duplicate_exact_on_directed_positive_kernel(lam):
     _assert_exact_duplicate(duplicate_equilibria(game, d=2000, seed=24), lam)
 
 
-def test_duplicate_distance_scales_linearly():
+def test_duplicate_distance_is_the_l2_norm_of_the_loading_gap(monkeypatch):
+    audited = []
+    audit_of = montecarlo.best_response_audit
+    monkeypatch.setattr(montecarlo, "best_response_audit",
+                        lambda eq, game, info, d, seed: audited.append(eq)
+                        or audit_of(eq, game, info, d, seed))
     grid = uniform_grid(12)
-    game = common_state_game(grid, constant_kernel(grid, 1.5), 0.0, 1.0)
-    d1 = duplicate_equilibria(game, d=2000, seed=20, scale=1.0).distance
-    d3 = duplicate_equilibria(game, d=2000, seed=20, scale=3.0).distance
-    assert d3 == pytest.approx(3.0 * d1)
+    for r in (2.0, 1.5, 1.0):
+        game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
+        rep = duplicate_equilibria(game, d=2000, seed=20)
+        eq_f, eq_g = audited[-2:]
+        # f loads on no signal, so ||g - f||^2 is the integral of Var g(t)
+        assert np.all(eq_f.loading_vector() == 0.0)
+        norm_sq = grid.weights @ np.diag(eq_g.induced_action_cov.values)
+        assert rep.distance == pytest.approx(math.sqrt(norm_sq), rel=1e-12)
+        assert rep.distance == pytest.approx(1.0, rel=1e-12)
 
 
 # -- symmetric LQG example ---------------------------------------------------
