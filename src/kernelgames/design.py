@@ -48,7 +48,8 @@ def targeted_value(m: float, r: float, obj: DesignObjective) -> float:
     if r >= 1.0:
         raise ValueError("r must be below 1")
     a, b = obj.alpha, obj.beta(r)
-    return (a * m - b * m * m) / (1.0 - r * m) ** 2
+    den = 1.0 - r * m
+    return (a * m - b * m * m) / (den * den)
 
 
 def optimal_targeted(r: float, obj: DesignObjective) -> RegimeReport:
@@ -73,7 +74,7 @@ def optimal_targeted(r: float, obj: DesignObjective) -> RegimeReport:
         v_star = a * a / (4.0 * (b - r * a))
         return RegimeReport("T2", m_star, v_star, a, b, r)
     # remaining region: alpha >= beta and beta <= (1+r)/2 alpha
-    return RegimeReport("T3", 1.0, (a - b) / (1.0 - r) ** 2, a, b, r)
+    return RegimeReport("T3", 1.0, (a - b) / ((1.0 - r) * (1.0 - r)), a, b, r)
 
 
 #: points per chunk of the numpy scan: the index base and three float buffers
@@ -143,7 +144,7 @@ def targeted_equilibrium_moment(members, r: float,
     mask[grid.node_indices(members)] = True
     m = float(grid.weights[mask].sum())
     den = 1.0 - r * m
-    xi = np.outer(mask, mask) / den ** 2
+    xi = np.outer(mask, mask) / (den * den)
     zeta = mask / den
     return EquilibriumMoment(grid, Kernel(grid, xi),
                              grid.function(zeta.astype(float)), 1.0)
@@ -166,8 +167,8 @@ def symmetric_moment(m: float, r: float, grid: MeasureGrid,
     if r >= 1.0:
         raise ValueError("r must be below 1")
     den = 1.0 - r * m
-    xi1 = m / den ** 2
-    xi2 = m * m / den ** 2
+    xi1 = m / (den * den)
+    xi2 = m * m / (den * den)
     zbar = m / den
     n = grid.n
     values = np.full((n, n), xi2)
@@ -197,7 +198,7 @@ def public_optimum(r: float, obj: DesignObjective) -> PublicReport:
     if abs(a - b) <= BOUNDARY_TOL * scale:
         return PublicReport(0.0, 0.0, True)
     if a > b:
-        return PublicReport(1.0, (a - b) / (1.0 - r) ** 2, False)
+        return PublicReport(1.0, (a - b) / ((1.0 - r) * (1.0 - r)), False)
     return PublicReport(0.0, 0.0, False)
 
 

@@ -16,29 +16,36 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
-from .grid import GridFunction, MeasureGrid, _floats, _frozen
+from .grid import GridFunction, MeasureGrid, _frozen
 from .kernels import Kernel, eigenvalues, operator_matrix, psd_tol, psd_within
 
 
 def _sym_pinv(mat: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a symmetric PSD matrix, or of each matrix in a stack
-    (k, d, d); eigenvalues up to 1e-10 times the largest, or below the
-    smallest normal float (whose reciprocal overflows), count as zero."""
+    (k, d, d), read as it is: its inputs are principal blocks of covariances
+    that passed ``_require_cov``.  Eigenvalues up to 1e-10 times the largest,
+    or below the smallest normal float (whose reciprocal overflows), count
+    as zero."""
     if mat.size == 0:
         return mat
-    lam, vec = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2)))
+    lam, vec = np.linalg.eigh(mat)
     keep = (lam > 1e-10 * lam[..., -1:]) & (lam >= np.finfo(float).tiny)
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
-def _require_psd(sym: np.ndarray, name: str) -> None:
-    """ValueError naming the smallest eigenvalue unless ``sym`` (symmetric)
-    passes ``psd_within``."""
-    if not psd_within(sym):
-        min_eig = float(np.linalg.eigvalsh(sym)[0])
+def _require_cov(cov: np.ndarray, name: str) -> None:
+    """The one covariance gate: ValueError unless ``cov`` is finite, exactly
+    symmetric and passes ``psd_within`` (the message then names the
+    smallest eigenvalue).  Nothing behind it repairs or re-checks ``cov``."""
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"{name} must be finite")
+    if not np.array_equal(cov, cov.T):
+        raise ValueError(f"{name} must be symmetric")
+    if not psd_within(cov):
+        min_eig = float(np.linalg.eigvalsh(cov)[0])
         raise ValueError(f"{name} must be positive semidefinite (min eigenvalue "
-                         f"{min_eig:.3e} < -tol {psd_tol(sym):.1e})")
+                         f"{min_eig:.3e} < -tol {psd_tol(cov):.1e})")
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,7 @@ class BasicGame:
         for obj in (self.payoff, self.state_mean, self.state_cov):
             if not obj.grid.same_nodes(self.grid):
                 raise ValueError("all game components must share the grid")
-        if not self.state_cov.undirected:
-            raise ValueError("state covariance must be undirected (exactly symmetric)")
-        _require_psd(self.state_cov.values, "state covariance")
+        _require_cov(self.state_cov.values, "state covariance")
 
     def is_common_state(self) -> bool:
         v = self.state_cov.values
@@ -75,7 +80,11 @@ class BasicGame:
         if np.any(np.abs(eigs - 1.0) <= 1e-9 * (1.0 + np.abs(eigs))):
             raise SingularMeanEquation("payoff operator has eigenvalue 1")
         mu = self.state_mean.values
-        phi = np.linalg.solve(np.eye(self.grid.n) - A, mu)
+        try:
+            phi = np.linalg.solve(np.eye(self.grid.n) - A, mu)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMeanEquation("mean equation matrix I - A is singular "
+                                       "in floating point") from exc
         scale = 1.0 + float(np.max(np.abs(phi)))
         if np.max(np.abs(phi - A @ phi - mu)) > 1e-9 * scale:
             raise SingularMeanEquation("mean equation residual above tolerance")
@@ -113,30 +122,17 @@ class GaussianInfo:
                              "dimension per node")
         dims = dims.astype(int, copy=False)
         mean = _frozen(self.signal_mean)
-        cov = _floats(self.joint_cov)    # read only; the stored copy is ``sym``
+        cov = _frozen(self.joint_cov)
         total = self.grid.n + int(dims.sum())
         if mean.shape != (int(dims.sum()),):
             raise ValueError("signal_mean length must equal total signal dimension")
         if cov.shape != (total, total):
             raise ValueError("joint_cov must cover the theta block and all signals")
-        scale = max(float(cov.max()), -float(cov.min()))  # non-finite iff an entry is
-        if not np.isfinite(scale):
-            raise ValueError("joint_cov must be finite")
-        # 0.5 cov + 0.5 cov.T, halved first (exactly) so that no sum overflows,
-        # by blocks of rows so that no second N x N array is made
-        sym = np.multiply(cov, 0.5)
-        asym = 0.0
-        for i in range(0, total, 32):
-            half_t = 0.5 * cov[:, i:i + 32].T
-            asym = max(asym, float(np.abs(sym[i:i + 32] - half_t).max()))
-            sym[i:i + 32] += half_t
-        if 2.0 * asym > 1e-12 * (1 + scale):
-            raise ValueError("joint_cov must be symmetric")
-        _require_psd(sym, "joint_cov")
-        dims.flags.writeable = sym.flags.writeable = False
+        _require_cov(cov, "joint_cov")
+        dims.flags.writeable = False
         object.__setattr__(self, "signal_dims", dims)
         object.__setattr__(self, "signal_mean", mean)
-        object.__setattr__(self, "joint_cov", sym)
+        object.__setattr__(self, "joint_cov", cov)
 
     @property
     def total_dim(self) -> int:

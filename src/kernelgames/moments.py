@@ -145,13 +145,13 @@ def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
     """
     if r >= 1:
         raise ValueError("bounds require r < 1")
-    dd = double_integral(m)
+    dd, iz, ceiling = double_integral(m), zeta_integral(m), 1.0 / (1.0 - r)
     var = m.state_var or 1.0    # zero variance: zeta = 0, normalized ceiling
     return BoundsReport(
         **vars(check_feasibility(m, constant_kernel(m.grid, r))),
-        cauchy_slack=dd - zeta_integral(m) ** 2 * (1.0 / var),
+        cauchy_slack=dd - iz * iz * (1.0 / var),
         diag_slack=diag_integral(m) - dd,
-        ceiling_slack=(1.0 / (1.0 - r)) ** 2 * var - dd,
+        ceiling_slack=ceiling * ceiling * var - dd,
         tol=relative_tol(1e-9, m.xi.values),
     )
 

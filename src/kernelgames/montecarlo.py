@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, _assemble_info, \
-    _require_psd, _sym_pinv, solve_mean, _package_equilibrium
+    _require_cov, _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _real_mask, operator_matrix
 
@@ -31,41 +31,30 @@ TOL_SE = 4.0
 _BLOCK_VALUES = 1 << 16
 
 
-def _gaussian_blocks(mean, cov, d: int, seed: int, maps, rows=slice(None)):
-    """Validate ``cov`` and factor the marginal of the coordinates ``rows``
-    (a slice); return (clamp, blocks), where ``blocks`` yields x[:, rows] @
-    ``maps`` for d >= 2 draws x of N(mean, cov) in consecutive blocks of
-    draws.  ``maps`` is a (len(rows), p) matrix; the raw draws are never
-    formed.  The symmetrized ``cov`` (``cov`` itself when it is exactly
-    symmetric) must pass ``kernels.psd_within`` (ValueError naming its
-    smallest eigenvalue otherwise), and clamp is max(0, -lambda_min) of the
-    factored marginal.
+def _gaussian_blocks(mean, cov, d: int, seed: int, maps):
+    """Factor ``cov``, a covariance that passed ``game._require_cov``, and
+    return (clamp, blocks), where ``blocks`` yields x @ ``maps`` for d >= 2
+    draws x of N(mean, cov) in consecutive blocks of draws.  ``maps`` is a
+    (len(mean), p) matrix; the raw draws are never formed.  clamp is
+    max(0, -lambda_min) of ``cov``.
 
-    The factor keeps the marginal's eigenpairs with lambda > 1e-12
-    lambda_max, r of them, so each block is mean[rows] @ maps + z @ (factor.T
-    @ maps) for the next max(1, ``_BLOCK_VALUES`` // max(r, p)) rows z of r
-    standard normals of the seeded stream: the draws do not depend on the
-    block size, maps = I yields the draws themselves bit for bit, and a zero
-    marginal draws no normals.
+    The factor keeps the eigenpairs with lambda > 1e-12 lambda_max, r of
+    them, so each block is mean @ maps + z @ (factor.T @ maps) for the next
+    max(1, ``_BLOCK_VALUES`` // max(r, p)) rows z of r standard normals of
+    the seeded stream: the draws do not depend on the block size, maps = I
+    yields the draws themselves bit for bit, and a zero covariance draws no
+    normals.
     """
     if d < 2:
         raise ValueError(f"d = {d} draws; the sampled statistics need d >= 2")
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    k = mean.size
-    if cov.shape != (k, k):
-        raise ValueError("covariance shape must match the mean")
-    # 0.5 (x + x) = x, so an exactly symmetric cov is used as it is
-    sym = cov if np.array_equal(cov, cov.T) else 0.5 * (cov + cov.T)
-    _require_psd(sym, "covariance")
-    lam, vec = np.linalg.eigh(sym[rows, rows])
+    lam, vec = np.linalg.eigh(cov)
     # eigh sorts lam ascending, so the kept eigenpairs are its last ones
     top = np.searchsorted(lam, 1e-12 * lam[-1], side="right")
     # (maps.T @ factor).T, not factor.T @ maps: with maps = I it is the
     # factor's transposed view, the layout for which z @ image_t rounds as
     # z @ factor.T does (a C-ordered copy rounds small blocks differently)
     image_t = (maps.T @ (vec[:, top:] * np.sqrt(lam[top:]))).T
-    offset = mean[rows] @ maps
+    offset = mean @ maps
     step = max(1, _BLOCK_VALUES // max(image_t.shape))
     rng = np.random.default_rng(seed)
 
@@ -175,6 +164,9 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     """
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
+    if cov.shape != (mean.size, mean.size):
+        raise ValueError("covariance shape must match the mean")
+    _require_cov(cov, "covariance")
     w = grid.weights
     idx = np.asarray(cond_nodes, dtype=int)
     # each block is the draws' aggregate, then their conditioning coordinates
@@ -243,9 +235,8 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     maps = np.zeros((info.total_dim, 2 * n))
     maps[coord, node] = c
     maps[coord, n + node] = k
-    mean = np.concatenate([game.state_mean.values, info.signal_mean])
-    _, blocks = _gaussian_blocks(mean, info.joint_cov, d, seed, maps,
-                                 rows=slice(n, None))
+    _, blocks = _gaussian_blocks(info.signal_mean, info.signal_block(), d,
+                                 seed, maps)
 
     # per-node residual (count, mean, M2), and the sums of resid^2 and f^2
     moments = (0, np.zeros(n), np.zeros(n))

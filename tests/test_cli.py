@@ -322,9 +322,11 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
     pytest.param(["mc", "--check", "duplicate", "--r", "30", "--n", "20",
                   "--draws", "100"],
                  "node 0 has 1.500e+00", id="duplicate-own-cell-above-one"),
+    # I - A is singular in floating point, though no eigenvalue of A is 1
+    pytest.param(["design", "--mode", "audit", "--r=-1e18", "--samples", "4",
+                  "--n", "10"], "mean equation matrix I - A is singular in "
+                 "floating point", id="audit-singular-mean-solve"),
     # finite flags whose result overflows
-    pytest.param(["design", "--mode", "optimum", "--r=-1e300", "--u", "1"],
-                 "out of range", id="optimum-overflow"),
     pytest.param(["design", "--mode", "optimum", "--u", "1e308", "--v", "1e308",
                   "--w", "1e308"],
                  "result alpha is not finite; an input is out of "
@@ -359,6 +361,35 @@ def test_size_flag_is_input_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+# closed forms square as products, so IEEE rules apply: a square that
+# overflows is inf (and a quotient by it underflows to 0.0), never the raw
+# errno tuple of a Python float power; the run ends in a report (exit 0, or
+# 2 for a failed verdict) or in one error line
+@pytest.mark.parametrize("argv, cfg", [
+    pytest.param(["design", "--mode", "optimum", "--r=-1e200"], None,
+                 id="optimum-r-minus-1e200"),
+    pytest.param(["design", "--mode", "optimum", "--r=-1e300", "--u", "1"],
+                 None, id="optimum-overflow"),
+    pytest.param(["design", "--mode", "diagram", "--r=-1e200", "--resolution",
+                  "3"], None, id="diagram-r-minus-1e200"),
+    pytest.param(["moments"], {"grid": _GRID, "r": -1e200,
+                               "moment": {"kind": "targeted", "m": 0.5}},
+                 id="moments-targeted-r-minus-1e200"),
+    pytest.param(["moments"], {"grid": _GRID, "r": 0.5, "moment": {
+        "kind": "explicit", "xi": [[1e200] * 6] * 6, "zeta": [1e200] * 6}},
+                 id="moments-explicit-zeta-1e200"),
+])
+def test_overflowing_square_is_a_result_or_one_error_line(tmp_path, capsys,
+                                                          argv, cfg):
+    if cfg is not None:
+        argv = argv + ["--config", _write(tmp_path, "cfg.json", cfg)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "(34," not in err
+    assert code in (0, 2) or (code == 1 and err.startswith("error:")
+                              and err.count("\n") == 1), (code, err)
 
 
 # -- reproduce-all -----------------------------------------------------------

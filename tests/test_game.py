@@ -69,6 +69,14 @@ def test_solve_mean_singular_at_eigenvalue_one():
             solve_mean(game)
 
 
+def test_solve_mean_singular_in_floating_point():
+    # no eigenvalue of A is 1, but 1 + 1e17 rounds I - A to a singular matrix
+    g = uniform_grid(10)
+    game = common_state_game(g, constant_kernel(g, -1e18), 0.0, 1.0)
+    with pytest.raises(SingularMeanEquation, match="singular in floating point"):
+        solve_mean(game)
+
+
 def test_solve_mean_is_solved_once_per_game():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 0.5), 1.0, 1.0)
@@ -328,6 +336,34 @@ def test_grid_equilibrium_converges_to_the_continuum_closed_form():
         assert abs(rich[-1]) <= 1e-4 * limit
 
 
+def test_grid_equilibrium_converges_for_a_directed_kernel():
+    # R(s, t) = r p(s) q(t) with p != q: matching coefficients gives
+    # a(t) = kappa (1 + r p(t) B) with B = kappa int q / (1 - kappa r int pq)
+    r, v_theta, v_eps = 0.6, 1.0, 0.5
+    kappa = v_theta / (v_theta + v_eps)
+    int_q, int_pq = 1.5, 13.0 / 6.0          # p = 1 + t, q = 2 - t on [0, 1]
+    B = kappa * int_q / (1.0 - kappa * r * int_pq)
+    int_a = kappa * (1.0 + r * 1.5 * B)      # int p = 1.5
+    errors = []
+    for n in (50, 100, 200, 400):
+        grid = uniform_grid(n)
+        t = grid.coords
+        payoff = Kernel(grid, r * np.outer(1.0 + t, 2.0 - t))
+        assert not payoff.undirected
+        g = common_state_game(grid, payoff, 0.0, v_theta)
+        eq = solve_linear_equilibrium(g, private_iid_info(g, v_eps))
+        a = kappa * (1.0 + r * (1.0 + t) * B)
+        errors.append(np.max(np.abs(eq.loading_vector() - a)))
+    ratios = np.divide(errors[:-1], errors[1:])
+    assert np.all(np.abs(ratios - 2.0) <= 0.2), ratios
+    assert errors[-1] <= 1e-3
+    w = grid.weights
+    zeta = w @ eq.induced_action_state_cov.values
+    xi = w @ eq.induced_action_cov.values @ w
+    assert abs(zeta - v_theta * int_a) <= 1e-4 * int_a
+    assert abs(xi - v_theta * int_a ** 2) <= 1e-4 * int_a ** 2
+
+
 # -- moment restrictions -----------------------------------------------------
 
 def test_moment_restrictions_on_lqg_example():
@@ -425,7 +461,6 @@ def test_info_rejects_non_psd_joint_cov_with_min_eigenvalue():
 
 
 def test_info_rejects_asymmetric_joint_cov():
-    # the asymmetry is scanned by blocks of rows; (130, 190) lies past the first
     for n, i, j in ((3, 0, 4), (100, 130, 190)):
         joint = np.eye(2 * n)
         joint[i, j] = 1e-3
@@ -454,15 +489,17 @@ def test_info_takes_entries_near_the_float_limit_without_warning():
             _info_of(joint)
 
 
-def test_info_symmetrizes_without_touching_the_input():
+def test_info_rejects_tiny_asymmetry_without_touching_the_input():
+    # symmetry is exact: no asymmetry is averaged away, however small
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 6))
     joint = x @ x.T
-    joint[0, 4] += 1e-14     # asymmetry inside the tolerance
+    joint[0, 4] += 1e-14
     before = joint.copy()
-    info = _info_of(joint)
-    assert np.array_equal(info.joint_cov, 0.5 * (before + before.T))
+    with pytest.raises(ValueError, match="joint_cov must be symmetric"):
+        _info_of(joint)
     assert np.array_equal(joint, before)
+    assert joint.flags.writeable
 
 
 def test_value_objects_own_their_arrays():
@@ -512,6 +549,26 @@ def test_info_accepts_rank_deficient_joint_cov():
     assert np.all(full.joint_cov == 1.0)
     none = no_info(game)         # zero signal block
     assert not np.any(none.signal_block())
+
+
+def test_info_build_runs_the_psd_verdict_once(monkeypatch):
+    calls = []
+    psd_within = game_module.psd_within
+    monkeypatch.setattr(game_module, "psd_within",
+                        lambda sym: calls.append(sym.shape) or psd_within(sym))
+    _, info = _ragged_game_and_info(4)      # dims 1, 2, 3, 1
+    calls.clear()
+    _info_of(np.eye(6))
+    GaussianInfo(info.grid, info.signal_dims, info.signal_mean, info.joint_cov)
+    assert calls == [(6, 6), (11, 11)]
+
+
+def test_solve_rejects_info_of_another_theta_block():
+    g = uniform_grid(4)
+    payoff = constant_kernel(g, 0.5)
+    info = full_info(common_state_game(g, payoff, 0.0, 1.0))
+    with pytest.raises(ValueError, match="theta block does not match the game"):
+        solve_linear_equilibrium(common_state_game(g, payoff, 0.0, 2.0), info)
 
 
 def test_info_grid_mismatch_rejected():

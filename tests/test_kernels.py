@@ -51,7 +51,7 @@ def test_undirected_flag_requires_exact_symmetry():
     g = uniform_grid(2)
     K = Kernel(g, [[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     assert not K.undirected
-    with pytest.raises(ValueError, match="state covariance must be undirected"):
+    with pytest.raises(ValueError, match="state covariance must be symmetric"):
         BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0), K)
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_game import _ragged_game_and_info
 
+from kernelgames import game as game_module
 from kernelgames import montecarlo
 from kernelgames.checks import _bm_discretized
 from kernelgames.errors import NoRealEigenvalueAtLeastOne
@@ -101,28 +102,49 @@ def test_sample_rejects_non_psd():
         verify_process(uniform_grid(2), np.zeros(2), bad, 10, 0, np.ones(2), [0])
 
 
-def _one_shot_normals(cov, d, seed, rows):
+@pytest.mark.parametrize("entry, message", [
+    (1e-14, "covariance must be symmetric"),
+    (np.nan, "covariance must be finite"),
+    (np.inf, "covariance must be finite"),
+])
+def test_sample_rejects_asymmetric_or_non_finite_cov(entry, message):
+    cov = np.eye(3)
+    cov[0, 2] += entry
+    with pytest.raises(ValueError, match=message):
+        verify_process(uniform_grid(3), np.zeros(3), cov, 10, 0, np.ones(3), [0])
+
+
+def test_audit_runs_no_psd_verdict(monkeypatch):
+    # the audit samples the signal block of an info that passed the gate
+    eq, game, info = _bm_equilibrium(20)
+    calls = []
+    monkeypatch.setattr(game_module, "psd_within",
+                        lambda sym: calls.append(sym.shape))
+    assert best_response_audit(eq, game, info, d=1_000, seed=1).passed
+    assert calls == []
+
+
+def _one_shot_normals(cov, d, seed):
     """(z, factor): the whole (d, rank) standard normal array and the spectral
-    factor of the marginal of ``rows``, truncated to its eigenvalues above
-    1e-12 lambda_max."""
-    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T)[rows, rows])
+    factor of ``cov``, truncated to its eigenvalues above 1e-12 lambda_max."""
+    lam, vec = np.linalg.eigh(cov)
     keep = lam > 1e-12 * lam.max()
     factor = vec[:, keep] * np.sqrt(lam[keep])
     z = np.random.default_rng(seed).standard_normal((d, factor.shape[1]))
     return z, factor
 
 
-def _one_shot_draws(mean, cov, d, seed, rows=slice(None)):
-    """The coordinates ``rows`` of d draws at once."""
-    z, factor = _one_shot_normals(cov, d, seed, rows)
-    return mean[rows] + z @ factor.T
+def _one_shot_draws(mean, cov, d, seed):
+    """d draws at once."""
+    z, factor = _one_shot_normals(cov, d, seed)
+    return mean + z @ factor.T
 
 
-def _one_shot_image(mean, cov, d, seed, maps, rows=slice(None)):
-    """The image x[:, rows] @ ``maps`` of d draws x at once, formed as the
-    sampler forms it: mean[rows] @ maps + z @ (maps.T @ factor).T."""
-    z, factor = _one_shot_normals(cov, d, seed, rows)
-    return mean[rows] @ maps + z @ (maps.T @ factor).T
+def _one_shot_image(mean, cov, d, seed, maps):
+    """The image x @ ``maps`` of d draws x at once, formed as the sampler
+    forms it: mean @ maps + z @ (maps.T @ factor).T."""
+    z, factor = _one_shot_normals(cov, d, seed)
+    return mean @ maps + z @ (maps.T @ factor).T
 
 
 @pytest.mark.parametrize("k, d", [
@@ -148,21 +170,21 @@ def test_blocked_draws_match_one_shot_reference(k, d):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_mapped_blocks_match_raw_draws_times_maps(k, rank, lo, width,
                                                   p_per_k, block, d, seed):
-    # rows a random slice of a rank <= k covariance (rank 0: the zero
-    # matrix), p from 1 to 2k columns, and a small block so that most cases
-    # stream several blocks and end in a ragged one
+    # the marginal of a random slice of rows of a rank <= k covariance (rank
+    # 0: the zero matrix), p from 1 to 2k columns, and a small block so that
+    # most cases stream several blocks and end in a ragged one
     rng = np.random.default_rng(seed)
     lo = min(lo, k - 1)
     rows = slice(lo, min(k, lo + width))
     m = rows.stop - lo
     p = max(1, round(p_per_k * k))
     B = rng.normal(size=(k, rank))
-    mean, cov = rng.normal(size=k), B @ B.T
+    mean, cov = rng.normal(size=k)[rows], (B @ B.T)[rows, rows]
     maps = rng.normal(size=(m, p))
     with patch.object(montecarlo, "_BLOCK_VALUES", block):
         raw = np.concatenate(list(_gaussian_blocks(mean, cov, d, seed,
-                                                   np.eye(m), rows)[1]))
-        images = list(_gaussian_blocks(mean, cov, d, seed, maps, rows)[1])
+                                                   np.eye(m))[1]))
+        images = list(_gaussian_blocks(mean, cov, d, seed, maps)[1])
     ref = raw @ maps
     got = np.concatenate(images)
     assert got.shape == (d, p)
@@ -195,7 +217,7 @@ def test_rank_deficient_draws_lie_in_the_range(rows, normal_draws):
     B = rng.normal(size=(k, 3))
     mean = rng.normal(size=k)
     draws = np.concatenate(list(_gaussian_blocks(
-        mean, B @ B.T, 5000, 31, np.eye(k)[rows, rows], rows=rows)[1]))
+        mean[rows], (B @ B.T)[rows, rows], 5000, 31, np.eye(k)[rows, rows])[1]))
     u, _, _ = np.linalg.svd(B[rows])
     null = u[:, 3:]
     assert null.shape[1] > 0
@@ -517,10 +539,8 @@ def _one_shot_audit(eq, game, info, d, seed):
     """The audit with the image of all d draws in memory at once: (mean_z,
     rms, scale, passed)."""
     n = game.grid.n
-    mean = np.concatenate([game.state_mean.values, info.signal_mean])
     maps, rhs_mean = _audit_image(eq, game, info)
-    y = _one_shot_image(mean, np.asarray(info.joint_cov), d, seed, maps,
-                        rows=slice(n, None))
+    y = _one_shot_image(info.signal_mean, info.signal_block(), d, seed, maps)
     f = eq.intercepts.values + y[:, :n]
     resid = f - rhs_mean - y[:, n:]
     scale = 1.0 + float(np.sqrt(np.mean(f ** 2)))
