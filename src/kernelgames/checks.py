@@ -420,7 +420,7 @@ def check_bm_example(n: int = 200, draws: int = 50_000,
         float(np.max(np.abs(np.array([c[1] for c in eq.loadings]) - bm.alpha_y))),
         float(np.max(np.abs(eq.intercepts.values - bm.alpha0))))
     mrep = game.verify_moment_restrictions(eq, g)
-    audit = montecarlo.best_response_audit(eq, g, info, d=draws, seed=seed)
+    audit = montecarlo.best_response_audit(eq, g, d=draws, seed=seed)
 
     # standard-deviation identity on the closed-form moments of a node pair
     grid2 = MeasureGrid([0.25, 0.75], [0.5, 0.5])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
 from .grid import GridFunction, MeasureGrid, _frozen
-from .kernels import Kernel, eigenvalues, operator_matrix, psd_tol, psd_within
+from .kernels import Kernel, _is_one, eigenvalues, operator_matrix, psd_tol, psd_within
 
 
 def _sym_pinv(mat: np.ndarray) -> np.ndarray:
@@ -76,8 +76,7 @@ class BasicGame:
         it reads are read-only); a singular game keeps nothing and raises on
         every call."""
         A = operator_matrix(self.payoff)
-        eigs = eigenvalues(self.payoff)
-        if np.any(np.abs(eigs - 1.0) <= 1e-9 * (1.0 + np.abs(eigs))):
+        if _is_one(eigenvalues(self.payoff)):
             raise SingularMeanEquation("payoff operator has eigenvalue 1")
         mu = self.state_mean.values
         try:

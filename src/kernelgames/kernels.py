@@ -166,6 +166,23 @@ def _real_mask(eigs: np.ndarray) -> np.ndarray:
     return np.abs(eigs.imag) <= REAL_EIG_CUTOFF * (1.0 + np.abs(eigs))
 
 
+def _is_one(eigs: np.ndarray) -> bool:
+    """Whether some eigenvalue is within REAL_EIG_CUTOFF (1 + |lambda|) of 1."""
+    return bool(np.any(np.abs(eigs - 1.0) <= REAL_EIG_CUTOFF * (1 + abs(eigs))))
+
+
+def _at_least_one(values, K: Kernel) -> bool:
+    """Whether x = max(``values``, 0) counts as >= 1: x >= 1 - REAL_EIG_CUTOFF
+    (1 + |x|); ValueError at or below the rounding n^2 eps max|W^1/2 K W^1/2|."""
+    x = float(np.max(values, initial=0.0))
+    counts = x >= 1.0 - REAL_EIG_CUTOFF * (1.0 + abs(x))
+    floor = K.grid.n ** 2 * 2.0 ** -52 * np.abs(_weighted_symmetrized(K)).max()
+    if counts and x <= floor:
+        raise ValueError(f"spectral value {x:.3e} lies below the rounding "
+                         f"floor {floor:.3e}; rounding decides if it is >= 1")
+    return counts
+
+
 def real_eigenvalues(K: Kernel) -> np.ndarray:
     """Real parts of the eigenvalues that count as real (``_real_mask``)."""
     eigs = eigenvalues(K)
@@ -191,13 +208,13 @@ def operator_norm_bound(K: Kernel) -> float:
 
 
 def check_r1(K: Kernel) -> bool:
-    """Numerical range bounded above by 1."""
-    return numerical_range_bounds(K)[1] < 1.0
+    """Numerical range bounded above by 1 (``_at_least_one``)."""
+    return not _at_least_one(numerical_range_bounds(K)[1], K)
 
 
 def check_r2(K: Kernel) -> bool:
-    """All real eigenvalues of the operator below 1."""
-    return bool(np.all(real_eigenvalues(K) < 1.0))
+    """All real eigenvalues of the operator below 1 (``_at_least_one``)."""
+    return not _at_least_one(real_eigenvalues(K), K)
 
 
 def check_psd(K: Kernel) -> bool:
@@ -216,8 +233,8 @@ def spectral_report(K: Kernel) -> SpectralReport:
         numerical_range_sup=nr_sup,
         operator_norm_bound=operator_norm_bound(K),
         diag_sup=float(np.max(np.abs(K.diag()))),
-        r1_holds=nr_sup < 1.0,      # check_r1's rule
-        r2_holds=bool(np.all(eigs.real[_real_mask(eigs)] < 1.0)),
+        r1_holds=not _at_least_one(nr_sup, K),
+        r2_holds=not _at_least_one(eigs.real[_real_mask(eigs)], K),
     )
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
-from .game import BasicGame, GaussianInfo, LinearEquilibrium, _assemble_info, \
+from .game import BasicGame, LinearEquilibrium, _assemble_info, \
     _require_cov, _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
-from .kernels import _real_mask, operator_matrix
+from .kernels import _at_least_one, _real_mask, operator_matrix
 
 GENERATOR_ID = "pcg64-spectral-v2"
 
@@ -208,8 +208,7 @@ class NodeAuditReport:
 
 
 def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
-                        info: GaussianInfo, d: int = 100_000,
-                        seed: int = 0) -> NodeAuditReport:
+                        d: int = 100_000, seed: int = 0) -> NodeAuditReport:
     """Monte Carlo check that each agent's strategy is a best response.
 
     Samples the signal coordinates of joint (theta, signal) draws, evaluates
@@ -219,7 +218,7 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     node.  The draws are consumed block by block as they are sampled, so
     memory does not grow with ``d``.
     """
-    n = game.grid.n
+    n, info = game.grid.n, eq.info
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
     # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
@@ -288,18 +287,18 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000,
     """
     A = operator_matrix(game.payoff)
     lam_all, vec_all = np.linalg.eig(A)
-    ok = _real_mask(lam_all) & (lam_all.real >= 1.0 - 1e-9)
-    if not np.any(ok):
+    real_re = np.where(_real_mask(lam_all), lam_all.real, -np.inf)
+    if not _at_least_one(real_re, game.payoff):
         raise NoRealEigenvalueAtLeastOne(
             "payoff operator has no real eigenvalue >= 1")
-    j = np.argmax(np.where(ok, lam_all.real, -np.inf))
-    lam = float(lam_all.real[j])
+    j = np.argmax(real_re)
+    lam = float(real_re[j])
     rho = np.diag(A)
     t = int(np.argmax(rho))
     if rho[t] >= 1.0:
         raise ValueError("duplicate construction needs w_t R(t, t) < 1 at every "
                          f"node; node {t} has {rho[t]:.3e}")
-    # lambda within 1e-9 below 1 counts as 1, so c_t <= 1 and sig_cov is PSD
+    # a lambda that _at_least_one counts is used as >= 1: c_t <= 1, sig_cov PSD
     c = np.sqrt((1.0 - rho) / (max(lam, 1.0) - rho))
     phi = vec_all[:, j].real / c
     w = game.grid.weights
@@ -321,8 +320,8 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000,
                           sig_cov, np.zeros((n, n)))
     eq_f = _package_equilibrium(base_game, info, np.zeros(n), base_mean)
     eq_g = _package_equilibrium(base_game, info, phi, base_mean)
-    audit_f = best_response_audit(eq_f, base_game, info, d=d, seed=seed)
-    audit_g = best_response_audit(eq_g, base_game, info, d=d, seed=seed + 1)
+    audit_f = best_response_audit(eq_f, base_game, d=d, seed=seed)
+    audit_g = best_response_audit(eq_g, base_game, d=d, seed=seed + 1)
     # g - f = (c_g - c_f)_t x(t) with E x(t) = 0: ||g - f||^2 is the
     # integral of (c_g - c_f)_t^2 Var x(t)
     gap = eq_g.loading_vector() - eq_f.loading_vector()

@@ -1,7 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelgames import cli, kernels
 from kernelgames.grid import uniform_grid
@@ -290,6 +298,7 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
                      "--n", "10", "--draws", "100"]) == 1
 
 
+
 # sizes are checked before anything is allocated; an allocation that still
 # fails is an input error too
 @pytest.mark.parametrize("argv, message", [
@@ -322,6 +331,11 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
     pytest.param(["mc", "--check", "duplicate", "--r", "30", "--n", "20",
                   "--draws", "100"],
                  "node 0 has 1.500e+00", id="duplicate-own-cell-above-one"),
+    # the spectrum is {-1e200, 0, 0, 0, 0}; eig returns a positive value for
+    # a zero, below the rounding floor n^2 eps max|W^1/2 K W^1/2|
+    pytest.param(["mc", "--check", "duplicate", "--r=-1e200", "--n", "5",
+                  "--draws", "100"], "lies below the rounding floor 1.110e+185",
+                 id="duplicate-rounding-eigenvalue"),
     # I - A is singular in floating point, though no eigenvalue of A is 1
     pytest.param(["design", "--mode", "audit", "--r=-1e18", "--samples", "4",
                   "--n", "10"], "mean equation matrix I - A is singular in "
@@ -473,6 +487,12 @@ def test_malformed_config_is_input_error(tmp_path, capsys, command, cfg):
     pytest.param("spectral", {"grid": _GRID,
                               "kernel": {"kind": "constant", "r": 1e308}},
                  "error: overflow encountered in square", id="kernel-r-1e308"),
+    # the spectrum is {-1e20, 0, 0, 0, 0}; no verdict is read from the value
+    # eigvalsh returns for a zero, below the rounding floor
+    pytest.param("spectral", {"grid": {"kind": "uniform", "n": 5},
+                              "kernel": {"kind": "constant", "r": -1e20}},
+                 "lies below the rounding floor 1.110e+05",
+                 id="kernel-r-minus-1e20"),
     pytest.param("equilibrium", {"grid": _GRID, "payoff": _CONST,
                                  "state": {"mean": -1e308, "var": 1.0},
                                  "info": {"kind": "none"}},
@@ -619,3 +639,88 @@ def test_ignored_flag_is_input_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# -- the exit-code contract holds for any mutation of a valid config ----------
+
+_JSON_NUMBER = st.one_of(
+    st.integers(-2, 64), st.floats(-64.0, 64.0),
+    st.sampled_from([0.5, 1.0, 2.0, 1e20, -1e20, 1e200, -1e200, 1e308,
+                     -1e308, 5e-324, 2 ** 53 + 1, math.inf, -math.inf,
+                     math.nan]))
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), _JSON_NUMBER,
+                       st.text(max_size=6),
+                       st.sampled_from(list(cli._SCHEMA["kernel"])
+                                       + list(cli._SCHEMA["info"])
+                                       + list(cli._SCHEMA["moment"])
+                                       + ["t", "sin(t)", "1/t", "t**t"]))
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF, lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.dictionaries(st.sampled_from(["kind", "n", "r", "m", "bogus"]),
+                        inner, max_size=3)),
+    max_leaves=12)
+_ALL_KEYS = sorted({key for kinds in cli._SCHEMA.values()
+                    for keys, _ in kinds.values() for key in keys} | {"kind"})
+
+
+def _paths(obj, path=()):
+    """Every path into ``obj`` (dict keys and list indices), the root too."""
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(data, cfg):
+    """``cfg`` with one value replaced, one key dropped or one key added."""
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else cfg
+    op = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if op == "add" and isinstance(target, dict):
+        target[data.draw(st.sampled_from(_ALL_KEYS))] = data.draw(_JSON_VALUE)
+    elif op == "drop" and isinstance(target, dict) and target:
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    elif path:
+        # mostly a value of the same JSON type, so the run gets past the parser
+        like = {bool: st.booleans(), int: _JSON_NUMBER, float: _JSON_NUMBER,
+                str: _JSON_LEAF, list: st.lists(_JSON_NUMBER, max_size=8)}
+        parent[path[-1]] = data.draw(st.one_of(
+            like.get(type(target), _JSON_VALUE), _JSON_VALUE))
+    return cfg
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        K = kernels.constant_kernel(uniform_grid(6), 0.25)
+        K.to_json(os.path.join(tmp, "k.json"))
+        with open(os.path.join(tmp, "k.csv"), "w") as fh:
+            fh.write("\n".join(",".join(map(str, row)) for row in K.values))
+        command, _, sub = data.draw(st.sampled_from(_ROUND_TRIP))
+        if sub.get("kind") == "file":
+            sub = dict(sub, path=os.path.join(tmp, sub["path"]))
+        grid = data.draw(st.sampled_from(
+            [_GRID, {"coords": [0.1, 0.5, 0.7, 0.8, 0.9, 1.0],
+                     "weights": [1 / 6] * 6}]))
+        cfg = copy.deepcopy(
+            {"spectral": {"grid": grid, "kernel": sub},
+             "equilibrium": {"grid": grid, "payoff": _CONST, "state": _STATE,
+                             "info": sub},
+             "moments": {"grid": grid, "r": 0.5, "moment": sub}}[command])
+        for _ in range(data.draw(st.integers(1, 3))):
+            cfg = _mutate(data, cfg)
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", path])
+    err = err.getvalue()
+    assert code in (0, 1, 2), (cfg, err)
+    assert "Traceback" not in err and "Warning" not in err, (cfg, err)

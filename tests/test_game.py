@@ -248,7 +248,7 @@ def test_ragged_signal_dims_match_dense_reference():
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(eq.intercepts.values, intercept, rtol=0, atol=1e-12)
     assert verify_moment_restrictions(eq, game).passed
-    assert best_response_audit(eq, game, info, d=20_000, seed=32).passed
+    assert best_response_audit(eq, game, d=20_000, seed=32).passed
 
 
 def test_batched_sym_pinv_matches_per_block():
@@ -344,7 +344,8 @@ def test_grid_equilibrium_converges_for_a_directed_kernel():
     int_q, int_pq = 1.5, 13.0 / 6.0          # p = 1 + t, q = 2 - t on [0, 1]
     B = kappa * int_q / (1.0 - kappa * r * int_pq)
     int_a = kappa * (1.0 + r * 1.5 * B)      # int p = 1.5
-    errors = []
+    assert int_a == pytest.approx(31.0 / 6.0, rel=1e-14)
+    errors, zetas, xis = [], [], []
     for n in (50, 100, 200, 400):
         grid = uniform_grid(n)
         t = grid.coords
@@ -354,14 +355,20 @@ def test_grid_equilibrium_converges_for_a_directed_kernel():
         eq = solve_linear_equilibrium(g, private_iid_info(g, v_eps))
         a = kappa * (1.0 + r * (1.0 + t) * B)
         errors.append(np.max(np.abs(eq.loading_vector() - a)))
+        w = grid.weights
+        zetas.append(w @ eq.induced_action_state_cov.values)
+        xis.append(w @ eq.induced_action_cov.values @ w)
     ratios = np.divide(errors[:-1], errors[1:])
     assert np.all(np.abs(ratios - 2.0) <= 0.2), ratios
     assert errors[-1] <= 1e-3
-    w = grid.weights
-    zeta = w @ eq.induced_action_state_cov.values
-    xi = w @ eq.induced_action_cov.values @ w
-    assert abs(zeta - v_theta * int_a) <= 1e-4 * int_a
-    assert abs(xi - v_theta * int_a ** 2) <= 1e-4 * int_a ** 2
+    assert abs(zetas[-1] - v_theta * int_a) <= 1e-4 * int_a
+    assert abs(xis[-1] - v_theta * int_a ** 2) <= 1e-4 * int_a ** 2
+    # the Richardson values 2 V_2n - V_n of both integrals converge at O(1/n^2)
+    # to int zeta = 31/6 and double-int xi = (31/6)^2
+    for values, limit in ((zetas, 31.0 / 6.0), (xis, (31.0 / 6.0) ** 2)):
+        rich = 2.0 * np.array(values[1:]) - np.array(values[:-1]) - limit
+        assert np.all(np.abs(rich[:-1] / rich[1:] - 4.0) <= 0.5), rich
+        assert abs(rich[-1]) <= 1e-4 * limit
 
 
 # -- moment restrictions -----------------------------------------------------

@@ -445,6 +445,31 @@ def test_hadamard_bound_rejects_bad_preconditions():
                              constant_kernel(g, 1.5))
 
 
+# battery 8 as a property: for K PSD and R with numerical range below 1 the
+# real eigenvalues of K o R stay below max_t K(t, t), on any weights
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), rank=st.integers(1, 32), log_k=st.floats(-3, 3),
+       sup=st.floats(0.01, 0.99), directed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hadamard_bound_holds_for_psd_k_and_r1_r(n, rank, log_k, sup,
+                                                  directed, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.5, 1.5, n)
+    g = MeasureGrid(np.arange(n, dtype=float), u / u.sum())
+    B = rng.normal(size=(n, rank)) * np.exp(log_k)
+    K = Kernel(g, 0.5 * (B @ B.T + (B @ B.T).T))
+    Rv = rng.normal(size=(n, n))
+    if not directed:
+        Rv = Rv + Rv.T
+    # scale the numerical range into [-sup, sup]
+    R = Kernel(g, Rv * (sup / max(np.abs(numerical_range_bounds(
+        Kernel(g, Rv)))) / (1 + 1e-9)))
+    assert check_r1(R)
+    max_eig, bound, holds = hadamard_eigen_bound(K, R)
+    assert bound == np.max(np.diag(K.values))
+    assert holds and max_eig < bound
+
+
 # -- report and serialization ------------------------------------------------
 
 def test_spectral_report_containment_chain():

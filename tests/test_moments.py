@@ -12,7 +12,7 @@ from kernelgames.game import (common_state_game, full_info,
                               solve_linear_equilibrium,
                               verify_moment_restrictions)
 from kernelgames.grid import uniform_grid
-from kernelgames.kernels import Kernel, constant_kernel
+from kernelgames.kernels import Kernel, constant_kernel, numerical_range_bounds
 from kernelgames.moments import (DesignObjective, EquilibriumMoment,
                                  bounds_check, check_feasibility,
                                  check_obedience, check_positivity,
@@ -300,6 +300,37 @@ def test_grid_matched_symmetric_moment_round_trips(n, r, m):
     assert np.max(np.abs(eq.induced_action_cov.values - mom.xi.values)) <= 1e-8
     assert np.max(np.abs(eq.induced_action_state_cov.values
                          - mom.zeta.values)) <= 1e-8
+
+
+# sufficiency as a property: the moment of any solved equilibrium, under a
+# constant, symmetric or directed (R1) kernel, is reproduced by the canonical
+# signals that construct_canonical_signals builds for it
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), kind=st.sampled_from(["constant", "symmetric",
+                                                   "directed"]),
+       sup=st.floats(-2.0, 0.95), log_var=st.floats(-4.0, 4.0),
+       mean=st.floats(-10.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_canonical_signals_reproduce_every_solved_moment(n, kind, sup, log_var,
+                                                         mean, seed):
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(n)
+    if kind == "constant":
+        R = constant_kernel(grid, sup)
+    else:
+        v = rng.normal(size=(n, n))
+        v = v + v.T if kind == "symmetric" else v
+        # the numerical range scaled into [-s, s], s = min(|sup|, 0.95)
+        s = min(abs(sup), 0.95)
+        R = Kernel(grid, v * (s / max(np.abs(numerical_range_bounds(
+            Kernel(grid, v))))))
+    game = common_state_game(grid, R, mean, float(np.exp(log_var)))
+    eq = solve_linear_equilibrium(game, _random_info(game, rng))
+    mom = moment_from_equilibrium(eq)
+    eq2 = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
+    tol = 1e-12 * (1.0 + np.max(np.abs(mom.xi.values)))
+    assert np.max(np.abs(eq2.induced_action_cov.values - mom.xi.values)) <= tol
+    assert np.max(np.abs(eq2.induced_action_state_cov.values
+                         - mom.zeta.values)) <= tol
 
 
 def test_canonical_signals_reject_infeasible_moment():

@@ -11,13 +11,13 @@ from test_game import _ragged_game_and_info
 from kernelgames import game as game_module
 from kernelgames import montecarlo
 from kernelgames.checks import _bm_discretized
-from kernelgames.errors import NoRealEigenvalueAtLeastOne
+from kernelgames.errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from kernelgames.game import (_package_equilibrium, common_state_game,
                               full_info, no_info, private_iid_info,
-                              solve_linear_equilibrium)
+                              solve_linear_equilibrium, solve_mean)
 from kernelgames.grid import MeasureGrid, uniform_grid
-from kernelgames.kernels import (Kernel, check_r1, constant_kernel,
-                                 real_eigenvalues)
+from kernelgames.kernels import (Kernel, check_r1, check_r2, constant_kernel,
+                                 real_eigenvalues, spectral_report)
 from kernelgames.montecarlo import (TOL_SE, _gaussian_blocks,
                                     best_response_audit,
                                     bm_example_equilibrium,
@@ -116,11 +116,11 @@ def test_sample_rejects_asymmetric_or_non_finite_cov(entry, message):
 
 def test_audit_runs_no_psd_verdict(monkeypatch):
     # the audit samples the signal block of an info that passed the gate
-    eq, game, info = _bm_equilibrium(20)
+    eq, game = _bm_equilibrium(20)
     calls = []
     monkeypatch.setattr(game_module, "psd_within",
                         lambda sym: calls.append(sym.shape))
-    assert best_response_audit(eq, game, info, d=1_000, seed=1).passed
+    assert best_response_audit(eq, game, d=1_000, seed=1).passed
     assert calls == []
 
 
@@ -236,8 +236,8 @@ def test_blocks_hold_at_most_block_values(normal_draws, monkeypatch):
         clamp, blocks = blocks_of(*args, **kwargs)
         return clamp, (images.append(y.shape) or y for y in blocks)
     monkeypatch.setattr(montecarlo, "_gaussian_blocks", recording)
-    eq, game, info = _bm_equilibrium(120)
-    assert best_response_audit(eq, game, info, d=5_000, seed=1).passed
+    eq, game = _bm_equilibrium(120)
+    assert best_response_audit(eq, game, d=5_000, seed=1).passed
     n = 300
     assert verify_process(uniform_grid(n), np.zeros(n), np.eye(n), 5_000, 2,
                           np.ones(n), [0, 9]).passed
@@ -259,7 +259,7 @@ def test_every_sampling_caller_rejects_fewer_than_two_draws(d):
     info = private_iid_info(game, 1.0)
     eq = solve_linear_equilibrium(game, info)
     with pytest.raises(ValueError, match=f"d = {d} draws"):
-        best_response_audit(eq, game, info, d=d, seed=0)
+        best_response_audit(eq, game, d=d, seed=0)
     dup = common_state_game(grid, constant_kernel(grid, 2.0), 1.0, 1.0)
     with pytest.raises(ValueError, match=f"d = {d} draws"):
         duplicate_equilibria(dup, d=d, seed=0)
@@ -490,7 +490,7 @@ def test_audit_passes_on_solved_equilibrium():
     game = common_state_game(grid, Kernel(grid, values), 0.5, 1.0)
     info = private_iid_info(game, 1.0)
     eq = solve_linear_equilibrium(game, info)
-    rep = best_response_audit(eq, game, info, d=100_000, seed=14)
+    rep = best_response_audit(eq, game, d=100_000, seed=14)
     assert rep.passed
 
 
@@ -502,7 +502,7 @@ def test_audit_fails_on_perturbed_loading():
     c = eq.loading_vector().copy()
     c[4] += 0.05
     bad = _package_equilibrium(game, info, c, eq.induced_mean.values)
-    rep = best_response_audit(bad, game, info, d=20_000, seed=15)
+    rep = best_response_audit(bad, game, d=20_000, seed=15)
     assert not rep.passed
     assert np.argmax(np.abs(rep.rms)) == 4
 
@@ -512,16 +512,16 @@ def test_audit_no_information_residual_zero():
     game = common_state_game(grid, constant_kernel(grid, 0.5), 1.0, 1.0)
     info = no_info(game)
     eq = solve_linear_equilibrium(game, info)
-    rep = best_response_audit(eq, game, info, d=2000, seed=16)
+    rep = best_response_audit(eq, game, d=2000, seed=16)
     assert rep.passed
     assert np.max(rep.rms) <= 1e-10
 
 
-def _audit_image(eq, game, info):
+def _audit_image(eq, game):
     """(maps, rhs_mean): the (D, 2n) map of the signals to every node's
     action loading c_t . x_t and conditional-formula loading k_t . x_t, and
     the residual's constant once k . mu is taken out."""
-    n = game.grid.n
+    n, info = game.grid.n, eq.info
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
     cov_x_f = info._block_sum(info.signal_block() * c, axis=1)
@@ -535,12 +535,13 @@ def _audit_image(eq, game, info):
     return maps, rhs_mean
 
 
-def _one_shot_audit(eq, game, info, d, seed):
+def _one_shot_audit(eq, game, d, seed):
     """The audit with the image of all d draws in memory at once: (mean_z,
     rms, scale, passed)."""
     n = game.grid.n
-    maps, rhs_mean = _audit_image(eq, game, info)
-    y = _one_shot_image(info.signal_mean, info.signal_block(), d, seed, maps)
+    maps, rhs_mean = _audit_image(eq, game)
+    y = _one_shot_image(eq.info.signal_mean, eq.info.signal_block(), d, seed,
+                        maps)
     f = eq.intercepts.values + y[:, :n]
     resid = f - rhs_mean - y[:, n:]
     scale = 1.0 + float(np.sqrt(np.mean(f ** 2)))
@@ -556,11 +557,11 @@ def _one_shot_audit(eq, game, info, d, seed):
 
 def _bm_equilibrium(n):
     game, info = _bm_discretized(n, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0)
-    return solve_linear_equilibrium(game, info), game, info
+    return solve_linear_equilibrium(game, info), game
 
 
-def _assert_matches_one_shot(rep, eq, game, info, d, seed):
-    mean_z, rms, scale, passed = _one_shot_audit(eq, game, info, d, seed)
+def _assert_matches_one_shot(rep, eq, game, d, seed):
+    mean_z, rms, scale, passed = _one_shot_audit(eq, game, d, seed)
     assert rep.passed == passed
     assert abs(rep.scale - scale) <= 1e-12 * scale
     assert np.all(np.abs(rep.rms - rms) <= 1e-12 * rms)
@@ -574,9 +575,9 @@ def test_streamed_audit_matches_one_shot_reference(case, d):
         game, info = _ragged_game_and_info()
         eq = solve_linear_equilibrium(game, info)
     else:                       # two signals per node, rounding-noise residuals
-        eq, game, info = _bm_equilibrium(60)
-    rep = best_response_audit(eq, game, info, d=d, seed=5)
-    _assert_matches_one_shot(rep, eq, game, info, d, seed=5)
+        eq, game = _bm_equilibrium(60)
+    rep = best_response_audit(eq, game, d=d, seed=5)
+    _assert_matches_one_shot(rep, eq, game, d, seed=5)
 
 
 def test_streamed_audit_matches_one_shot_on_duplicate_equilibria(monkeypatch):
@@ -584,9 +585,8 @@ def test_streamed_audit_matches_one_shot_on_duplicate_equilibria(monkeypatch):
     # standard errors from zero
     calls = []
 
-    def audit(eq, game, info, d, seed):
-        calls.append((audit_of(eq, game, info, d=d, seed=seed),
-                      eq, game, info, d, seed))
+    def audit(eq, game, d, seed):
+        calls.append((audit_of(eq, game, d=d, seed=seed), eq, game, d, seed))
         return calls[-1][0]
     audit_of = montecarlo.best_response_audit
     monkeypatch.setattr(montecarlo, "best_response_audit", audit)
@@ -603,8 +603,8 @@ def test_audit_draws_one_normal_per_rank(normal_draws):
     # the quick bm joint law has rank 121 of 360: the common state, the n - 1
     # centred private noises and the public noise; the audit draws 121
     # normals per draw, not 360 (nor 240, the signal rows)
-    eq, game, info = _bm_equilibrium(120)
-    rep = best_response_audit(eq, game, info, d=20_000, seed=55)
+    eq, game = _bm_equilibrium(120)
+    rep = best_response_audit(eq, game, d=20_000, seed=55)
     assert rep.passed
     assert {size[1] for size in normal_draws} == {121}
     assert sum(size[0] for size in normal_draws) == 20_000
@@ -613,7 +613,7 @@ def test_audit_draws_one_normal_per_rank(normal_draws):
 def test_audit_block_sums_do_not_grow_with_draws(monkeypatch):
     # the audit sums signal blocks (np.add.reduceat) while it sets up its
     # maps, never per block of draws: 4 blocks at d = 2,000, 92 at 50,000
-    eq, game, info = _bm_equilibrium(60)
+    eq, game = _bm_equilibrium(60)
     counts = []
     add = np.add
 
@@ -630,16 +630,16 @@ def test_audit_block_sums_do_not_grow_with_draws(monkeypatch):
     monkeypatch.setattr(np, "add", CountingAdd())
     for d in (2_000, 50_000):
         counts.append(0)
-        assert best_response_audit(eq, game, info, d=d, seed=3).passed
+        assert best_response_audit(eq, game, d=d, seed=3).passed
     assert counts[0] == counts[1] > 0
 
 
 def test_audit_memory_does_not_grow_with_draws():
     # one (20,000 x 360) joint draws array alone is 54.9 MiB
-    eq, game, info = _bm_equilibrium(120)
+    eq, game = _bm_equilibrium(120)
     tracemalloc.start()
     try:
-        rep = best_response_audit(eq, game, info, d=20_000, seed=55)
+        rep = best_response_audit(eq, game, d=20_000, seed=55)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -715,8 +715,7 @@ def test_duplicate_exact_iff_r1_fails_on_undirected_kernels(n, seed, lam):
     K = Kernel(grid, v + v.T)
     assume(real_eigenvalues(K).max() > 0.0)
     K = _scaled_to(K, lam)
-    if lam != 1.0:                  # at lambda_max = 1 rounding decides (R1)
-        assert check_r1(K) == (lam < 1.0)
+    assert check_r1(K) == (lam < 1.0)
     game = common_state_game(grid, K, 1.0, 1.0)
     rho = grid.weights * np.diag(K.values)
     if lam < 1.0:
@@ -742,12 +741,27 @@ def test_duplicate_exact_on_directed_positive_kernel(lam):
     _assert_exact_duplicate(duplicate_equilibria(game, d=2000, seed=24), lam)
 
 
+@pytest.mark.parametrize("n", [7, 10, 20, 40, 100])
+def test_eigenvalue_one_gets_one_verdict(n):
+    # lambda_max = 1 up to rounding, above or below 1 depending on n: every
+    # verdict reads kernels' one rule, so uniqueness is never claimed while
+    # the duplicate construction exhibits two equilibria
+    grid = uniform_grid(n)
+    K = constant_kernel(grid, 1.0)
+    rep = spectral_report(K)
+    assert not (check_r1(K) or check_r2(K) or rep.r1_holds or rep.r2_holds)
+    game = common_state_game(grid, K, 1.0, 1.0)
+    with pytest.raises(SingularMeanEquation):
+        solve_mean(game)
+    assert duplicate_equilibria(game, d=2000, seed=0).passed
+
+
 def test_duplicate_distance_is_the_l2_norm_of_the_loading_gap(monkeypatch):
     audited = []
     audit_of = montecarlo.best_response_audit
     monkeypatch.setattr(montecarlo, "best_response_audit",
-                        lambda eq, game, info, d, seed: audited.append(eq)
-                        or audit_of(eq, game, info, d, seed))
+                        lambda eq, game, d, seed: audited.append(eq)
+                        or audit_of(eq, game, d, seed))
     grid = uniform_grid(12)
     for r in (2.0, 1.5, 1.0):
         game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
