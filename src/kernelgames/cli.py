@@ -32,8 +32,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
-#: Most grid nodes a config may ask for; a dense joint covariance of a grid
-#: this size with one signal per node takes 128 MB.
+#: Most grid nodes a config may ask for.  With one signal per node, an info on
+#: a grid this size stores 64 MiB of signal blocks, and its construction checks
+#: a transient 128 MiB joint covariance.
 MAX_GRID_NODES = 2048
 
 #: Most Monte Carlo draws ``mc`` may ask for.  Every check streams its draws,
@@ -226,7 +227,10 @@ def _parse(section: str, cfg, *context, where: str = None):
               else default for key, (parse, default) in keys.items()}
     resolved = {key: v for key, v in dict(values, kind=kind).items()
                 if v is not None}
-    return build(*context, **values), resolved
+    try:
+        return build(*context, **values), resolved
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _load_config(args) -> dict:

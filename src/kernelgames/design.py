@@ -220,7 +220,7 @@ def _random_info(game: BasicGame, rng: np.random.Generator) -> GaussianInfo:
 def moment_from_equilibrium(eq) -> EquilibriumMoment:
     return EquilibriumMoment(eq.grid, eq.induced_action_cov,
                              eq.induced_action_state_cov,
-                             float(eq.info.joint_cov[0, 0]))
+                             float(eq.info.state_cov.values[0, 0]))
 
 
 @dataclass(frozen=True)

@@ -101,37 +101,45 @@ def common_state_game(grid: MeasureGrid, payoff: Kernel,
 
 @dataclass(frozen=True)
 class GaussianInfo:
-    """Joint Gaussian law of (theta-vector, all agents' signal vectors).
+    """Joint Gaussian law of the game's state process theta with the agents'
+    signals.  ``state_cov`` is the game's kernel, kept by reference; the
+    signals are stacked node by node in ``signal_mean``, ``signal_cov`` (D x D)
+    and ``cross_cov`` (D x n, Cov[signals, theta-vector]).  The joint
+    covariance passes ``_require_cov`` once, here, and is not kept."""
 
-    ``joint_cov`` is ordered with the n theta entries first, then the signal
-    blocks node by node; ``signal_mean`` stacks the signal means in the same
-    order.
-    """
-
-    grid: MeasureGrid
+    state_cov: Kernel
     signal_dims: np.ndarray
     signal_mean: np.ndarray
-    joint_cov: np.ndarray
+    signal_cov: np.ndarray
+    cross_cov: np.ndarray
 
     def __post_init__(self):
+        n = self.grid.n
         dims = np.array(self.signal_dims)
-        if (dims.dtype.kind not in "iu" or dims.shape != (self.grid.n,)
+        if (dims.dtype.kind not in "iu" or dims.shape != (n,)
                 or np.any(dims < 1)):
             raise ValueError("signal_dims must give a positive integer "
                              "dimension per node")
         dims = dims.astype(int, copy=False)
+        total = int(dims.sum())
         mean = _frozen(self.signal_mean)
-        cov = _frozen(self.joint_cov)
-        total = self.grid.n + int(dims.sum())
-        if mean.shape != (int(dims.sum()),):
+        sig = _frozen(self.signal_cov)
+        cross = _frozen(self.cross_cov)
+        if mean.shape != (total,):
             raise ValueError("signal_mean length must equal total signal dimension")
-        if cov.shape != (total, total):
-            raise ValueError("joint_cov must cover the theta block and all signals")
-        _require_cov(cov, "joint_cov")
+        if sig.shape != (total, total) or cross.shape != (total, n):
+            raise ValueError("signal_cov must be D x D and cross_cov D x n")
+        _require_cov(np.block([[self.state_cov.values, cross.T], [cross, sig]]),
+                     "joint_cov")
         dims.flags.writeable = False
         object.__setattr__(self, "signal_dims", dims)
         object.__setattr__(self, "signal_mean", mean)
-        object.__setattr__(self, "joint_cov", cov)
+        object.__setattr__(self, "signal_cov", sig)
+        object.__setattr__(self, "cross_cov", cross)
+
+    @property
+    def grid(self) -> MeasureGrid:
+        return self.state_cov.grid
 
     @property
     def total_dim(self) -> int:
@@ -151,7 +159,7 @@ class GaussianInfo:
 
         The blocks are factored in one batch per distinct signal dimension.
         """
-        csig = self.signal_block()
+        csig = self.signal_cov
         starts = self.offsets[:-1]
         for k in set(self.signal_dims.tolist()):    # np.unique imports numpy.ma
             rows = starts[self.signal_dims == k, None] + np.arange(k)    # (m, k)
@@ -171,40 +179,22 @@ class GaussianInfo:
         """Entry (i, t) of a (D, n) array for each signal coordinate i of node t."""
         return m[np.arange(self.total_dim), self._node_of()]
 
-    def signal_block(self) -> np.ndarray:
-        n = self.grid.n
-        return self.joint_cov[n:, n:]
-
-    def cross_block(self) -> np.ndarray:
-        """Cov[signals, theta-vector], shape (total_dim, n)."""
-        n = self.grid.n
-        return self.joint_cov[n:, :n]
-
 
 # ---------------------------------------------------------------------------
 # named information structures
 
-def _assemble_info(game: BasicGame, dims, signal_mean, sig_cov, cross) -> GaussianInfo:
-    """Stack (theta, signals) covariance blocks into a GaussianInfo.
-
-    ``cross`` is Cov[signals, theta-vector] with shape (D, n).
-    """
-    joint = np.block([[game.state_cov.values, cross.T], [cross, sig_cov]])
-    return GaussianInfo(game.grid, np.asarray(dims, int), np.asarray(signal_mean, float), joint)
-
-
 def no_info(game: BasicGame) -> GaussianInfo:
     """Every agent observes a degenerate (zero-variance) signal."""
     n = game.grid.n
-    return _assemble_info(game, np.ones(n, int), np.zeros(n),
-                          np.zeros((n, n)), np.zeros((n, n)))
+    return GaussianInfo(game.state_cov, np.ones(n, int), np.zeros(n),
+                        np.zeros((n, n)), np.zeros((n, n)))
 
 
 def full_info(game: BasicGame) -> GaussianInfo:
     """Every agent observes its own state exactly: x(t) = theta(t)."""
     n = game.grid.n
     S = game.state_cov.values
-    return _assemble_info(game, np.ones(n, int), game.state_mean.values, S, S)
+    return GaussianInfo(game.state_cov, np.ones(n, int), game.state_mean.values, S, S)
 
 
 def public_info(game: BasicGame, noise_var: float = 0.0) -> GaussianInfo:
@@ -219,7 +209,7 @@ def public_info(game: BasicGame, noise_var: float = 0.0) -> GaussianInfo:
     sig_cov = np.full((n, n), var_x)
     cross = np.tile(cross_row, (n, 1))
     mean = np.full(n, float(w @ game.state_mean.values))
-    return _assemble_info(game, np.ones(n, int), mean, sig_cov, cross)
+    return GaussianInfo(game.state_cov, np.ones(n, int), mean, sig_cov, cross)
 
 
 def private_iid_info(game: BasicGame, noise_var: float,
@@ -246,7 +236,8 @@ def private_iid_info(game: BasicGame, noise_var: float,
     else:
         N = noise_var * np.eye(n)
     S = game.state_cov.values
-    return _assemble_info(game, np.ones(n, int), game.state_mean.values, S + N, S)
+    return GaussianInfo(game.state_cov, np.ones(n, int), game.state_mean.values,
+                        S + N, S)
 
 
 def targeted_info(game: BasicGame, members) -> GaussianInfo:
@@ -259,14 +250,13 @@ def targeted_info(game: BasicGame, members) -> GaussianInfo:
     sig_cov = np.where(sel, S, 0.0)
     cross = np.where(mask[:, None], S, 0.0)
     mean = np.where(mask, game.state_mean.values, 0.0)
-    return _assemble_info(game, np.ones(n, int), mean, sig_cov, cross)
+    return GaussianInfo(game.state_cov, np.ones(n, int), mean, sig_cov, cross)
 
 
 def info_from_parts(game: BasicGame, signal_dims, signal_mean,
                     sig_cov, cross) -> GaussianInfo:
     """Custom structure from explicit signal covariance and signal-state cross."""
-    return _assemble_info(game, signal_dims, signal_mean,
-                          np.asarray(sig_cov, float), np.asarray(cross, float))
+    return GaussianInfo(game.state_cov, signal_dims, signal_mean, sig_cov, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +293,9 @@ def _coefficient_system(game: BasicGame, info: GaussianInfo):
     """Assemble (A, rhs) so equilibrium loadings solve c = A c + rhs."""
     node_of = info._node_of()
     A = game.payoff.values[np.ix_(node_of, node_of)] * game.grid.weights[node_of]
-    A *= info.signal_block()
+    A *= info.signal_cov
     A = info._own_pinv(A)
-    rhs = info._own_pinv(info._own_entries(info.cross_block()))  # P Cov[x_t, theta(t)]
+    rhs = info._own_pinv(info._own_entries(info.cross_cov))  # P Cov[x_t, theta(t)]
     return A, rhs
 
 
@@ -317,10 +307,10 @@ def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> None:
 
 def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEquilibrium:
     # Cov[f(s), x] summed over node s's block, then against each block of x
-    cov_fx = info._block_sum(c[:, None] * info.signal_block(), axis=0)
+    cov_fx = info._block_sum(c[:, None] * info.signal_cov, axis=0)
     xi = info._block_sum(cov_fx * c, axis=1)
     xi = 0.5 * (xi + xi.T)
-    zeta = info._block_sum(c * info._own_entries(info.cross_block()))
+    zeta = info._block_sum(c * info._own_entries(info.cross_cov))
     intercept = b - info._block_sum(c * info.signal_mean)
     return LinearEquilibrium(
         grid=game.grid,
@@ -338,9 +328,7 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquil
     dense solve of c = A c + rhs."""
     if not info.grid.same_nodes(game.grid):
         raise ValueError("game and information structure grids differ")
-    theta = info.joint_cov[:game.grid.n, :game.grid.n]
-    sc = game.state_cov.values
-    if np.max(np.abs(theta - sc)) > 1e-9 * (1.0 + np.abs(sc).max()):
+    if not np.array_equal(info.state_cov.values, game.state_cov.values):
         raise ValueError("information structure theta block does not match the game")
 
     A, rhs = _coefficient_system(game, info)

@@ -17,11 +17,14 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _floats(a) -> np.ndarray:
-    """``a`` as a float array, uncopied when it already is one."""
-    try:
-        return np.asarray(a, dtype=float)
-    except TypeError:
-        raise ValueError("expected an array of numbers") from None
+    """``a`` as a float array, uncopied when it already is one.  Its entries
+    must be ints or floats: a string, a boolean, None or a ragged nesting is a
+    ValueError, not a parsed or cast entry ("0.25" -> 0.25, True -> 1)."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf") and not all(
+            issubclass(k, (int, float, np.integer, np.floating)) and k is not bool
+            for k in set(map(type, np.array(a, dtype=object).flat))):
+        raise ValueError("expected an array of numbers")
+    return np.asarray(a, dtype=float)
 
 
 def _frozen(a) -> np.ndarray:

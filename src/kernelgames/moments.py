@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMoment
-from .game import (BasicGame, GaussianInfo, _assemble_info, relative_tol,
+from .game import (BasicGame, GaussianInfo, relative_tol,
                    second_moment_residuals, solve_mean)
 from .grid import GridFunction, MeasureGrid
 from .kernels import Kernel, check_r2, constant_kernel, psd_within
@@ -184,9 +184,8 @@ def construct_canonical_signals(m: EquilibriumMoment, game: BasicGame) -> Gaussi
 
     phi = solve_mean(game)
     n = m.grid.n
-    sig_cov = m.xi.values.copy()
     cross = np.outer(m.zeta.values, np.ones(n))  # Cov[x(t), theta(s)] = zeta(t)
-    return _assemble_info(game, np.ones(n, int), phi.values, sig_cov, cross)
+    return GaussianInfo(game.state_cov, np.ones(n, int), phi.values, m.xi.values, cross)
 
 
 def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
-from .game import BasicGame, LinearEquilibrium, _assemble_info, \
+from .game import BasicGame, GaussianInfo, LinearEquilibrium, \
     _require_cov, _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _at_least_one, _real_mask, operator_matrix
@@ -223,8 +223,8 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     Rw = game.payoff.values * game.grid.weights
     # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
     # k_t = P_t (Cov[x_t, aggregate] + Cov[x_t, theta(t)])
-    cov_x_f = info._block_sum(info.signal_block() * c, axis=1)   # Cov[x, f(t')]
-    k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
+    cov_x_f = info._block_sum(info.signal_cov * c, axis=1)   # Cov[x, f(t')]
+    k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_cov))
     # each block is the draws' c_t . x_t, then their k_t . x_t, per node;
     # the mean of the right-hand side leaves out the k_t . mu_t that the
     # second image already holds
@@ -234,7 +234,7 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     maps = np.zeros((info.total_dim, 2 * n))
     maps[coord, node] = c
     maps[coord, n + node] = k
-    _, blocks = _gaussian_blocks(info.signal_mean, info.signal_block(), d,
+    _, blocks = _gaussian_blocks(info.signal_mean, info.signal_cov, d,
                                  seed, maps)
 
     # per-node residual (count, mean, M2), and the sums of resid^2 and f^2
@@ -316,8 +316,8 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000,
     n = game.grid.n
     sig_cov = np.outer(c, c)
     np.fill_diagonal(sig_cov, 1.0)
-    info = _assemble_info(base_game, np.ones(n, int), np.zeros(n),
-                          sig_cov, np.zeros((n, n)))
+    info = GaussianInfo(game.state_cov, np.ones(n, int), np.zeros(n),
+                        sig_cov, np.zeros((n, n)))
     eq_f = _package_equilibrium(base_game, info, np.zeros(n), base_mean)
     eq_g = _package_equilibrium(base_game, info, phi, base_mean)
     audit_f = best_response_audit(eq_f, base_game, d=d, seed=seed)

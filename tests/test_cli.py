@@ -565,6 +565,30 @@ def test_config_schema_refuses_what_it_would_ignore(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+# a config array holds numbers only: a string is not parsed, a boolean is not
+# cast, and a ragged nesting is refused; the error line names the section
+@pytest.mark.parametrize("command, cfg, message", [
+    pytest.param("spectral", {"grid": {"coords": ["0.25", "0.75"],
+                                       "weights": [0.5, 0.5]}, "kernel": _CONST},
+                 "error: grid: expected an array of numbers", id="string-coords"),
+    pytest.param("spectral", {"grid": {"coords": [0.5], "weights": [True]},
+                              "kernel": _CONST},
+                 "error: grid: expected an array of numbers", id="boolean-weights"),
+    pytest.param("spectral", {"grid": {"coords": [0.1, [0.5], 0.7],
+                                       "weights": [0.3, 0.3, 0.4]},
+                              "kernel": _CONST},
+                 "error: grid: expected an array of numbers", id="ragged-coords"),
+    pytest.param("moments", _moments_cfg(
+        {"kind": "explicit", "xi": [["0.0"] * 6] * 6, "zeta": [0.0] * 6}),
+        "error: moment: expected an array of numbers", id="string-xi"),
+])
+def test_config_arrays_take_numbers_only(tmp_path, capsys, command, cfg, message):
+    assert cli.main([command, "--config", _write(tmp_path, "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # a kind that is not a string cannot be looked up (it may not be hashable);
 # every section refuses it, those without kinds too
 @pytest.mark.parametrize("command, cfg", [

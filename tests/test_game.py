@@ -219,8 +219,8 @@ def _dense_reference(game, info):
     n, D = game.grid.n, info.total_dim
     node_of = np.repeat(np.arange(n), info.signal_dims)
     off = np.concatenate(([0], np.cumsum(info.signal_dims)))
-    csig = info.joint_cov[n:, n:]
-    cross = info.joint_cov[n:, :n]
+    csig = info.signal_cov
+    cross = info.cross_cov
     P = np.zeros((D, D))
     for t in range(n):
         sl = slice(off[t], off[t + 1])
@@ -455,7 +455,11 @@ def test_game_rejects_non_psd_state_cov():
 
 
 def _info_of(joint, n=3):
-    return GaussianInfo(uniform_grid(n), np.ones(n, int), np.zeros(n), joint)
+    """The info whose joint covariance is ``joint``: its theta block is the
+    state kernel, and its upper-right block is read as the cross block's
+    transpose, so an asymmetry there cannot be given."""
+    return GaussianInfo(Kernel(uniform_grid(n), joint[:n, :n]), np.ones(n, int),
+                        np.zeros(n), joint[n:, n:], joint[n:, :n])
 
 
 def test_info_rejects_non_psd_joint_cov_with_min_eigenvalue():
@@ -468,7 +472,8 @@ def test_info_rejects_non_psd_joint_cov_with_min_eigenvalue():
 
 
 def test_info_rejects_asymmetric_joint_cov():
-    for n, i, j in ((3, 0, 4), (100, 130, 190)):
+    # a directed state kernel, then one signal-block entry
+    for n, i, j in ((3, 0, 1), (100, 130, 190)):
         joint = np.eye(2 * n)
         joint[i, j] = 1e-3
         with pytest.raises(ValueError, match="joint_cov must be symmetric"):
@@ -478,7 +483,7 @@ def test_info_rejects_asymmetric_joint_cov():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_info_rejects_non_finite_joint_cov_without_warning(bad):
     joint = np.eye(6)
-    joint[1, 4] = bad
+    joint[4, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="joint_cov must be finite"):
@@ -490,8 +495,10 @@ def test_info_takes_entries_near_the_float_limit_without_warning():
     joint = np.diag(np.full(6, 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(_info_of(joint).joint_cov, joint)
-        joint[0, 4], joint[4, 0] = 1e308, -1e308
+        info = _info_of(joint)
+        assert np.array_equal(info.signal_cov, joint[3:, 3:])
+        assert np.array_equal(info.cross_cov, joint[3:, :3])
+        joint[3, 4], joint[4, 3] = 1e308, -1e308
         with pytest.raises(ValueError, match="joint_cov must be symmetric"):
             _info_of(joint)
 
@@ -501,7 +508,7 @@ def test_info_rejects_tiny_asymmetry_without_touching_the_input():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 6))
     joint = x @ x.T
-    joint[0, 4] += 1e-14
+    joint[3, 4] += 1e-14
     before = joint.copy()
     with pytest.raises(ValueError, match="joint_cov must be symmetric"):
         _info_of(joint)
@@ -511,51 +518,56 @@ def test_info_rejects_tiny_asymmetry_without_touching_the_input():
 
 def test_value_objects_own_their_arrays():
     # one row per constructor and array: the stored array is a read-only
-    # copy, and the caller's own array stays writable and unshared
+    # C-contiguous copy, also of a Fortran-ordered input, and the caller's own
+    # array stays writable and unshared
     g = uniform_grid(3)
-    dims, mean, joint = np.ones(3, int), np.zeros(3), np.eye(6)
+    S = Kernel(g, np.eye(3))
+    dims, mean, sig, cross = np.ones(3, int), np.zeros(3), np.eye(3), np.zeros((3, 3))
     rows = [
         ("grid coords", lambda a: MeasureGrid(a, g.weights), g.coords, "coords"),
         ("grid weights", lambda a: MeasureGrid(g.coords, a), g.weights, "weights"),
         ("kernel values", lambda a: Kernel(g, a), np.eye(3), "values"),
         ("function values", g.function, np.ones(3), "values"),
-        ("info signal_dims", lambda a: GaussianInfo(g, a, mean, joint),
+        ("info signal_dims", lambda a: GaussianInfo(S, a, mean, sig, cross),
          dims, "signal_dims"),
-        ("info signal_mean", lambda a: GaussianInfo(g, dims, a, joint),
+        ("info signal_mean", lambda a: GaussianInfo(S, dims, a, sig, cross),
          mean, "signal_mean"),
-        ("info joint_cov", lambda a: GaussianInfo(g, dims, mean, a),
-         joint, "joint_cov"),
+        ("info signal_cov", lambda a: GaussianInfo(S, dims, mean, a, cross),
+         sig, "signal_cov"),
+        ("info cross_cov", lambda a: GaussianInfo(S, dims, mean, sig, a),
+         cross, "cross_cov"),
     ]
     for name, make, array, attr in rows:
-        array = array.copy()
+        array = np.asfortranarray(array.copy())
         before = array.copy()
         stored = getattr(make(array), attr)
         assert array.flags.writeable, name
         array += 1
         assert np.array_equal(stored, before), name
         assert not stored.flags.writeable, name
+        assert stored.flags.c_contiguous, name
 
 
-@pytest.mark.parametrize("dims, mean, joint, message", [
-    pytest.param(np.ones(3, int), [{}] * 3, np.eye(6),
+@pytest.mark.parametrize("dims, mean, sig, cross, message", [
+    pytest.param(np.ones(3, int), [{}] * 3, np.eye(3), np.zeros((3, 3)),
                  "expected an array of numbers", id="object-mean"),
-    pytest.param(np.ones(3, int), np.zeros(3), [[{}] * 6] * 6,
+    pytest.param(np.ones(3, int), np.zeros(3), [[{}] * 3] * 3, [[{}] * 3] * 3,
                  "expected an array of numbers", id="object-joint"),
-    pytest.param([1.7, 1.2, 1.0], np.zeros(3), np.eye(6),
+    pytest.param([1.7, 1.2, 1.0], np.zeros(3), np.eye(3), np.zeros((3, 3)),
                  "positive integer dimension", id="fractional-dims"),
 ])
-def test_info_rejects_non_numeric_arrays(dims, mean, joint, message):
+def test_info_rejects_non_numeric_arrays(dims, mean, sig, cross, message):
     with pytest.raises(ValueError, match=message):
-        GaussianInfo(uniform_grid(3), dims, mean, joint)
+        GaussianInfo(Kernel(uniform_grid(3), np.eye(3)), dims, mean, sig, cross)
 
 
 def test_info_accepts_rank_deficient_joint_cov():
     g = uniform_grid(400)
     game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
     full = full_info(game)       # rank one: every entry of the 800 x 800 is 1
-    assert np.all(full.joint_cov == 1.0)
+    assert np.all(full.signal_cov == 1.0) and np.all(full.cross_cov == 1.0)
     none = no_info(game)         # zero signal block
-    assert not np.any(none.signal_block())
+    assert not np.any(none.signal_cov)
 
 
 def test_info_build_runs_the_psd_verdict_once(monkeypatch):
@@ -566,7 +578,8 @@ def test_info_build_runs_the_psd_verdict_once(monkeypatch):
     _, info = _ragged_game_and_info(4)      # dims 1, 2, 3, 1
     calls.clear()
     _info_of(np.eye(6))
-    GaussianInfo(info.grid, info.signal_dims, info.signal_mean, info.joint_cov)
+    GaussianInfo(info.state_cov, info.signal_dims, info.signal_mean,
+                 info.signal_cov, info.cross_cov)
     assert calls == [(6, 6), (11, 11)]
 
 
@@ -576,6 +589,33 @@ def test_solve_rejects_info_of_another_theta_block():
     info = full_info(common_state_game(g, payoff, 0.0, 1.0))
     with pytest.raises(ValueError, match="theta block does not match the game"):
         solve_linear_equilibrium(common_state_game(g, payoff, 0.0, 2.0), info)
+
+
+def test_solve_rejects_a_state_cov_one_ulp_away():
+    g = uniform_grid(4)
+    payoff = constant_kernel(g, 0.5)
+    base = common_state_game(g, payoff, 0.0, 1.0)
+    info = full_info(base)
+    S = base.state_cov.values.copy()
+    S[1, 2] = S[2, 1] = np.nextafter(S[1, 2], 2.0)
+    near = BasicGame(g, payoff, base.state_mean, Kernel(g, S))
+    with pytest.raises(ValueError, match="theta block does not match the game"):
+        solve_linear_equilibrium(near, info)
+    # equal entry for entry: another kernel object with the same values
+    same = BasicGame(g, payoff, base.state_mean, Kernel(g, base.state_cov.values))
+    assert np.array_equal(solve_linear_equilibrium(same, info).coefficients,
+                          solve_linear_equilibrium(base, info).coefficients)
+
+
+def test_solve_accepts_a_game_sharing_the_info_state_cov():
+    g = uniform_grid(6)
+    base = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
+    info = private_iid_info(base, 0.5)
+    other = BasicGame(g, constant_kernel(g, -0.3), base.state_mean, info.state_cov)
+    eq = solve_linear_equilibrium(other, info)
+    assert eq.info.state_cov is base.state_cov
+    assert verify_moment_restrictions(eq, other).passed
+
 
 
 def test_info_grid_mismatch_rejected():

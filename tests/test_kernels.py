@@ -372,9 +372,8 @@ def test_one_psd_verdict_at_every_entry_point(bad, psd):
     entry_points = [
         lambda: BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0),
                           Kernel(g, cov)),
-        lambda: GaussianInfo(g, np.ones(n, int), np.zeros(n),
-                             np.block([[cov, np.zeros((n, n))],
-                                       [np.zeros((n, n)), np.eye(n)]])),
+        lambda: GaussianInfo(Kernel(g, cov), np.ones(n, int), np.zeros(n),
+                             np.eye(n), np.zeros((n, n))),
         lambda: verify_process(g, np.zeros(n), cov, 10, 0, np.zeros(n), [0]),
     ]
     if psd:

@@ -524,8 +524,8 @@ def _audit_image(eq, game):
     n, info = game.grid.n, eq.info
     c = eq.loading_vector()
     Rw = game.payoff.values * game.grid.weights
-    cov_x_f = info._block_sum(info.signal_block() * c, axis=1)
-    k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_block()))
+    cov_x_f = info._block_sum(info.signal_cov * c, axis=1)
+    k = info._own_pinv(info._own_entries(cov_x_f @ Rw.T + info.cross_cov))
     rhs_mean = (Rw @ eq.induced_mean.values + game.state_mean.values
                 - info._block_sum(info.signal_mean * k))
     node, D = info._node_of(), info.total_dim
@@ -540,7 +540,7 @@ def _one_shot_audit(eq, game, d, seed):
     rms, scale, passed)."""
     n = game.grid.n
     maps, rhs_mean = _audit_image(eq, game)
-    y = _one_shot_image(eq.info.signal_mean, eq.info.signal_block(), d, seed,
+    y = _one_shot_image(eq.info.signal_mean, eq.info.signal_cov, d, seed,
                         maps)
     f = eq.intercepts.values + y[:, :n]
     resid = f - rhs_mean - y[:, n:]
