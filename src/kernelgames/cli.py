@@ -33,8 +33,8 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 #: Most grid nodes a config may ask for.  With one signal per node, an info on
-#: a grid this size stores 64 MiB of signal blocks, and its construction checks
-#: a transient 128 MiB joint covariance.
+#: a grid this size stores 64 MiB of signal blocks; its PSD check factors at
+#: most a 128 MiB joint covariance, and 32 MiB of it under a common state.
 MAX_GRID_NODES = 2048
 
 #: Most Monte Carlo draws ``mc`` may ask for.  Every check streams its draws,

@@ -34,16 +34,20 @@ def _sym_pinv(mat: np.ndarray) -> np.ndarray:
     return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
-def _require_cov(cov: np.ndarray, name: str) -> None:
-    """The one covariance gate: ValueError unless ``cov`` is finite, exactly
-    symmetric and passes ``psd_within`` (the message then names the
-    smallest eigenvalue).  Nothing behind it repairs or re-checks ``cov``."""
-    if not np.all(np.isfinite(cov)):
+def _require_symmetric(a: np.ndarray, name: str) -> None:
+    """ValueError unless the one array ``a`` is finite and exactly symmetric."""
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
-    if not np.array_equal(cov, cov.T):
+    if not np.array_equal(a, a.T):
         raise ValueError(f"{name} must be symmetric")
+
+
+def _require_cov(cov, name: str) -> None:
+    """The one covariance gate: ValueError, naming the smallest eigenvalue,
+    unless ``cov`` (one array or its blocks), found finite and exactly
+    symmetric where each block entered, passes ``psd_within``."""
     if not psd_within(cov):
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
+        min_eig = float(np.linalg.eigvalsh(np.block(cov))[0])
         raise ValueError(f"{name} must be positive semidefinite (min eigenvalue "
                          f"{min_eig:.3e} < -tol {psd_tol(cov):.1e})")
 
@@ -61,6 +65,8 @@ class BasicGame:
         for obj in (self.payoff, self.state_mean, self.state_cov):
             if not obj.grid.same_nodes(self.grid):
                 raise ValueError("all game components must share the grid")
+        if not self.state_cov.undirected:       # a Kernel is finite
+            raise ValueError("state covariance must be symmetric")
         _require_cov(self.state_cov.values, "state covariance")
 
     def is_common_state(self) -> bool:
@@ -105,7 +111,7 @@ class GaussianInfo:
     signals.  ``state_cov`` is the game's kernel, kept by reference; the
     signals are stacked node by node in ``signal_mean``, ``signal_cov`` (D x D)
     and ``cross_cov`` (D x n, Cov[signals, theta-vector]).  The joint
-    covariance passes ``_require_cov`` once, here, and is not kept."""
+    covariance passes ``_require_cov`` once, here, as its blocks."""
 
     state_cov: Kernel
     signal_dims: np.ndarray
@@ -129,8 +135,12 @@ class GaussianInfo:
             raise ValueError("signal_mean length must equal total signal dimension")
         if sig.shape != (total, total) or cross.shape != (total, n):
             raise ValueError("signal_cov must be D x D and cross_cov D x n")
-        _require_cov(np.block([[self.state_cov.values, cross.T], [cross, sig]]),
-                     "joint_cov")
+        if not np.all(np.isfinite(cross)):
+            raise ValueError("joint_cov must be finite")
+        _require_symmetric(sig, "joint_cov")
+        if not self.state_cov.undirected:       # a Kernel is finite
+            raise ValueError("joint_cov must be symmetric")
+        _require_cov([[self.state_cov.values, cross.T], [cross, sig]], "joint_cov")
         dims.flags.writeable = False
         object.__setattr__(self, "signal_dims", dims)
         object.__setattr__(self, "signal_mean", mean)
@@ -309,6 +319,8 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
     # Cov[f(s), x] summed over node s's block, then against each block of x
     cov_fx = info._block_sum(c[:, None] * info.signal_cov, axis=0)
     xi = info._block_sum(cov_fx * c, axis=1)
+    # (c_s S_st) c_t and (c_t S_ts) c_s round apart, and ragged blocks add in
+    # a different order on the two axes: average so xi is an undirected Kernel
     xi = 0.5 * (xi + xi.T)
     zeta = info._block_sum(c * info._own_entries(info.cross_cov))
     intercept = b - info._block_sum(c * info.signal_mean)
@@ -328,7 +340,8 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquil
     dense solve of c = A c + rhs."""
     if not info.grid.same_nodes(game.grid):
         raise ValueError("game and information structure grids differ")
-    if not np.array_equal(info.state_cov.values, game.state_cov.values):
+    if (info.state_cov is not game.state_cov
+            and not np.array_equal(info.state_cov.values, game.state_cov.values)):
         raise ValueError("information structure theta block does not match the game")
 
     A, rhs = _coefficient_system(game, info)
@@ -345,10 +358,10 @@ def relative_tol(c: float, values) -> float:
     return c * (1.0 + float(np.max(np.abs(values), initial=0.0)))
 
 
-def second_moment_residuals(R: Kernel, xi: np.ndarray,
+def second_moment_residuals(A: np.ndarray, xi: np.ndarray,
                             zeta: np.ndarray) -> np.ndarray:
-    """Obedience |xi(t,t) - sum_t' w R xi(t,t') - zeta(t)| at each node."""
-    A = operator_matrix(R)
+    """Obedience |xi(t,t) - sum_t' A(t,t') xi(t,t') - zeta(t)| at each node
+    for the payoff's operator matrix A, or the one row all its rows repeat."""
     return np.abs(np.diag(xi) - np.sum(A * xi, axis=1) - zeta)
 
 
@@ -378,6 +391,7 @@ def verify_moment_restrictions(eq: LinearEquilibrium,
     if not eq.grid.same_nodes(game.grid):
         raise ValueError("equilibrium and game grids differ")
     b, xi = eq.induced_mean.values, eq.induced_action_cov.values
-    res1 = np.abs(b - operator_matrix(game.payoff) @ b - game.state_mean.values)
-    res2 = second_moment_residuals(game.payoff, xi, eq.induced_action_state_cov.values)
+    A = operator_matrix(game.payoff)
+    res1 = np.abs(b - A @ b - game.state_mean.values)
+    res2 = second_moment_residuals(A, xi, eq.induced_action_state_cov.values)
     return MomentReport(res1, res2, relative_tol(1e-8, b), relative_tol(1e-8, xi))

@@ -20,7 +20,7 @@ from .errors import InfeasibleMoment
 from .game import (BasicGame, GaussianInfo, relative_tol,
                    second_moment_residuals, solve_mean)
 from .grid import GridFunction, MeasureGrid
-from .kernels import Kernel, check_r2, constant_kernel, psd_within
+from .kernels import Kernel, check_r2, operator_matrix, psd_within
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class EquilibriumMoment:
     def _positive(self) -> bool:
         """``check_positivity``'s verdict, decided on first use and kept."""
         z = self.zeta.values[:, None]
-        M = np.block([[self.xi.values, z],
-                      [z.T, np.full((1, 1), float(self.state_var))]])
-        return psd_within(M)
+        return psd_within([[self.xi.values, z],
+                           [z.T, np.full((1, 1), float(self.state_var))]])
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,12 @@ def check_obedience(m: EquilibriumMoment, R: Kernel) -> float:
     """Max over nodes of |xi(t,t) - sum_t' w R xi(t,t') - zeta(t)|."""
     if not R.grid.same_nodes(m.grid):
         raise ValueError("payoff kernel grid does not match the moment")
-    return float(second_moment_residuals(R, m.xi.values, m.zeta.values).max())
+    return _obedience(m, operator_matrix(R))
+
+
+def _obedience(m: EquilibriumMoment, A: np.ndarray) -> float:
+    """``check_obedience`` under the operator matrix A or its one repeated row."""
+    return float(second_moment_residuals(A, m.xi.values, m.zeta.values).max())
 
 
 def check_positivity(m: EquilibriumMoment) -> bool:
@@ -103,7 +107,12 @@ class Feasibility:
 def check_feasibility(m: EquilibriumMoment, R: Kernel) -> Feasibility:
     """Whether ``m`` is an equilibrium moment of some information structure
     under the payoff kernel R: the one verdict on obedience and positivity."""
-    return Feasibility(check_obedience(m, R), relative_tol(1e-8, m.xi.values),
+    return _feasibility(m, check_obedience(m, R))
+
+
+def _feasibility(m: EquilibriumMoment, obedience_residual: float) -> Feasibility:
+    """The one verdict on ``m`` given its obedience residual."""
+    return Feasibility(obedience_residual, relative_tol(1e-8, m.xi.values),
                        check_positivity(m))
 
 
@@ -148,7 +157,7 @@ def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
     dd, iz, ceiling = double_integral(m), zeta_integral(m), 1.0 / (1.0 - r)
     var = m.state_var or 1.0    # zero variance: zeta = 0, normalized ceiling
     return BoundsReport(
-        **vars(check_feasibility(m, constant_kernel(m.grid, r))),
+        **vars(_feasibility(m, _obedience(m, r * m.grid.weights))),
         cauchy_slack=dd - iz * iz * (1.0 / var),
         diag_slack=diag_integral(m) - dd,
         ceiling_slack=ceiling * ceiling * var - dd,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, \
-    _require_cov, _sym_pinv, solve_mean, _package_equilibrium
+    _require_cov, _require_symmetric, _sym_pinv, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _at_least_one, _real_mask, operator_matrix
 
@@ -166,6 +166,7 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     cov = np.asarray(cov, float)
     if cov.shape != (mean.size, mean.size):
         raise ValueError("covariance shape must match the mean")
+    _require_symmetric(cov, "covariance")
     _require_cov(cov, "covariance")
     w = grid.weights
     idx = np.asarray(cond_nodes, dtype=int)

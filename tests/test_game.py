@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -490,6 +491,47 @@ def test_info_rejects_non_finite_joint_cov_without_warning(bad):
             _info_of(joint)
 
 
+@pytest.mark.parametrize("block, message", [
+    ("cross_cov", "joint_cov must be finite"),
+    ("signal_cov", "joint_cov must be symmetric"),
+    ("state_cov", "joint_cov must be symmetric"),
+])
+def test_info_rejects_each_block_where_it_enters(monkeypatch, block, message):
+    # a non-finite cross block, an asymmetric signal block and a directed
+    # state kernel are each refused before the PSD verdict reads the joint
+    g = uniform_grid(3)
+    blocks = {"state_cov": np.eye(3), "signal_cov": np.eye(3),
+              "cross_cov": np.zeros((3, 3))}
+    blocks[block][0, 1] = np.nan if block == "cross_cov" else 1e-3
+    calls = []
+    monkeypatch.setattr(game_module, "psd_within", calls.append)
+    with pytest.raises(ValueError, match=message):
+        GaussianInfo(Kernel(g, blocks["state_cov"]), np.ones(3, int),
+                     np.zeros(3), blocks["signal_cov"], blocks["cross_cov"])
+    assert calls == []
+
+
+def test_info_build_stays_below_the_size_of_its_joint():
+    # n = D = 300: the (n + D)^2 joint takes 2.88 MB; the gate reads its
+    # blocks, so the build's transient peak (peak minus the stored copies)
+    # stays below that for a common state under random signals and for
+    # full information, whose 600 rows are all equal
+    g = uniform_grid(300)
+    game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
+    joint_bytes = 600 ** 2 * 8
+    for info in (_random_info(game, np.random.default_rng(2)), full_info(game)):
+        parts = (info.state_cov, info.signal_dims, info.signal_mean,
+                 info.signal_cov, info.cross_cov)
+        tracemalloc.start()
+        try:
+            built = GaussianInfo(*parts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.signal_cov.nbytes + built.cross_cov.nbytes <= kept
+        assert peak - kept < joint_bytes
+
+
 def test_info_takes_entries_near_the_float_limit_without_warning():
     # cov + cov.T would overflow on this diagonal
     joint = np.diag(np.full(6, 1e308))
@@ -574,7 +616,8 @@ def test_info_build_runs_the_psd_verdict_once(monkeypatch):
     calls = []
     psd_within = game_module.psd_within
     monkeypatch.setattr(game_module, "psd_within",
-                        lambda sym: calls.append(sym.shape) or psd_within(sym))
+                        lambda sym: calls.append(np.block(sym).shape)
+                        or psd_within(sym))
     _, info = _ragged_game_and_info(4)      # dims 1, 2, 3, 1
     calls.clear()
     _info_of(np.eye(6))

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from kernelgames.cli import _Q_EXPR_NAMES, _parse
 from kernelgames.game import (BasicGame, GaussianInfo, common_state_game,
-                              full_info, private_iid_info)
+                              full_info, private_iid_info, public_info)
 from kernelgames.grid import MeasureGrid, uniform_grid
 from kernelgames.kernels import (Kernel, check_psd, check_r1, check_r2,
                                  constant_kernel, eigenvalues, graph_kernel,
@@ -339,6 +339,57 @@ def test_psd_within_factors_one_coordinate_per_run(monkeypatch):
     sizes.clear()
     m = np.eye(50) + 0.5        # no repeated rows: factored at full size
     assert psd_within(m) and sizes == [50]
+
+
+def _state_game(g, common, scale, rng):
+    if common:
+        return common_state_game(g, constant_kernel(g, 0.5), 0.0, scale)
+    x = rng.normal(size=(g.n, int(rng.integers(1, g.n + 1)))) * np.sqrt(scale)
+    cov = x @ x.T
+    return BasicGame(g, constant_kernel(g, 0.5), g.constant(0.0),
+                     Kernel(g, 0.5 * (cov + cov.T)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(common=st.booleans(),
+       signals=st.sampled_from(["full", "public", "private", "loadings"]),
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-3.0, 3.0),
+       shift=st.sampled_from([-100.0, -1.0, 0.0, 1.0]),
+       shifted=st.sampled_from(["state", "signal"]))
+def test_psd_within_reads_blocks_as_the_assembled_joint(
+        common, signals, n, seed, log_scale, shift, shifted):
+    # [[S, Z'], [Z, T]] from a common or general state with full, public,
+    # private or random-loading signals, whose runs of equal rows may cross
+    # the block boundary; one diagonal block moves by shift * 1e-9 * scale
+    rng = np.random.default_rng(seed)
+    g = uniform_grid(n)
+    scale = 10.0 ** log_scale
+    game = _state_game(g, common, scale, rng)
+    S = game.state_cov.values
+    if signals == "loadings":
+        L = rng.normal(size=(int(rng.integers(1, 2 * n + 1)), n))
+        B = rng.normal(size=(len(L), 2)) * np.sqrt(scale)
+        Z = L @ S
+        T = Z @ L.T + B @ B.T
+        T = 0.5 * (T + T.T)
+    else:
+        info = {"full": full_info,
+                "public": lambda game: public_info(game, 0.5 * scale),
+                "private": lambda game: private_iid_info(game, scale, False),
+                }[signals](game)
+        Z, T = info.cross_cov, info.signal_cov
+    delta = shift * 1e-9 * scale
+    if shifted == "state":
+        S = S + delta * np.eye(n)
+    else:
+        T = T + delta * np.eye(len(T))
+    blocks = [[S, Z.T], [Z, T]]
+    joint = np.block(blocks)
+    tol = psd_tol(joint)
+    assert psd_tol(blocks) == tol
+    assume(abs(np.linalg.eigvalsh(joint)[0] + tol) > 0.01 * tol)
+    assert psd_within(blocks) == _cholesky_passes(joint)
 
 
 def test_psd_within_merges_only_rows_equal_in_full():

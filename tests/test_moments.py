@@ -110,11 +110,25 @@ def test_positivity_is_decided_once_per_moment(monkeypatch):
     M, verdict = verdicts[0]
     z = m.zeta.values[:, None]
     var = np.full((1, 1), m.state_var)
-    assert np.array_equal(M, np.block([[m.xi.values, z], [z.T, var]]))
+    assert np.array_equal(np.block(M), np.block([[m.xi.values, z], [z.T, var]]))
     assert type(pos) is bool and pos is verdict is rep.positivity_ok
 
 
 # -- bounds ------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [-2.0, 0.0, 0.5, 0.9])
+def test_bounds_obedience_is_the_constant_kernel_obedience(r):
+    # bounds_check reads obedience from the repeated row r w of the constant
+    # kernel's operator matrix: the residual is the same float, bit for bit
+    grid = uniform_grid(40)
+    game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        eq = solve_linear_equilibrium(game, _random_info(game, rng))
+        m = moment_from_equilibrium(eq)
+        assert (bounds_check(m, r).obedience_residual
+                == check_obedience(m, constant_kernel(grid, r)))
+
 
 def test_bounds_full_disclosure_ceiling_binds():
     grid = uniform_grid(20)

@@ -118,8 +118,7 @@ def test_audit_runs_no_psd_verdict(monkeypatch):
     # the audit samples the signal block of an info that passed the gate
     eq, game = _bm_equilibrium(20)
     calls = []
-    monkeypatch.setattr(game_module, "psd_within",
-                        lambda sym: calls.append(sym.shape))
+    monkeypatch.setattr(game_module, "psd_within", calls.append)
     assert best_response_audit(eq, game, d=1_000, seed=1).passed
     assert calls == []
 
