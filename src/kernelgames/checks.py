@@ -239,8 +239,8 @@ def check_uniqueness(n_games: int = 20, n: int = 25, starts: int = 5,
             ok = False
             continue
         info = design._random_info(g, rng)
-        ref = game.solve_linear_equilibrium(g, info).loading_vector()
         A, rhs = game._coefficient_system(g, info)
+        ref = game._solve_coefficients(A, rhs)
         for _ in range(starts):
             c = _fixed_point_loadings(A, rhs, rng.normal(size=ref.size))
             worst = max(worst, float(np.max(np.abs(c - ref))))

@@ -301,8 +301,10 @@ def solve_mean(game: BasicGame) -> GridFunction:
 
 def _coefficient_system(game: BasicGame, info: GaussianInfo):
     """Assemble (A, rhs) so equilibrium loadings solve c = A c + rhs."""
-    node_of = info._node_of()
-    A = game.payoff.values[np.ix_(node_of, node_of)] * game.grid.weights[node_of]
+    A = game.payoff.values * game.grid.weights
+    if info.total_dim != game.grid.n:       # gather one row per signal
+        node_of = info._node_of()
+        A = A[np.ix_(node_of, node_of)]
     A *= info.signal_cov
     A = info._own_pinv(A)
     rhs = info._own_pinv(info._own_entries(info.cross_cov))  # P Cov[x_t, theta(t)]
@@ -313,6 +315,16 @@ def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> None:
     """NoConvergence unless c = A c + rhs within 1e-8 (1 + max|c|)."""
     if np.max(np.abs(c - (A @ c + rhs)), initial=0.0) > relative_tol(1e-8, c):
         raise NoConvergence("coefficient fixed point residual above tolerance")
+
+
+def _solve_coefficients(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The one dense solve of c = A c + rhs, checked by ``_require_fixed_point``."""
+    try:
+        c = np.linalg.solve(np.eye(rhs.size) - A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"direct coefficient solve failed: {exc}") from exc
+    _require_fixed_point(A, rhs, c)
+    return c
 
 
 def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEquilibrium:
@@ -344,12 +356,7 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquil
             and not np.array_equal(info.state_cov.values, game.state_cov.values)):
         raise ValueError("information structure theta block does not match the game")
 
-    A, rhs = _coefficient_system(game, info)
-    try:
-        c = np.linalg.solve(np.eye(rhs.size) - A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"direct coefficient solve failed: {exc}") from exc
-    _require_fixed_point(A, rhs, c)
+    c = _solve_coefficients(*_coefficient_system(game, info))
     return _package_equilibrium(game, info, c, solve_mean(game).values)
 
 

@@ -260,72 +260,22 @@ def _blocks(sym) -> list:
     return [[sym]] if isinstance(sym, np.ndarray) else sym
 
 
-def _diagonal(blocks, k: int = 0) -> np.ndarray:
-    """The diagonal (k = 0) or the subdiagonal (k = -1) of the matrix with
-    these blocks; across a block boundary it is the corner of the block below."""
-    parts = []
-    for i, row in enumerate(blocks):
-        if k and i:
-            parts.append(row[i - 1][:1, -1])
-        parts.append(row[i].diagonal(k))
-    return np.concatenate(parts)
-
-
 def psd_tol(sym) -> float:
     """The one PSD tolerance, 1e-8 (1 + max(max diag, 0)), of one array or a
     block list (``psd_within``); it does not grow with the size of ``sym``."""
-    return 1e-8 * (1.0 + float(np.max(_diagonal(_blocks(sym)), initial=0.0)))
-
-
-def _repeated_rows(blocks, offs: np.ndarray) -> np.ndarray:
-    """Mask of length N + 1: entry i is True iff rows i - 1 and i of the
-    symmetric matrix with these blocks (block rows starting at ``offs``) are
-    equal entry for entry; entries 0 and N are False.
-
-    Equal rows force sym[i - 1, i - 1] == sym[i, i - 1] == sym[i, i], an O(N)
-    prefilter; only stretches of candidates are then compared in full, one
-    block column at a time, copied only where a stretch crosses blocks.
-    """
-    diag, sub = _diagonal(blocks), _diagonal(blocks, -1)
-    same = np.zeros(len(diag) + 1, bool)
-    np.equal(diag[:-1], sub, out=same[1:-1])
-    same[1:-1] &= sub == diag[1:]
-    if same.any():
-        edges = np.flatnonzero(same[1:] != same[:-1]).tolist()
-        for a, b in zip(edges[::2], edges[1::2]):
-            for c in range(len(blocks)):        # rows a to b of block column c
-                rows = [row[c][max(a - lo, 0):max(b + 1 - lo, 0)]
-                        for row, lo in zip(blocks, offs)]
-                rows = [x for x in rows if len(x)]
-                rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-                same[a + 1:b + 1] &= np.all(rows[:-1] == rows[1:], axis=1)
-                del rows                # at most one copy alive
-    return same
-
-
-def _principal(blocks, offs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The principal submatrix on the sorted indices ``idx``, copied block by
-    block into one new array; a stretch of consecutive indices is a slice."""
-    cut = np.searchsorted(idx, offs)
-    local = [idx[cut[i]:cut[i + 1]] - lo for i, lo in enumerate(offs[:-1])]
-    local = [slice(x[0], x[-1] + 1) if x.size and x[-1] - x[0] == x.size - 1
-             else x for x in local]
-    out = np.empty((idx.size, idx.size))
-    for i, row in enumerate(blocks):
-        for j, blk in enumerate(row):
-            out[cut[i]:cut[i + 1], cut[j]:cut[j + 1]] = blk[local[i]][:, local[j]]
-    return out
+    diag = [row[i].diagonal() for i, row in enumerate(_blocks(sym))]
+    return 1e-8 * (1.0 + float(np.max(np.concatenate(diag), initial=0.0)))
 
 
 def psd_within(sym) -> bool:
     """True iff the symmetric matrix ``sym`` has no eigenvalue below
     -``psd_tol(sym)``: the library's one PSD verdict.  ``sym`` is one array
     or a block list in ``np.block``'s form, such as [[S, Z.T], [Z, T]]; it is
-    only read, and formed whole only when no two neighbouring rows are equal.
+    only read, and never assembled: the merged matrix is copied from it.
 
-    Each run of g consecutive equal rows, also one across a block boundary,
-    is merged first into one coordinate of variance g * sym[i, i] and cross
-    term sqrt(g h) * sym[i, j] with a run of h rows.  The run's other g - 1
+    Each run of g consecutive equal rows within one block row is merged first
+    into one coordinate of variance g * sym[i, i] and cross term
+    sqrt(g h) * sym[i, j] with a run of h rows.  The run's other g - 1
     eigenvalues are exactly 0 (sym (e_i - e_i+1) = 0 for equal rows i,
     i + 1), so sym passes iff the merged matrix does.  Decided by a Cholesky
     factorization of the merged matrix + tol * I, with tol taken from the
@@ -334,12 +284,24 @@ def psd_within(sym) -> bool:
     max diag at most, below the tolerance for any N up to several thousand.
     """
     blocks = _blocks(sym)
-    offs = np.cumsum([0] + [len(row[0]) for row in blocks])  # starts, then N
-    same = _repeated_rows(blocks, offs)
-    bounds = np.flatnonzero(~same)          # the first row of each run, then N
-    shifted = _principal(blocks, offs, bounds[:-1])
-    if same.any():
-        root = np.sqrt(np.diff(bounds))
+    first, runs = [], []        # per block row: each run's first row, length
+    for row in blocks:
+        n = len(row[0])
+        starts = np.arange(n) == 0  # row r starts a run unless it equals
+        for blk in row:             # row r - 1 in every block of its row
+            starts[1:] |= np.any(blk[1:] != blk[:-1], axis=1)
+        idx = np.flatnonzero(starts)
+        first.append(slice(None) if idx.size == n else idx)
+        runs.append(np.diff(idx, append=n))
+    offs = np.cumsum([0] + [len(r) for r in runs])
+    shifted = np.empty((offs[-1], offs[-1]))
+    for i, row in enumerate(blocks):
+        for j, blk in enumerate(row):
+            shifted[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = (
+                blk[first[i]][:, first[j]])
+    runs = np.concatenate(runs)
+    if np.any(runs > 1):
+        root = np.sqrt(runs)
         shifted *= root[:, None]
         shifted *= root
     shifted.flat[::len(shifted) + 1] += psd_tol(sym)

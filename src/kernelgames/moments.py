@@ -37,12 +37,8 @@ class EquilibriumMoment:
             raise ValueError("moment components must share the grid")
         if not self.xi.undirected:
             raise ValueError("xi must be undirected")
-        if np.any(self.xi.diag() < -1e-12 * (1 + np.abs(self.xi.values).max())):
-            raise ValueError("diagonal of xi must be non-negative")
         if self.state_var < 0:
             raise ValueError("state variance must be non-negative")
-        if self.state_var == 0 and np.any(self.zeta.values != 0):
-            raise ValueError("zero state variance forces zeta to vanish")
 
     @cached_property
     def _positive(self) -> bool:
@@ -155,7 +151,7 @@ def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
     if r >= 1:
         raise ValueError("bounds require r < 1")
     dd, iz, ceiling = double_integral(m), zeta_integral(m), 1.0 / (1.0 - r)
-    var = m.state_var or 1.0    # zero variance: zeta = 0, normalized ceiling
+    var = m.state_var or 1.0    # Var 0: a feasible zeta ~ 0; normalized ceiling
     return BoundsReport(
         **vars(_feasibility(m, _obedience(m, r * m.grid.weights))),
         cauchy_slack=dd - iz * iz * (1.0 / var),

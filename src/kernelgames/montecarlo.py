@@ -169,7 +169,7 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     _require_symmetric(cov, "covariance")
     _require_cov(cov, "covariance")
     w = grid.weights
-    idx = np.asarray(cond_nodes, dtype=int)
+    idx = grid.node_indices(cond_nodes)
     # each block is the draws' aggregate, then their conditioning coordinates
     maps = np.zeros((mean.size, 1 + idx.size))
     maps[:, 0] = w

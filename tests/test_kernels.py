@@ -331,8 +331,8 @@ def test_psd_within_factors_one_coordinate_per_run(monkeypatch):
     game = common_state_game(g, constant_kernel(g, 0.5))
     assert sizes == [1]         # the state covariance: one run of 50 rows
     sizes.clear()
-    full_info(game)             # x(t) = theta: all 100 rows are equal
-    assert sizes == [1]
+    full_info(game)             # x(t) = theta: all 100 rows are equal, but
+    assert sizes == [2]         # runs stop at the state/signal boundary
     sizes.clear()
     private_iid_info(game, 0.5, exact_lln=False)   # theta run + 50 signals
     assert sizes == [51]
@@ -399,7 +399,7 @@ def test_psd_within_merges_only_rows_equal_in_full():
     m = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
     assert np.linalg.eigvalsh(m)[0] < -0.1
     assert not psd_within(m)
-    # the same pair in a second stretch of candidates, after a true run
+    # the same pair in the same block row as a true run, after it
     big = np.zeros((6, 6))
     big[:2, :2] = 1.0
     big[2, 2] = 5.0

@@ -373,10 +373,11 @@ def test_moment_requires_undirected_xi():
 
 
 def test_zero_state_variance_forces_zero_zeta():
+    # the positivity verdict, not a second rule, rejects zeta != 0 at Var 0
     grid = uniform_grid(3)
     xi = constant_kernel(grid, 1.0)
-    with pytest.raises(ValueError):
-        EquilibriumMoment(grid, xi, grid.constant(0.5), 0.0)
+    m = EquilibriumMoment(grid, xi, grid.constant(0.5), 0.0)
+    assert check_positivity(m) is False
 
 
 def test_alpha_beta_recomputed():

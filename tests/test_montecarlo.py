@@ -114,6 +114,18 @@ def test_sample_rejects_asymmetric_or_non_finite_cov(entry, message):
         verify_process(uniform_grid(3), np.zeros(3), cov, 10, 0, np.ones(3), [0])
 
 
+@pytest.mark.parametrize("cond_nodes, message", [
+    ([-1], "out of range"),         # not node n - 1
+    ([3], "out of range"),          # not an IndexError
+    ([0.5], "is not an integer"),   # not node 0
+    ([True], "is not an integer"),  # not node 1
+])
+def test_process_rejects_bad_conditioning_nodes(cond_nodes, message):
+    with pytest.raises(ValueError, match=message):
+        verify_process(uniform_grid(3), np.zeros(3), np.eye(3), 10, 0,
+                       np.ones(3), cond_nodes)
+
+
 def test_audit_runs_no_psd_verdict(monkeypatch):
     # the audit samples the signal block of an info that passed the gate
     eq, game = _bm_equilibrium(20)

@@ -44,3 +44,26 @@ def test_every_public_name_has_a_caller():
         name for name in set(defined) - KEPT
         if len(re.findall(rf"\b{name}\b", text)) <= defined.count(name))
     assert not dead, f"public names with no caller: {dead}"
+
+
+def _cholesky_sites(tree, module):
+    """(module, enclosing function) of each use of a name `cholesky`: an
+    attribute such as `np.linalg.cholesky`, a bare name or an import."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "cholesky"
+                or isinstance(node, ast.Name) and node.id == "cholesky"
+                or isinstance(node, ast.alias) and node.name == "cholesky"):
+            yield module, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+    yield from visit(tree, None)
+
+
+def test_one_cholesky_call_site():
+    """The library's one PSD verdict is `kernels.psd_within`: no other code
+    in `src/` factors a matrix by Cholesky to decide positivity."""
+    sites = [site for p in sorted(PACKAGE.glob("*.py"))
+             for site in _cholesky_sites(ast.parse(p.read_text()), p.stem)]
+    assert sites == [("kernels", "psd_within")]
