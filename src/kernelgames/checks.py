@@ -69,10 +69,10 @@ def check_targeted_equilibrium(n: int = 200) -> CheckResult:
     grid = uniform_grid(n)
     worst = 0.0
     for r in (-2.0, 0.0, 0.5, 0.9):
+        g = game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
         for m in (0.0, 0.25, 0.5, 1.0):
             k = int(round(m * n))
             members = np.arange(k)
-            g = game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
             info = game.targeted_info(g, members)
             eq = game.solve_linear_equilibrium(g, info)
             target = design.targeted_equilibrium_moment(members, r, grid)
@@ -451,9 +451,10 @@ def check_feasibility_necessity(n_eqs: int = 100, n: int = 40,
     worst_slack = math.inf
     rs = (-2.0, 0.0, 0.5, 0.9)
     grid = uniform_grid(n)
+    games = [game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
+             for r in rs]
     for i in range(n_eqs):
-        r = rs[i % len(rs)]
-        g = game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
+        r, g = rs[i % len(rs)], games[i % len(rs)]
         info = design._random_info(g, rng)
         eq = game.solve_linear_equilibrium(g, info)
         rep = moments.bounds_check(design.moment_from_equilibrium(eq), r)

@@ -27,7 +27,8 @@ from .grid import MeasureGrid, uniform_grid
 from .kernels import Kernel, constant_kernel
 from .moments import DesignObjective, EquilibriumMoment, objective_value
 
-#: tie tolerance for regime boundary classification
+#: tie tolerance for regime boundary classification, BOUNDARY_TOL (1 + scale);
+#: ``cournot_policy`` holds m* to its closed form m within BOUNDARY_TOL (1 + |m|)
 BOUNDARY_TOL = 1e-12
 
 
@@ -235,13 +236,17 @@ class AuditReport:
         return self.max_excess <= self.tol
 
 
+#: no feasible moment beats the targeted optimum V* by OPTIMALITY_TOL (1 + |V*|)
+OPTIMALITY_TOL = 1e-6
+
+
 def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
                             seed: int, n: int = 100) -> AuditReport:
     """Sample feasible equilibrium moments and verify none beats the targeted
     optimum.  Moments are generated constructively: random Gaussian structures
     solved through the equilibrium solver, plus random targeted / symmetric /
     public structures, all on the normalized common state.  No moment may
-    exceed V* by more than 1e-6 (1 + |V*|).
+    exceed V* by more than OPTIMALITY_TOL (1 + |V*|).
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -272,7 +277,8 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
         else:
             mm = float(rng.uniform())
             consider(symmetric_moment(mm, r, grid, match_grid_obedience=True))
-    return AuditReport(max_excess, v_star, count, 1e-6 * (1.0 + abs(v_star)))
+    return AuditReport(max_excess, v_star, count,
+                       OPTIMALITY_TOL * (1.0 + abs(v_star)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +316,10 @@ def cournot_policy(lam: float, gamma: float) -> CournotReport:
     report = optimal_targeted(r, obj)
     full = lam == 0.0 or gamma <= 4.0 / lam - 3.0
     # the analytic classification and the regime report must agree
-    if full:
-        agree = report.regime == "T3" and abs(report.m_star - 1.0) <= 1e-12
-    else:
-        m_closed = lam / (lam * gamma - 4.0 * (1.0 - lam))
-        agree = report.regime == "T2" and abs(report.m_star - m_closed) <= 1e-12
-    if not agree:
+    regime, m_closed = (("T3", 1.0) if full
+                        else ("T2", lam / (lam * gamma - 4.0 * (1.0 - lam))))
+    if (report.regime != regime or abs(report.m_star - m_closed)
+            > BOUNDARY_TOL * (1.0 + abs(m_closed))):
         raise RuntimeError("Cournot classification disagrees with the "
                            "targeted-disclosure optimum")
     return CournotReport(u, v, w, r, report.regime, report.m_star,

@@ -16,20 +16,30 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
-from .grid import GridFunction, MeasureGrid, _frozen
+from .grid import WEIGHT_SUM_TOL, GridFunction, MeasureGrid, _frozen
 from .kernels import Kernel, _is_one, eigenvalues, operator_matrix, psd_tol, psd_within
+
+
+#: an eigenvalue of a PSD matrix up to RANK_CUTOFF lambda_max counts as zero
+RANK_CUTOFF = 1e-10
+
+
+def _nonzero_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """Which of the ascending eigenvalues of a PSD matrix, or of each matrix
+    in a stack, count as nonzero: those above RANK_CUTOFF lambda_max and at
+    least the smallest normal float (whose reciprocal overflows)."""
+    return (lam > RANK_CUTOFF * lam[..., -1:]) & (lam >= np.finfo(float).tiny)
 
 
 def _sym_pinv(mat: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a symmetric PSD matrix, or of each matrix in a stack
     (k, d, d), read as it is: its inputs are principal blocks of covariances
-    that passed ``_require_cov``.  Eigenvalues up to 1e-10 times the largest,
-    or below the smallest normal float (whose reciprocal overflows), count
-    as zero."""
+    that passed ``_require_cov``.  Eigenvalues that ``_nonzero_eigenvalues``
+    drops count as zero."""
     if mat.size == 0:
         return mat
     lam, vec = np.linalg.eigh(mat)
-    keep = (lam > 1e-10 * lam[..., -1:]) & (lam >= np.finfo(float).tiny)
+    keep = _nonzero_eigenvalues(lam)
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
 
@@ -50,6 +60,15 @@ def _require_cov(cov, name: str) -> None:
         min_eig = float(np.linalg.eigvalsh(np.block(cov))[0])
         raise ValueError(f"{name} must be positive semidefinite (min eigenvalue "
                          f"{min_eig:.3e} < -tol {psd_tol(cov):.1e})")
+
+
+#: the mean equation (I - A) b = E[theta] holds within MEAN_TOL (1 + max|b|)
+MEAN_TOL = 1e-8
+
+
+def _mean_residuals(A: np.ndarray, b: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """|b - A b - mu| at each node, for the payoff's operator matrix A."""
+    return np.abs(b - A @ b - mu)
 
 
 @dataclass(frozen=True)
@@ -90,8 +109,7 @@ class BasicGame:
         except np.linalg.LinAlgError as exc:
             raise SingularMeanEquation("mean equation matrix I - A is singular "
                                        "in floating point") from exc
-        scale = 1.0 + float(np.max(np.abs(phi)))
-        if np.max(np.abs(phi - A @ phi - mu)) > 1e-9 * scale:
+        if np.max(_mean_residuals(A, phi, mu)) > relative_tol(MEAN_TOL, phi):
             raise SingularMeanEquation("mean equation residual above tolerance")
         return self.grid.function(phi)
 
@@ -237,7 +255,7 @@ def private_iid_info(game: BasicGame, noise_var: float,
     n = game.grid.n
     w = game.grid.weights
     if exact_lln:
-        if not np.allclose(w, 1.0 / n, rtol=0.0, atol=1e-12):
+        if not np.allclose(w, 1.0 / n, rtol=0.0, atol=WEIGHT_SUM_TOL):
             raise ValueError("exact_lln noise requires a uniform grid")
         if n == 1:
             N = np.zeros((1, 1))
@@ -286,6 +304,7 @@ class LinearEquilibrium:
     induced_action_state_cov: GridFunction
 
     def loading_vector(self) -> np.ndarray:
+        # no library caller; perfbench/workloads.py reads it
         return self.coefficients
 
     @property
@@ -311,9 +330,14 @@ def _coefficient_system(game: BasicGame, info: GaussianInfo):
     return A, rhs
 
 
+#: equilibrium loadings solve c = A c + rhs within COEFFICIENT_TOL (1 + max|c|)
+COEFFICIENT_TOL = 1e-8
+
+
 def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> None:
-    """NoConvergence unless c = A c + rhs within 1e-8 (1 + max|c|)."""
-    if np.max(np.abs(c - (A @ c + rhs)), initial=0.0) > relative_tol(1e-8, c):
+    """NoConvergence unless c = A c + rhs within COEFFICIENT_TOL (1 + max|c|)."""
+    if (np.max(np.abs(c - (A @ c + rhs)), initial=0.0)
+            > relative_tol(COEFFICIENT_TOL, c)):
         raise NoConvergence("coefficient fixed point residual above tolerance")
 
 
@@ -365,6 +389,10 @@ def relative_tol(c: float, values) -> float:
     return c * (1.0 + float(np.max(np.abs(values), initial=0.0)))
 
 
+#: obedience holds within OBEDIENCE_TOL (1 + max|xi|)
+OBEDIENCE_TOL = 1e-8
+
+
 def second_moment_residuals(A: np.ndarray, xi: np.ndarray,
                             zeta: np.ndarray) -> np.ndarray:
     """Obedience |xi(t,t) - sum_t' A(t,t') xi(t,t') - zeta(t)| at each node
@@ -375,7 +403,7 @@ def second_moment_residuals(A: np.ndarray, xi: np.ndarray,
 @dataclass(frozen=True)
 class MomentReport:
     """Residuals of the two moment restrictions, each with its tolerance
-    1e-8 (1 + max|b|) and 1e-8 (1 + max|xi|)."""
+    MEAN_TOL (1 + max|b|) and OBEDIENCE_TOL (1 + max|xi|)."""
 
     moment1_residuals: np.ndarray
     moment2_residuals: np.ndarray
@@ -399,6 +427,7 @@ def verify_moment_restrictions(eq: LinearEquilibrium,
         raise ValueError("equilibrium and game grids differ")
     b, xi = eq.induced_mean.values, eq.induced_action_cov.values
     A = operator_matrix(game.payoff)
-    res1 = np.abs(b - A @ b - game.state_mean.values)
+    res1 = _mean_residuals(A, b, game.state_mean.values)
     res2 = second_moment_residuals(A, xi, eq.induced_action_state_cov.values)
-    return MomentReport(res1, res2, relative_tol(1e-8, b), relative_tol(1e-8, xi))
+    return MomentReport(res1, res2, relative_tol(MEAN_TOL, b),
+                        relative_tol(OBEDIENCE_TOL, xi))

@@ -260,11 +260,15 @@ def _blocks(sym) -> list:
     return [[sym]] if isinstance(sym, np.ndarray) else sym
 
 
+#: PSD iff no eigenvalue lies below -PSD_TOL (1 + max(max diag, 0))
+PSD_TOL = 1e-8
+
+
 def psd_tol(sym) -> float:
-    """The one PSD tolerance, 1e-8 (1 + max(max diag, 0)), of one array or a
-    block list (``psd_within``); it does not grow with the size of ``sym``."""
+    """The one PSD tolerance, PSD_TOL (1 + max(max diag, 0)), of one array or
+    a block list (``psd_within``); it does not grow with the size of ``sym``."""
     diag = [row[i].diagonal() for i, row in enumerate(_blocks(sym))]
-    return 1e-8 * (1.0 + float(np.max(np.concatenate(diag), initial=0.0)))
+    return PSD_TOL * (1.0 + float(np.max(np.concatenate(diag), initial=0.0)))
 
 
 def psd_within(sym) -> bool:

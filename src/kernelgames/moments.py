@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMoment
-from .game import (BasicGame, GaussianInfo, relative_tol,
+from .game import (OBEDIENCE_TOL, BasicGame, GaussianInfo, relative_tol,
                    second_moment_residuals, solve_mean)
 from .grid import GridFunction, MeasureGrid
 from .kernels import Kernel, check_r2, operator_matrix, psd_within
@@ -89,7 +89,7 @@ def check_positivity(m: EquilibriumMoment) -> bool:
 
 @dataclass(frozen=True)
 class Feasibility:
-    """Obedience (within 1e-8 (1 + max|xi|)) and positivity of a moment."""
+    """Obedience within OBEDIENCE_TOL (1 + max|xi|) and positivity of a moment."""
 
     obedience_residual: float
     obedience_tol: float
@@ -108,7 +108,7 @@ def check_feasibility(m: EquilibriumMoment, R: Kernel) -> Feasibility:
 
 def _feasibility(m: EquilibriumMoment, obedience_residual: float) -> Feasibility:
     """The one verdict on ``m`` given its obedience residual."""
-    return Feasibility(obedience_residual, relative_tol(1e-8, m.xi.values),
+    return Feasibility(obedience_residual, relative_tol(OBEDIENCE_TOL, m.xi.values),
                        check_positivity(m))
 
 
@@ -130,7 +130,7 @@ def zeta_integral(m: EquilibriumMoment) -> float:
 class BoundsReport(Feasibility):
     """Feasibility of a moment and the slacks of the three bounds it implies,
     in the units of xi; it passes when feasible and every slack is >= -tol,
-    tol = 1e-9 (1 + max|xi|)."""
+    tol = BOUNDS_TOL (1 + max|xi|)."""
 
     cauchy_slack: float      # double-int xi - (int zeta)^2
     diag_slack: float        # int xi(t,t) - double-int xi
@@ -141,6 +141,10 @@ class BoundsReport(Feasibility):
     def passed(self) -> bool:
         return self.feasible and (min(self.cauchy_slack, self.diag_slack,
                                       self.ceiling_slack) >= -self.tol)
+
+
+#: a feasible moment meets each of its bounds within BOUNDS_TOL (1 + max|xi|)
+BOUNDS_TOL = 1e-9
 
 
 def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
@@ -157,7 +161,7 @@ def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
         cauchy_slack=dd - iz * iz * (1.0 / var),
         diag_slack=diag_integral(m) - dd,
         ceiling_slack=ceiling * ceiling * var - dd,
-        tol=relative_tol(1e-9, m.xi.values),
+        tol=relative_tol(BOUNDS_TOL, m.xi.values),
     )
 
 
@@ -193,6 +197,12 @@ def construct_canonical_signals(m: EquilibriumMoment, game: BasicGame) -> Gaussi
     return GaussianInfo(game.state_cov, np.ones(n, int), phi.values, m.xi.values, cross)
 
 
+#: the levels of xi and of zeta agree across nodes within SYMMETRY_TOL (1 +
+#: their max), and 1 - r Corr[f, f'] vanishes below VANISHING_TOL (1 + |r Corr|)
+SYMMETRY_TOL = 1e-9
+VANISHING_TOL = 1e-15
+
+
 def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
     """Residual of the symmetric standard-deviation identity
     Sd[f] = Corr[f, theta] / (1 - r Corr[f, f']) * Sd[theta],
@@ -202,10 +212,9 @@ def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
     n = m.grid.n
     var_f = float(xi[0, 0])
     cov_ff = float(xi[0, 1]) if n > 1 else var_f
-    # equal across nodes up to a relative spread of 1e-9
     two_level = np.where(np.eye(n, dtype=bool), var_f, cov_ff)
-    if (np.max(np.abs(xi - two_level)) > relative_tol(1e-9, xi)
-            or np.max(np.abs(zeta - zeta[0])) > relative_tol(1e-9, zeta)):
+    if (np.max(np.abs(xi - two_level)) > relative_tol(SYMMETRY_TOL, xi)
+            or np.max(np.abs(zeta - zeta[0])) > relative_tol(SYMMETRY_TOL, zeta)):
         raise ValueError("moment is not symmetric across nodes")
     var_t = float(m.state_var)
     if var_f <= 0.0 or var_t <= 0.0:
@@ -214,6 +223,6 @@ def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
     corr_ft = float(zeta[0]) / (sd_f * sd_t)
     corr_ff = cov_ff / var_f
     den = 1.0 - r * corr_ff
-    if abs(den) < 1e-15:
+    if abs(den) < relative_tol(VANISHING_TOL, r * corr_ff):
         raise ValueError("identity denominator vanished (r Corr[f, f'] = 1)")
     return abs(sd_f - corr_ft * sd_t / den)

@@ -4,9 +4,9 @@ linear-quadratic example.
 
 Sampling is seeded and reproducible; statistical checks report z-scores
 against standard errors, while identities that are exact in linear algebra
-(covariance exchange, conditional aggregation) are judged within 1e-9 times
-(1 + their rounding scale), using the Monte Carlo draws only as evaluation
-points.
+(covariance exchange, conditional aggregation) are judged within EXACT_TOL
+times (1 + their rounding scale), using the Monte Carlo draws only as
+evaluation points.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, \
-    _require_cov, _require_symmetric, _sym_pinv, solve_mean, _package_equilibrium
+    _nonzero_eigenvalues, _require_cov, _require_symmetric, _sym_pinv, \
+    relative_tol, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _at_least_one, _real_mask, operator_matrix
 
-GENERATOR_ID = "pcg64-spectral-v2"
+GENERATOR_ID = "pcg64-spectral-v3"
 
 #: standard errors a sampled mean or variance may stray from its target
 TOL_SE = 4.0
@@ -38,18 +39,18 @@ def _gaussian_blocks(mean, cov, d: int, seed: int, maps):
     (len(mean), p) matrix; the raw draws are never formed.  clamp is
     max(0, -lambda_min) of ``cov``.
 
-    The factor keeps the eigenpairs with lambda > 1e-12 lambda_max, r of
-    them, so each block is mean @ maps + z @ (factor.T @ maps) for the next
-    max(1, ``_BLOCK_VALUES`` // max(r, p)) rows z of r standard normals of
-    the seeded stream: the draws do not depend on the block size, maps = I
-    yields the draws themselves bit for bit, and a zero covariance draws no
-    normals.
+    The factor keeps the r eigenpairs that ``game._nonzero_eigenvalues``
+    counts as nonzero, so each block is mean @ maps + z @ (factor.T @ maps)
+    for the next max(1, ``_BLOCK_VALUES`` // max(r, p)) rows z of r standard
+    normals of the seeded stream: the draws do not depend on the block size,
+    maps = I yields the draws themselves bit for bit, and a zero covariance
+    draws no normals.
     """
     if d < 2:
         raise ValueError(f"d = {d} draws; the sampled statistics need d >= 2")
     lam, vec = np.linalg.eigh(cov)
     # eigh sorts lam ascending, so the kept eigenpairs are its last ones
-    top = np.searchsorted(lam, 1e-12 * lam[-1], side="right")
+    top = lam.size - np.count_nonzero(_nonzero_eigenvalues(lam))
     # (maps.T @ factor).T, not factor.T @ maps: with maps = I it is the
     # factor's transposed view, the layout for which z @ image_t rounds as
     # z @ factor.T does (a C-ordered copy rounds small blocks differently)
@@ -96,13 +97,18 @@ def _merge_moments(moments, block):
     return count, mean, m2
 
 
+#: beyond TOL_SE se, a sampled statistic may stray ROUNDING_TOL (1 + |expected|)
+ROUNDING_TOL = 1e-12
+
+
 def verify_aggregate_mean(moments, grid: MeasureGrid, mean) -> MCReport:
     """Empirical mean of the sampled aggregates (draws @ weights) vs the
     quadrature of means; ``moments`` is their (count d >= 2, mean, M2)."""
     expected = float(grid.weights @ np.asarray(mean, float))
     d, stat, m2 = moments
     stat, se = float(stat), math.sqrt(m2 / (d - 1)) / math.sqrt(d)
-    return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
+    return MCReport(stat, expected, se, abs(stat - expected)
+                    <= TOL_SE * se + relative_tol(ROUNDING_TOL, expected))
 
 
 def verify_aggregate_variance(moments, grid: MeasureGrid, cov) -> MCReport:
@@ -115,19 +121,24 @@ def verify_aggregate_variance(moments, grid: MeasureGrid, cov) -> MCReport:
     stat = float(m2 / (d - 1))
     # variance-of-sample-variance for a Gaussian statistic (at stat if zero)
     se = (expected or stat) * math.sqrt(2.0 / (d - 1))
-    return MCReport(stat, expected, se, abs(stat - expected) <= TOL_SE * se + 1e-12)
+    return MCReport(stat, expected, se, abs(stat - expected)
+                    <= TOL_SE * se + relative_tol(ROUNDING_TOL, expected))
+
+
+#: the exact identities hold on the draws within EXACT_TOL (1 + rounding scale)
+EXACT_TOL = 1e-9
 
 
 def covariance_exchange_residual(cov, grid: MeasureGrid, x_coeffs) -> MCReport:
     """Exact identity Cov[x, aggregate f] = integral of Cov[x, f(t)] for x =
     a . f, a = ``x_coeffs``: |(a Sigma) w - a (Sigma w)|, the statistic, is
-    judged within 1e-9 (1 + |a|' |Sigma| w)."""
+    judged within EXACT_TOL (1 + |a|' |Sigma| w)."""
     cov = np.asarray(cov, float)
     a = np.asarray(x_coeffs, float)
     w = grid.weights
     res = abs(float((a @ cov) @ w) - float(a @ (cov @ w)))
     scale = float(np.abs(a) @ np.abs(cov) @ w)
-    return MCReport(res, 0.0, 0.0, res <= 1e-9 * (1.0 + scale))
+    return MCReport(res, 0.0, 0.0, res <= EXACT_TOL * (1.0 + scale))
 
 
 @dataclass(frozen=True)
@@ -157,10 +168,11 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
     Conditioning and aggregation commute: at each draw, the conditional mean
     of the aggregate equals the aggregate of conditional means.  Both sides
     use the conditional Gaussian formula; the identity is exact, so the max
-    discrepancy over draws must be within 1e-9 s, where s = 1 + |int mean| +
-    max|x_c - mean_c| ||P||_inf max|Sigma[:, c]| bounds the rounding through
-    the block pseudo-inverse P.  Only the aggregates' running moments and
-    the two maxima outlive a block, so memory does not grow with ``d``.
+    discrepancy over draws must be within EXACT_TOL s, where s = 1 +
+    |int mean| + max|x_c - mean_c| ||P||_inf max|Sigma[:, c]| bounds the
+    rounding through the block pseudo-inverse P.  Only the aggregates'
+    running moments and the two maxima outlive a block, so memory does not
+    grow with ``d``.
     """
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
@@ -197,7 +209,7 @@ def verify_process(grid: MeasureGrid, mean, cov, d: int, seed: int,
         verify_aggregate_mean(moments, grid, mean),
         verify_aggregate_variance(moments, grid, cov),
         covariance_exchange_residual(cov, grid, x_coeffs),
-        MCReport(disc, 0.0, 0.0, disc <= 1e-9 * scale), clamp)
+        MCReport(disc, 0.0, 0.0, disc <= EXACT_TOL * scale), clamp)
 
 
 @dataclass(frozen=True)
@@ -206,6 +218,12 @@ class NodeAuditReport:
     rms: np.ndarray
     scale: float
     passed: bool
+
+
+#: at each node the best-response residual has mean within TOL_SE se +
+#: AUDIT_MEAN_TOL s and root mean square within AUDIT_RMS_TOL s, s = 1 + rms f
+AUDIT_MEAN_TOL = 1e-8
+AUDIT_RMS_TOL = 1e-6
 
 
 def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
@@ -220,7 +238,7 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     memory does not grow with ``d``.
     """
     n, info = game.grid.n, eq.info
-    c = eq.loading_vector()
+    c = eq.coefficients
     Rw = game.payoff.values * game.grid.weights
     # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
     # k_t = P_t (Cov[x_t, aggregate] + Cov[x_t, theta(t)])
@@ -253,8 +271,8 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     scale = 1.0 + math.sqrt(f_sq / (d * n))
     se = np.sqrt(m2 / (d - 1)) / math.sqrt(d)
     rms = np.sqrt(sq / d)
-    mean_ok = np.abs(means) <= TOL_SE * se + 1e-8 * scale
-    rms_ok = rms <= 1e-6 * scale
+    mean_ok = np.abs(means) <= TOL_SE * se + AUDIT_MEAN_TOL * scale
+    rms_ok = rms <= AUDIT_RMS_TOL * scale
     mean_z = np.divide(means, se, out=np.zeros(n), where=se > 0)
     return NodeAuditReport(mean_z, rms, scale, bool(np.all(mean_ok & rms_ok)))
 
@@ -325,7 +343,7 @@ def duplicate_equilibria(game: BasicGame, d: int = 100_000,
     audit_g = best_response_audit(eq_g, base_game, d=d, seed=seed + 1)
     # g - f = (c_g - c_f)_t x(t) with E x(t) = 0: ||g - f||^2 is the
     # integral of (c_g - c_f)_t^2 Var x(t)
-    gap = eq_g.loading_vector() - eq_f.loading_vector()
+    gap = eq_g.coefficients - eq_f.coefficients
     distance = math.sqrt(float(np.sum(w * gap ** 2 * np.diag(sig_cov))))
     return DuplicateReport(lam, distance, audit_f, audit_g)
 

@@ -137,12 +137,21 @@ def test_audit_runs_no_psd_verdict(monkeypatch):
 
 def _one_shot_normals(cov, d, seed):
     """(z, factor): the whole (d, rank) standard normal array and the spectral
-    factor of ``cov``, truncated to its eigenvalues above 1e-12 lambda_max."""
+    factor of ``cov``, truncated to the eigenvalues that count as nonzero."""
     lam, vec = np.linalg.eigh(cov)
-    keep = lam > 1e-12 * lam.max()
+    keep = game_module._nonzero_eigenvalues(lam)
     factor = vec[:, keep] * np.sqrt(lam[keep])
     z = np.random.default_rng(seed).standard_normal((d, factor.shape[1]))
     return z, factor
+
+
+def test_pseudo_inverse_and_sampler_keep_the_same_eigenpairs():
+    # eigenvalues on either side of 1e-10 and 1e-12 times the largest: the
+    # block pseudo-inverse and the sampler count the same ones as zero
+    cov = np.diag([2.0, 2e-11, 2e-13])
+    kept_pinv = np.diag(game_module._sym_pinv(cov)) != 0.0
+    kept_draws = np.any(_draws(np.zeros(3), cov, 100, seed=0) != 0.0, axis=0)
+    assert kept_pinv.tolist() == kept_draws.tolist() == [True, False, False]
 
 
 def _one_shot_draws(mean, cov, d, seed):

@@ -67,3 +67,51 @@ def test_one_cholesky_call_site():
     sites = [site for p in sorted(PACKAGE.glob("*.py"))
              for site in _cholesky_sites(ast.parse(p.read_text()), p.stem)]
     assert sites == [("kernels", "psd_within")]
+
+
+#: (module, enclosing function) whose small float literals the ledger test
+#: leaves alone
+LEDGER_EXEMPT = {
+    # the common-state tests of a game and of the canonical construction go
+    # when moments take any state process; they keep their own 1e-9 until then
+    ("game", "is_common_state"),
+    ("moments", "construct_canonical_signals"),
+}
+
+
+def _small_float_sites(tree, module):
+    """(module, enclosing function, value) of each float literal x with
+    0 < |x| < 1e-3, except the value of a module-level assignment to an
+    UPPER_CASE name: that is where a criterion is named."""
+    named = {id(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and all(isinstance(t, ast.Name) and t.id.isupper()
+                     for t in node.targets)}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if id(node) in named:
+            return
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-3):
+            yield module, where, node.value
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+    yield from visit(tree, None)
+
+
+def test_every_criterion_is_a_named_constant():
+    """Each tolerance, cutoff or floor of the library is one module-level
+    UPPER_CASE constant, read by name where a verdict applies it, so no
+    criterion is written twice or set at a call site.
+
+    `checks.py` is left out: its battery thresholds are the batteries' own
+    acceptance criteria, each read once in its battery.  So are the two
+    rules of ``LEDGER_EXEMPT``, which go with the common-state tests they
+    belong to.
+    """
+    sites = [site for p in sorted(PACKAGE.glob("*.py")) if p.name != "checks.py"
+             for site in _small_float_sites(ast.parse(p.read_text()), p.stem)
+             if site[:2] not in LEDGER_EXEMPT]
+    assert not sites, f"criteria written as literals: {sites}"
