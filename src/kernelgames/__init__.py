@@ -25,7 +25,7 @@ from .game import (BasicGame, GaussianInfo, LinearEquilibrium, MomentReport,
                    solve_mean, targeted_info, verify_moment_restrictions)
 from .moments import (BoundsReport, DesignObjective, EquilibriumMoment,
                       Feasibility, bounds_check, check_feasibility,
-                      check_obedience, check_positivity,
+                      check_obedience, check_positivity, common_state_moment,
                       construct_canonical_signals, diag_integral,
                       double_integral, objective_value,
                       symmetric_moment_identity, zeta_integral)

@@ -382,20 +382,14 @@ def _bm_discretized(n, mu, vt, vx, vy, r, s, k):
                                s * s * vt)
     N = vx * n / (n - 1) * (np.eye(n) - np.full((n, n), 1.0 / n))
     D = 2 * n
-    sig_cov = np.zeros((D, D))
-    cross = np.zeros((D, n))
+    # each signal is theta + noise: covariance vt off the x-x and y-y blocks
+    sig_cov = np.full((D, D), vt)
     xi_idx = np.arange(0, D, 2)
     y_idx = np.arange(1, D, 2)
     sig_cov[np.ix_(xi_idx, xi_idx)] = vt + N
-    sig_cov[np.ix_(xi_idx, y_idx)] = vt
-    sig_cov[np.ix_(y_idx, xi_idx)] = vt
     sig_cov[np.ix_(y_idx, y_idx)] = vt + vy
-    cross[xi_idx, :] = s * vt
-    cross[y_idx, :] = s * vt
-    mean_sig = np.empty(D)
-    mean_sig[xi_idx] = mu
-    mean_sig[y_idx] = mu
-    info = game.info_from_parts(g, np.full(n, 2, int), mean_sig, sig_cov, cross)
+    info = game.info_from_parts(g, np.full(n, 2, int), np.full(D, mu), sig_cov,
+                                np.full((D, n), s * vt))
     return g, info
 
 
@@ -426,9 +420,9 @@ def check_bm_example(n: int = 200, draws: int = 50_000,
     grid2 = MeasureGrid([0.25, 0.75], [0.5, 0.5])
     var_a = bm.volatility + bm.dispersion
     xi2 = np.array([[var_a, bm.volatility], [bm.volatility, var_a]])
-    zeta2 = grid2.constant(s * (bm.alpha_x + bm.alpha_y) * vt)
+    zeta2 = np.full(2, s * (bm.alpha_x + bm.alpha_y) * vt)
     ident = moments.symmetric_moment_identity(
-        moments.EquilibriumMoment(grid2, Kernel(grid2, xi2), zeta2, s * s * vt), r)
+        moments.common_state_moment(Kernel(grid2, xi2), zeta2, s * s * vt), r)
 
     ok = (dev_hand <= 1e-9 and dev_oracle <= 1e-9 and dev_vd <= 1e-9
           and dev_disc <= 1e-6 and mrep.passed and ident <= 1e-8 and audit.passed)

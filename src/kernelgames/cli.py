@@ -199,8 +199,7 @@ _SCHEMA = {
         "explicit": ({"xi": (_array, ...), "zeta": (_array, ...),
                       "state_var": (_number, 1.0)},
                      lambda grid, r, xi, zeta, state_var:
-                     moments.EquilibriumMoment(grid, Kernel(grid, xi),
-                                               grid.function(zeta), state_var)),
+                     moments.common_state_moment(Kernel(grid, xi), zeta, state_var)),
     },
 }
 

@@ -88,13 +88,6 @@ class BasicGame:
             raise ValueError("state covariance must be symmetric")
         _require_cov(self.state_cov.values, "state covariance")
 
-    def is_common_state(self) -> bool:
-        v = self.state_cov.values
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
-        return (np.max(np.abs(v - v.flat[0])) <= tol
-                and np.max(np.abs(self.state_mean.values
-                                  - self.state_mean.values[0])) <= tol)
-
     @cached_property
     def _mean_solution(self) -> GridFunction:
         """``solve_mean``'s result, solved on first use and kept (the arrays
@@ -274,8 +267,7 @@ def targeted_info(game: BasicGame, members) -> GaussianInfo:
     mask = np.zeros(n, dtype=bool)
     mask[game.grid.node_indices(members)] = True
     S = game.state_cov.values
-    sel = np.outer(mask, mask)
-    sig_cov = np.where(sel, S, 0.0)
+    sig_cov = np.where(np.outer(mask, mask), S, 0.0)
     cross = np.where(mask[:, None], S, 0.0)
     mean = np.where(mask, game.state_mean.values, 0.0)
     return GaussianInfo(game.state_cov, np.ones(n, int), mean, sig_cov, cross)
@@ -301,7 +293,8 @@ class LinearEquilibrium:
     coefficients: np.ndarray
     induced_mean: GridFunction
     induced_action_cov: Kernel
-    induced_action_state_cov: GridFunction
+    induced_action_state_cov: GridFunction    # zeta, the diagonal of Z
+    induced_cross_cov: np.ndarray       # read-only Z(t, s) = Cov[f(t), theta(s)]
 
     def loading_vector(self) -> np.ndarray:
         # no library caller; perfbench/workloads.py reads it
@@ -358,7 +351,8 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
     # (c_s S_st) c_t and (c_t S_ts) c_s round apart, and ragged blocks add in
     # a different order on the two axes: average so xi is an undirected Kernel
     xi = 0.5 * (xi + xi.T)
-    zeta = info._block_sum(c * info._own_entries(info.cross_cov))
+    cross = info._block_sum(c[:, None] * info.cross_cov, axis=0)
+    cross.flags.writeable = False
     intercept = b - info._block_sum(c * info.signal_mean)
     return LinearEquilibrium(
         grid=game.grid,
@@ -367,8 +361,14 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
         coefficients=_frozen(c),
         induced_mean=game.grid.function(b),
         induced_action_cov=Kernel(game.grid, xi),
-        induced_action_state_cov=game.grid.function(zeta),
+        induced_action_state_cov=game.grid.function(cross.diagonal()),
+        induced_cross_cov=cross,
     )
+
+
+def _same_state(a: Kernel, b: Kernel) -> bool:
+    """Whether two state covariance kernels are one object or equal exactly."""
+    return a is b or np.array_equal(a.values, b.values)
 
 
 def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquilibrium:
@@ -376,8 +376,7 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquil
     dense solve of c = A c + rhs."""
     if not info.grid.same_nodes(game.grid):
         raise ValueError("game and information structure grids differ")
-    if (info.state_cov is not game.state_cov
-            and not np.array_equal(info.state_cov.values, game.state_cov.values)):
+    if not _same_state(info.state_cov, game.state_cov):
         raise ValueError("information structure theta block does not match the game")
 
     c = _solve_coefficients(*_coefficient_system(game, info))

@@ -293,7 +293,8 @@ def psd_within(sym) -> bool:
         n = len(row[0])
         starts = np.arange(n) == 0  # row r starts a run unless it equals
         for blk in row:             # row r - 1 in every block of its row
-            starts[1:] |= np.any(blk[1:] != blk[:-1], axis=1)
+            if not starts.all():
+                starts[1:] |= np.any(blk[1:] != blk[:-1], axis=1)
         idx = np.flatnonzero(starts)
         first.append(slice(None) if idx.size == n else idx)
         runs.append(np.diff(idx, append=n))
@@ -304,10 +305,10 @@ def psd_within(sym) -> bool:
             shifted[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = (
                 blk[first[i]][:, first[j]])
     runs = np.concatenate(runs)
-    if np.any(runs > 1):
-        root = np.sqrt(runs)
-        shifted *= root[:, None]
-        shifted *= root
+    big = np.flatnonzero(runs > 1)      # the merged rows and columns
+    root = np.sqrt(runs[big])
+    shifted[big] *= root[:, None]
+    shifted[:, big] *= root
     shifted.flat[::len(shifted) + 1] += psd_tol(sym)
     try:
         np.linalg.cholesky(shifted)

@@ -1,10 +1,10 @@
 """Equilibrium moments: obedience, positivity, bounds, and signal construction.
 
-An equilibrium moment is a candidate pair (xi, zeta) of the action covariance
-kernel and the action-state covariance, for a common state with variance
-``state_var``.  Obedience ties the diagonal of xi to its R-weighted row
-aggregate plus zeta; positivity requires the bordered covariance matrix
-[[xi, zeta], [zeta', Var theta]] to be PSD.  Any feasible moment can be
+An equilibrium moment is a candidate triple (xi, Z, Sigma): the action
+covariance xi, the action-state covariance Z(t, s) = Cov[f(t), theta(s)] and
+the covariance Sigma of any state process.  Obedience ties the diagonal of xi
+to its R-weighted row aggregate plus zeta = diag Z; positivity requires the
+joint covariance [[xi, Z], [Z', Sigma]] to be PSD.  Any feasible moment is
 realized by letting each agent observe its own equilibrium action as the
 signal; ``construct_canonical_signals`` builds exactly that structure.
 """
@@ -17,35 +17,63 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMoment
-from .game import (OBEDIENCE_TOL, BasicGame, GaussianInfo, relative_tol,
-                   second_moment_residuals, solve_mean)
-from .grid import GridFunction, MeasureGrid
-from .kernels import Kernel, check_r2, operator_matrix, psd_within
+from .game import (OBEDIENCE_TOL, BasicGame, GaussianInfo, _same_state,
+                   relative_tol, second_moment_residuals, solve_mean)
+from .grid import GridFunction, MeasureGrid, _floats, _frozen
+from .kernels import (Kernel, check_r2, constant_kernel, operator_matrix,
+                      psd_within)
 
 
 @dataclass(frozen=True)
 class EquilibriumMoment:
-    """Candidate second-moment profile (xi, zeta) with a common state variance."""
+    """Candidate second-moment profile (xi, Z, Sigma): Z is ``cross_cov``, kept
+    uncopied when it is already read-only, and Sigma ``state_cov``."""
 
     grid: MeasureGrid
     xi: Kernel
-    zeta: GridFunction
-    state_var: float
+    cross_cov: np.ndarray
+    state_cov: Kernel
 
     def __post_init__(self):
-        if not self.xi.grid.same_nodes(self.grid) or not self.zeta.grid.same_nodes(self.grid):
+        if not all(k.grid.same_nodes(self.grid) for k in (self.xi, self.state_cov)):
             raise ValueError("moment components must share the grid")
-        if not self.xi.undirected:
-            raise ValueError("xi must be undirected")
-        if self.state_var < 0:
-            raise ValueError("state variance must be non-negative")
+        if not self.xi.undirected or not self.state_cov.undirected:
+            raise ValueError("xi and the state covariance must be undirected")
+        cross = _floats(self.cross_cov)
+        cross = _frozen(cross) if cross.flags.writeable else cross
+        if cross.shape != (self.grid.n,) * 2 or not np.all(np.isfinite(cross)):
+            raise ValueError("cross_cov must be a finite n x n matrix")
+        object.__setattr__(self, "cross_cov", cross)
+
+    @cached_property
+    def zeta(self) -> GridFunction:
+        """zeta(t) = Cov[f(t), theta(t)], the diagonal of Z."""
+        return self.grid.function(self.cross_cov.diagonal())
 
     @cached_property
     def _positive(self) -> bool:
         """``check_positivity``'s verdict, decided on first use and kept."""
-        z = self.zeta.values[:, None]
-        return psd_within([[self.xi.values, z],
-                           [z.T, np.full((1, 1), float(self.state_var))]])
+        z = self.cross_cov
+        return psd_within([[self.xi.values, z], [z.T, self.state_cov.values]])
+
+
+def common_state_moment(xi: Kernel, zeta, state_var: float = 1.0) -> EquilibriumMoment:
+    """The moment (xi, zeta) over one common theta of variance ``state_var``:
+    Z = zeta 1' (a read-only broadcast) and Sigma = state_var 11'."""
+    z = xi.grid.function(zeta).values
+    if state_var < 0:
+        raise ValueError("state variance must be non-negative")
+    return EquilibriumMoment(xi.grid, xi, np.broadcast_to(z[:, None], (z.size,) * 2),
+                             constant_kernel(xi.grid, state_var))
+
+
+def _common_state_var(m: EquilibriumMoment) -> float:
+    """Var theta, for the results that hold under a common state only:
+    ValueError unless Sigma is exactly one constant (no tolerance)."""
+    S = m.state_cov.values
+    if not np.all(S == S.flat[0]):
+        raise ValueError("the state covariance is not one common constant")
+    return float(S.flat[0])
 
 
 @dataclass(frozen=True)
@@ -82,8 +110,8 @@ def _obedience(m: EquilibriumMoment, A: np.ndarray) -> float:
 
 
 def check_positivity(m: EquilibriumMoment) -> bool:
-    """PSD test (``psd_within``) of the bordered matrix
-    M = [[xi, zeta], [zeta', Var theta]], once per moment."""
+    """PSD test (``psd_within``) of the joint covariance
+    [[xi, Z], [Z', Sigma]], once per moment."""
     return m._positive
 
 
@@ -149,13 +177,14 @@ BOUNDS_TOL = 1e-9
 
 def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
     """Feasibility of ``m`` for a constant payoff structure r < 1 and the
-    bounds (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}; the
-    bounds are theorems about feasible moments only.
+    bounds (int zeta)^2 <= double-int xi <= min{int diag, (1/(1-r))^2}, in
+    units of Var theta; the bounds are theorems about feasible moments over
+    a common state only (ValueError for any other state).
     """
     if r >= 1:
         raise ValueError("bounds require r < 1")
     dd, iz, ceiling = double_integral(m), zeta_integral(m), 1.0 / (1.0 - r)
-    var = m.state_var or 1.0    # Var 0: a feasible zeta ~ 0; normalized ceiling
+    var = _common_state_var(m) or 1.0   # Var 0: zeta ~ 0; normalized ceiling
     return BoundsReport(
         **vars(_feasibility(m, _obedience(m, r * m.grid.weights))),
         cauchy_slack=dd - iz * iz * (1.0 / var),
@@ -174,27 +203,21 @@ def objective_value(m: EquilibriumMoment, obj: DesignObjective) -> float:
 def construct_canonical_signals(m: EquilibriumMoment, game: BasicGame) -> GaussianInfo:
     """Signals that realize a feasible moment: each agent observes its own action.
 
-    Builds x(t) = phi(t) + zeta(t)/Var[theta] * (theta - E theta) + eps(t) with
-    Cov[eps(s), eps(t)] = xi(s, t) - zeta(s) zeta(t)/Var[theta], which has
-    action covariance xi and action-state covariance zeta by construction.
+    x has mean phi, Cov[x, x] = xi and Cov[x, theta] = Z over the game's state
+    (its covariance equal to the moment's Sigma entry for entry), so every
+    equilibrium loading is 1 and the equilibrium's moment is (xi, Z).
     """
     if not game.grid.same_nodes(m.grid):
         raise ValueError("game and moment grids differ")
-    if not game.is_common_state():
-        raise ValueError("canonical construction requires a common state")
     if not check_r2(game.payoff):
         raise ValueError("payoff kernel must satisfy (R2)")
-    theta_var = float(game.state_cov.values[0, 0])
-    if abs(theta_var - m.state_var) > 1e-9 * (1.0 + theta_var):
-        raise ValueError("game state variance does not match the moment")
+    if not _same_state(m.state_cov, game.state_cov):
+        raise ValueError("game state covariance does not match the moment")
     feas = check_feasibility(m, game.payoff)
     if not feas.feasible:
         raise InfeasibleMoment(f"moment is infeasible: {feas}")
-
-    phi = solve_mean(game)
-    n = m.grid.n
-    cross = np.outer(m.zeta.values, np.ones(n))  # Cov[x(t), theta(s)] = zeta(t)
-    return GaussianInfo(game.state_cov, np.ones(n, int), phi.values, m.xi.values, cross)
+    return GaussianInfo(game.state_cov, np.ones(m.grid.n, int),
+                        solve_mean(game).values, m.xi.values, m.cross_cov)
 
 
 #: the levels of xi and of zeta agree across nodes within SYMMETRY_TOL (1 +
@@ -216,7 +239,7 @@ def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
     if (np.max(np.abs(xi - two_level)) > relative_tol(SYMMETRY_TOL, xi)
             or np.max(np.abs(zeta - zeta[0])) > relative_tol(SYMMETRY_TOL, zeta)):
         raise ValueError("moment is not symmetric across nodes")
-    var_t = float(m.state_var)
+    var_t = _common_state_var(m)
     if var_f <= 0.0 or var_t <= 0.0:
         return 0.0  # zero-variance convention: identity is vacuous
     sd_f, sd_t = np.sqrt(var_f), np.sqrt(var_t)

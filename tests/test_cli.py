@@ -241,6 +241,25 @@ def test_design_cournot_full_disclosure(capsys):
     assert payload["m_star"] == 1.0
 
 
+@pytest.mark.parametrize("lam, gamma", [("0.8", "2.0"), ("0.05", "77"),
+                                        ("0.2", "17")])
+def test_design_cournot_on_the_boundary(capsys, lam, gamma):
+    # gamma = 4/lambda - 3 once ended in a RuntimeError traceback
+    assert cli.main(["design", "--mode", "cournot", f"--lambda={lam}",
+                     f"--gamma={gamma}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["full_disclosure"] and payload["regime"] == "T3"
+
+
+def test_moments_negative_state_variance_is_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "m.json", {
+        "grid": _GRID, "r": 0.5,
+        "moment": {"kind": "explicit", "xi": _ZERO_XI, "zeta": [0.0] * 6,
+                   "state_var": -1.0}})
+    assert cli.main(["moments", "--config", cfg]) == 1
+    assert "moment: state variance must be non-negative" in capsys.readouterr().err
+
+
 def test_design_diagram_csv(tmp_path):
     out = tmp_path / "diagram.csv"
     assert cli.main(["design", "--mode", "diagram", "--r", "0.5",

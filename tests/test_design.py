@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelgames.checks import check_targeted_optimum
-from kernelgames.design import (cournot_policy, global_optimality_audit,
+from kernelgames.design import (BOUNDARY_TOL, _random_info, cournot_policy, global_optimality_audit,
                                 moment_from_equilibrium, optimal_targeted,
                                 public_optimum, regime_diagram,
                                 symmetric_moment, targeted_equilibrium_moment,
@@ -236,7 +236,6 @@ def test_feasible_moments_never_beat_optimum():
     obj = _obj(1.0, 1.0)
     v_star = optimal_targeted(r, obj).v_star
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
-    from kernelgames.design import _random_info
     for _ in range(20):
         eq = solve_linear_equilibrium(game, _random_info(game, rng))
         v = objective_value(moment_from_equilibrium(eq), obj)
@@ -263,6 +262,15 @@ def test_cournot_partial_disclosure_case():
     # cross-check through the generic optimum with alpha = 0.5, beta = 0
     generic = optimal_targeted(-2.0, _obj(0.5, 0.0))
     assert generic.m_star == pytest.approx(rep.m_star, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam, gamma", [(0.8, 2.0), (0.05, 77.0), (0.2, 17.0)])
+def test_cournot_boundary_reports_full_disclosure(lam, gamma):
+    # gamma = 4/lam - 3: the optimum rounds to T2 at m* = 1 - 2e-16 ... 2.3e-14,
+    # which agrees with the closed form m = 1 within BOUNDARY_TOL (1 + |m|)
+    rep = cournot_policy(lam, gamma)
+    assert rep.full_disclosure and rep.regime == "T3"
+    assert abs(rep.m_star - 1.0) <= BOUNDARY_TOL * 2.0
 
 
 def test_cournot_rejects_bad_inputs():
@@ -292,3 +300,18 @@ def test_regime_diagram_negative_r_downward_ray():
 def test_regime_diagram_knife_edge_point():
     rows = regime_diagram(0.5, (-1.0, -1.0), (-1.0, -1.0), 1)
     assert rows[0][2] == "boundary"
+
+
+def test_random_info_on_a_common_state_draws_the_common_state_numbers():
+    # a S and (a a') S are the old Var theta a and Var theta (a a') entry for
+    # entry, so every seeded battery and bench op draws the same structure
+    grid = uniform_grid(30)
+    game = common_state_game(grid, constant_kernel(grid, 0.5), 0.0, 2.7)
+    for seed in range(5):
+        info = _random_info(game, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=30)
+        k = int(rng.integers(1, 6))
+        B = rng.normal(size=(30, k)) / np.sqrt(k)
+        assert np.array_equal(info.signal_cov, 2.7 * np.outer(a, a) + B @ B.T)
+        assert np.array_equal(info.cross_cov, 2.7 * np.outer(a, np.ones(30)))

@@ -17,7 +17,7 @@ from kernelgames.kernels import (Kernel, check_psd, check_r1, check_r2,
                                  operator_norm_bound, psd_tol, psd_within,
                                  separable_kernel, spectral_report,
                                  unidirectional_kernel)
-from kernelgames.moments import EquilibriumMoment, check_positivity
+from kernelgames.moments import check_positivity, common_state_moment
 from kernelgames.montecarlo import verify_process
 
 
@@ -417,7 +417,7 @@ def test_one_psd_verdict_at_every_entry_point(bad, psd):
     eigs[0] = bad
     cov = _with_spectrum(_orthogonal(rng, n), eigs)
     g = uniform_grid(n)
-    moment = EquilibriumMoment(g, Kernel(g, cov), g.constant(0.0), 1.0)
+    moment = common_state_moment(Kernel(g, cov), np.zeros(n), 1.0)
     assert check_psd(Kernel(g, cov)) is psd
     assert check_positivity(moment) is psd
     entry_points = [

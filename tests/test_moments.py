@@ -8,23 +8,23 @@ from kernelgames.design import (_random_info, moment_from_equilibrium,
                                 optimal_targeted, symmetric_moment,
                                 targeted_equilibrium_moment)
 from kernelgames.errors import InfeasibleMoment
-from kernelgames.game import (common_state_game, full_info,
-                              solve_linear_equilibrium,
+from kernelgames.game import (BasicGame, common_state_game, full_info,
+                              info_from_parts, solve_linear_equilibrium,
                               verify_moment_restrictions)
 from kernelgames.grid import uniform_grid
 from kernelgames.kernels import Kernel, constant_kernel, numerical_range_bounds
-from kernelgames.moments import (DesignObjective, EquilibriumMoment,
-                                 bounds_check, check_feasibility,
-                                 check_obedience, check_positivity,
+from kernelgames.moments import (DesignObjective, bounds_check,
+                                 check_feasibility, check_obedience,
+                                 check_positivity, common_state_moment,
                                  construct_canonical_signals, diag_integral,
                                  double_integral, objective_value,
-                                 zeta_integral)
+                                 symmetric_moment_identity, zeta_integral)
 
 
 def _zero_moment(grid):
     """The moment of the no-information equilibrium: xi = 0, zeta = 0."""
-    return EquilibriumMoment(grid, Kernel(grid, np.zeros((grid.n, grid.n))),
-                             grid.constant(0.0), 1.0)
+    return common_state_moment(Kernel(grid, np.zeros((grid.n, grid.n))),
+                               np.zeros(grid.n))
 
 
 def _targeted_half(n=10, r=0.5):
@@ -77,9 +77,7 @@ def test_positivity_targeted_moment():
 
 def test_positivity_rejects_zeta_without_variance():
     grid = uniform_grid(4)
-    m = EquilibriumMoment(grid,
-                          Kernel(grid, np.zeros((4, 4))),
-                          grid.constant(1.0), 1.0)
+    m = common_state_moment(Kernel(grid, np.zeros((4, 4))), np.ones(4), 1.0)
     assert not check_positivity(m)
 
 
@@ -90,8 +88,7 @@ def test_positivity_of_constructed_gaussian_covariance():
         B = rng.normal(size=(12, 4))
         xi = B @ B.T
         zeta = B[:, 0].copy()      # actions correlate with theta = first factor
-        m = EquilibriumMoment(grid, Kernel(grid, 0.5 * (xi + xi.T)),
-                              grid.function(zeta), 1.0)
+        m = common_state_moment(Kernel(grid, 0.5 * (xi + xi.T)), zeta, 1.0)
         assert check_positivity(m)
 
 
@@ -108,9 +105,8 @@ def test_positivity_is_decided_once_per_moment(monkeypatch):
     rep = bounds_check(m, 0.5)
     assert len(verdicts) == 1
     M, verdict = verdicts[0]
-    z = m.zeta.values[:, None]
-    var = np.full((1, 1), m.state_var)
-    assert np.array_equal(np.block(M), np.block([[m.xi.values, z], [z.T, var]]))
+    Z, S = m.cross_cov, m.state_cov.values
+    assert np.array_equal(np.block(M), np.block([[m.xi.values, Z], [Z.T, S]]))
     assert type(pos) is bool and pos is verdict is rep.positivity_ok
 
 
@@ -170,8 +166,7 @@ def test_bounds_pass_at_large_state_variance():
 
 def test_bounds_reject_infeasible_precondition():
     grid = uniform_grid(4)
-    bad = EquilibriumMoment(grid, constant_kernel(grid, 1.0),
-                            grid.constant(0.9), 1.0)
+    bad = common_state_moment(constant_kernel(grid, 1.0), np.full(4, 0.9), 1.0)
     rep = bounds_check(bad, 0.5)
     assert rep.obedience_residual > rep.obedience_tol
     assert rep.feasible is False and rep.passed is False
@@ -350,8 +345,7 @@ def test_canonical_signals_reproduce_every_solved_moment(n, kind, sup, log_var,
 def test_canonical_signals_reject_infeasible_moment():
     grid = uniform_grid(6)
     game = common_state_game(grid, constant_kernel(grid, 0.5), 0.0, 1.0)
-    bad = EquilibriumMoment(grid, constant_kernel(grid, 1.0),
-                            grid.constant(0.9), 1.0)
+    bad = common_state_moment(constant_kernel(grid, 1.0), np.full(6, 0.9), 1.0)
     with pytest.raises(InfeasibleMoment):
         construct_canonical_signals(bad, game)
 
@@ -369,14 +363,14 @@ def test_moment_requires_undirected_xi():
     grid = uniform_grid(3)
     directed = Kernel(grid, np.triu(np.ones((3, 3))))
     with pytest.raises(ValueError):
-        EquilibriumMoment(grid, directed, grid.constant(0.0), 1.0)
+        common_state_moment(directed, np.zeros(3), 1.0)
 
 
 def test_zero_state_variance_forces_zero_zeta():
     # the positivity verdict, not a second rule, rejects zeta != 0 at Var 0
     grid = uniform_grid(3)
     xi = constant_kernel(grid, 1.0)
-    m = EquilibriumMoment(grid, xi, grid.constant(0.5), 0.0)
+    m = common_state_moment(xi, np.full(3, 0.5), 0.0)
     assert check_positivity(m) is False
 
 
@@ -389,3 +383,110 @@ def test_alpha_beta_recomputed():
 def test_diag_integral_consistency():
     m, grid = _targeted_half(n=10)
     assert diag_integral(m) == pytest.approx(0.5 * 16 / 9, abs=1e-12)
+
+
+# -- any state process: (xi, Z, Sigma) ------------------------------------------
+
+def _iid_state_full_info(n=40, r=-2.0):
+    """Full information over an i.i.d. state (Sigma = I): a solved equilibrium
+    whose state is not common."""
+    grid = uniform_grid(n)
+    R = constant_kernel(grid, r)
+    game = BasicGame(grid, R, grid.constant(0.0), Kernel(grid, np.eye(n)))
+    eq = solve_linear_equilibrium(game, full_info(game))
+    return game, R, eq
+
+
+def test_moment_of_an_iid_state_is_feasible():
+    # Z = Cov[f(t), theta(s)] is diagonal here; a single common theta of
+    # variance Sigma[0, 0] would call this solved equilibrium infeasible
+    game, R, eq = _iid_state_full_info()
+    mom = moment_from_equilibrium(eq)
+    assert mom.state_cov is game.state_cov
+    assert mom.cross_cov is eq.induced_cross_cov      # frozen once, not copied
+    assert not mom.cross_cov.flags.writeable
+    assert np.array_equal(mom.zeta.values, eq.induced_action_state_cov.values)
+    feas = check_feasibility(mom, R)
+    assert feas.feasible and feas.positivity_ok
+
+
+def test_canonical_signals_of_an_iid_state_round_trip():
+    game, _, eq = _iid_state_full_info()
+    mom = moment_from_equilibrium(eq)
+    eq2 = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
+    assert np.max(np.abs(eq2.induced_action_cov.values - mom.xi.values)) <= 1e-12
+    assert np.max(np.abs(eq2.induced_cross_cov - mom.cross_cov)) <= 1e-12
+    assert np.max(np.abs(eq2.loading_vector() - 1.0)) <= 1e-12
+
+
+def test_common_state_results_refuse_any_other_state():
+    # the ceiling bound fails here (double-int xi = 0.0227 > w' Sigma w / 9),
+    # so bounds_check and the standard-deviation identity raise
+    _, _, eq = _iid_state_full_info()
+    mom = moment_from_equilibrium(eq)
+    with pytest.raises(ValueError, match="not one common constant"):
+        bounds_check(mom, -2.0)
+    with pytest.raises(ValueError, match="not one common constant"):
+        symmetric_moment_identity(mom, -2.0)
+
+
+def test_canonical_signals_need_the_moments_own_state():
+    # the exact rule of the solver's theta-block check: no tolerance
+    grid = uniform_grid(6)
+    R = constant_kernel(grid, 0.5)
+    game = common_state_game(grid, R, 0.0, 1.0 + 1e-15)
+    with pytest.raises(ValueError, match="does not match the moment"):
+        construct_canonical_signals(_zero_moment(grid), game)
+
+
+def test_common_state_moment_refuses_a_negative_variance():
+    grid = uniform_grid(3)
+    with pytest.raises(ValueError, match="non-negative"):
+        common_state_moment(constant_kernel(grid, 0.0), np.zeros(3), -1.0)
+
+
+def _correlated_state_game(rng, n, log_scale, length):
+    """Sigma(s, t) = e^u exp(-|s - t| / l) and a random symmetric or directed
+    payoff kernel with its numerical range scaled into [-0.9, 0.9]."""
+    grid = uniform_grid(n)
+    t = grid.coords
+    S = np.exp(log_scale) * np.exp(-np.abs(t[:, None] - t[None, :]) / length)
+    v = rng.normal(size=(n, n))
+    v = v + v.T if rng.uniform() < 0.5 else v
+    R = Kernel(grid, v * (0.9 / max(np.abs(numerical_range_bounds(
+        Kernel(grid, v))))))
+    return BasicGame(grid, R, grid.constant(float(rng.normal())), Kernel(grid, S))
+
+
+def _multi_signal_info(game, rng):
+    """1 to 3 signals per node, x = L theta + noise, with a sparse loading L
+    that mostly reads the node's own state."""
+    n = game.grid.n
+    dims = rng.integers(1, 4, size=n)
+    node = np.repeat(np.arange(n), dims)
+    L = np.zeros((node.size, n))
+    L[np.arange(node.size), node] = rng.normal(size=node.size)
+    extra = rng.uniform(size=L.shape) < 2.0 / n
+    L[extra] = rng.normal(size=int(extra.sum()))
+    B = rng.normal(size=(node.size, 3))
+    cross = L @ game.state_cov.values
+    sig_cov = cross @ L.T
+    return info_from_parts(game, dims, L @ game.state_mean.values,
+                           0.5 * (sig_cov + sig_cov.T) + B @ B.T, cross)
+
+
+# sufficiency over any state process: solve -> (xi, Z) -> canonical signals ->
+# solve reproduces xi and Z to rounding
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), log_scale=st.floats(-3.0, 3.0),
+       length=st.floats(0.05, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_canonical_signals_round_trip_over_any_state(n, log_scale, length, seed):
+    rng = np.random.default_rng(seed)
+    game = _correlated_state_game(rng, n, log_scale, length)
+    eq = solve_linear_equilibrium(game, _multi_signal_info(game, rng))
+    mom = moment_from_equilibrium(eq)
+    assert check_feasibility(mom, game.payoff).feasible
+    eq2 = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
+    tol = 1e-12 * (1.0 + np.max(np.abs(mom.xi.values)))
+    assert np.max(np.abs(eq2.induced_action_cov.values - mom.xi.values)) <= tol
+    assert np.max(np.abs(eq2.induced_cross_cov - mom.cross_cov)) <= tol

@@ -69,16 +69,6 @@ def test_one_cholesky_call_site():
     assert sites == [("kernels", "psd_within")]
 
 
-#: (module, enclosing function) whose small float literals the ledger test
-#: leaves alone
-LEDGER_EXEMPT = {
-    # the common-state tests of a game and of the canonical construction go
-    # when moments take any state process; they keep their own 1e-9 until then
-    ("game", "is_common_state"),
-    ("moments", "construct_canonical_signals"),
-}
-
-
 def _small_float_sites(tree, module):
     """(module, enclosing function, value) of each float literal x with
     0 < |x| < 1e-3, except the value of a module-level assignment to an
@@ -107,11 +97,8 @@ def test_every_criterion_is_a_named_constant():
     criterion is written twice or set at a call site.
 
     `checks.py` is left out: its battery thresholds are the batteries' own
-    acceptance criteria, each read once in its battery.  So are the two
-    rules of ``LEDGER_EXEMPT``, which go with the common-state tests they
-    belong to.
+    acceptance criteria, each read once in its battery.
     """
     sites = [site for p in sorted(PACKAGE.glob("*.py")) if p.name != "checks.py"
-             for site in _small_float_sites(ast.parse(p.read_text()), p.stem)
-             if site[:2] not in LEDGER_EXEMPT]
+             for site in _small_float_sites(ast.parse(p.read_text()), p.stem)]
     assert not sites, f"criteria written as literals: {sites}"
