@@ -36,7 +36,7 @@ class CheckResult:
 # 1 ------------------------------------------------------------------------
 def check_targeted_optimum(triples: int = 10_000, points: int = 1_000_000,
                            seed: int = 20_260_823) -> CheckResult:
-    """Closed-form targeted optimum vs a brute-force grid scan of V_tg."""
+    """Closed-form targeted optimum vs the exact grid scan of V_tg."""
     rng = np.random.default_rng(seed)
     worst_value = 0.0
     worst_arg = 0.0
@@ -215,13 +215,15 @@ def _fixed_point_loadings(A: np.ndarray, rhs: np.ndarray,
     for _ in range(100_000):
         c_next = A @ c + rhs
         if not np.all(np.isfinite(c_next)) or np.max(np.abs(c_next)) > bound:
-            raise NoConvergence("fixed-point iteration diverged")
+            raise NoConvergence(f"fixed-point iteration diverged: max|c| = "
+                                f"{np.max(np.abs(c_next)):.3e} above {bound:.1e}")
         step = np.max(np.abs(c_next - c))
         c = c_next
         if step <= 1e-12 * (1.0 + np.max(np.abs(c))):
             break
     else:
-        raise NoConvergence("fixed-point iteration cap reached")
+        raise NoConvergence(f"fixed-point iteration cap reached: step 100,000 was "
+                            f"{step:.3e} > {1e-12 * (1.0 + np.max(np.abs(c))):.1e}")
     game._require_fixed_point(A, rhs, c)
     return c
 

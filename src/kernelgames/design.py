@@ -43,12 +43,17 @@ class RegimeReport:
     r: float
 
 
+def _require_r(r: float) -> None:
+    """ValueError unless r is finite and below 1, so 1 - r m > 0 on [0, 1]."""
+    if not (math.isfinite(r) and r < 1.0):
+        raise ValueError(f"r = {r!r}: must be finite and below 1")
+
+
 def targeted_value(m: float, r: float, obj: DesignObjective) -> float:
     """V_tg(m) = (alpha m - beta m^2) / (1 - r m)^2."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     a, b = obj.alpha, obj.beta(r)
     den = 1.0 - r * m
     return (a * m - b * m * m) / (den * den)
@@ -63,8 +68,7 @@ def optimal_targeted(r: float, obj: DesignObjective) -> RegimeReport:
     The knife-edge alpha = beta <= 0 admits both m = 0 and m = 1 and is
     reported as 'boundary'.
     """
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     a, b = obj.alpha, obj.beta(r)
     scale = 1.0 + abs(a) + abs(b)
     if abs(a - b) <= BOUNDARY_TOL * scale and a <= BOUNDARY_TOL * scale:
@@ -80,15 +84,40 @@ def optimal_targeted(r: float, obj: DesignObjective) -> RegimeReport:
 
 
 #: points per chunk of the numpy scan: the index base and three float buffers
-#: of this size (1 MB) stay in cache
+#: of this size (1 MB) stay in cache, and ``_chunk_bound`` skips whole chunks
 _SCAN_CHUNK = 32_768
+
+#: the ulps of 1 + |alpha| + |beta| that ``_chunk_bound`` adds for rounding
+_SCAN_MARGIN_ULPS = 8
+
+
+def _chunk_bound(r, a, b, m0, m1):
+    """A bound on every value the scan computes for m in [m0, m1].
+
+    With u = eps/2 and S = |a| + |b|, each computed numerator, and each
+    candidate for its exact maximum (m0, m1, the vertex a/2b clamped to
+    [m0, m1] if b > 0), is off by 3.01u S + b u^2 at most; the slack
+    _SCAN_MARGIN_ULPS eps (1 + S) = 16u (1 + S) covers twice that and the
+    sum's rounding.  fl(r m), fl(1 - t) and fl(d d) are monotone (d >= u > 0
+    as r < 1), so the computed (1 - r m)^2 lie between their values at m0
+    and m1: the rounding of r m, amplified by 1/(1 - r m) as r -> 1, needs
+    no margin.  Division and rounding are monotone; overflow gives inf or
+    nan, which never skips.
+    """
+    ms = (m0, m1, min(max(0.5 * a / b, m0), m1)) if b > 0.0 else (m0, m1)
+    top = max(a * m - b * m * m for m in ms)
+    top += _SCAN_MARGIN_ULPS * math.ulp(1.0) * (1.0 + abs(a) + abs(b))
+    d0, d1 = (d * d for d in (1.0 - r * m0, 1.0 - r * m1))
+    return top / (min(d0, d1) if top >= 0.0 else max(d0, d1))
 
 
 def _scan_kernel_py(r, a, b, points):
     """First maximum (j, v) of V_tg over m = j / (points - 1).
 
-    Each chunk is written in place into preallocated buffers, with the same
-    operations in the same order as the one-shot expression
+    Chunks go in scan order, skipping each whose ``_chunk_bound`` is at most
+    the best value so far (only a larger value replaces it).  The others are
+    written in place into preallocated buffers, with the same operations in
+    the same order as the one-shot expression
     (a*m - b*m*m) / ((1 - r*m)**2), so the result is bit-identical to
     ``np.argmax`` over the whole grid.
     """
@@ -100,6 +129,8 @@ def _scan_kernel_py(r, a, b, points):
     best_j = 0
     for start in range(0, points, size):
         k = min(size, points - start)
+        if _chunk_bound(r, a, b, start * step, (start + k - 1) * step) <= best_v:
+            continue
         m, v, d = m_buf[:k], v_buf[:k], d_buf[:k]
         np.add(base[:k], start, out=m)
         np.multiply(m, step, out=m)
@@ -123,12 +154,13 @@ _scan_kernel_jit = None  # no compiled scan; perfbench/run.py reports the backen
 
 def targeted_grid_scan(r: float, obj: DesignObjective,
                        points: int = 1_000_000) -> tuple:
-    """Brute-force scan of V_tg over an equispaced m grid; returns (m, value)
-    at the first grid maximum; ``points`` must be an integer >= 2."""
+    """Exact scan of V_tg over an equispaced m grid; returns (m, value) at
+    the first grid maximum, bit-identical to evaluating every point, while
+    skipping each chunk whose bound cannot beat the best value so far;
+    ``points`` must be an integer >= 2."""
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValueError(f"points = {points!r}: the scan needs an integer >= 2")
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     a, b = obj.alpha, obj.beta(r)
     j, best_v = _scan_kernel_py(float(r), float(a), float(b), int(points))
     return j / (points - 1), float(best_v)
@@ -139,8 +171,7 @@ def targeted_equilibrium_moment(members, r: float,
     """Moment induced by revealing the state exactly to the node set M:
     xi = 1{s,t in M}/(1-rm)^2, zeta = 1{t in M}/(1-rm), m = nu(M).
     """
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     mask = np.zeros(grid.n, dtype=bool)
     mask[grid.node_indices(members)] = True
     m = float(grid.weights[mask].sum())
@@ -163,8 +194,7 @@ def symmetric_moment(m: float, r: float, grid: MeasureGrid,
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("m must lie in [0, 1]")
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     den = 1.0 - r * m
     xi1 = m / (den * den)
     xi2 = m * m / (den * den)
@@ -187,8 +217,7 @@ class PublicReport:
 
 def public_optimum(r: float, obj: DesignObjective) -> PublicReport:
     """Best public disclosure: value (alpha - beta) z/(1-r)^2, so z* in {0, 1}."""
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     a, b = obj.alpha, obj.beta(r)
     scale = 1.0 + abs(a) + abs(b)
     if abs(a - b) <= BOUNDARY_TOL * scale:
@@ -315,8 +344,7 @@ def regime_diagram(r: float, alpha_range, beta_range, resolution: int):
 
     Returns a list of (alpha, beta, regime, m_star, v_star) rows.
     """
-    if r >= 1.0:
-        raise ValueError("r must be below 1")
+    _require_r(r)
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
 from .grid import WEIGHT_SUM_TOL, GridFunction, MeasureGrid, _frozen
-from .kernels import Kernel, _is_one, eigenvalues, operator_matrix, psd_tol, psd_within
+from .kernels import (REAL_EIG_CUTOFF, Kernel, _is_one, eigenvalues, operator_matrix,
+                      psd_tol, psd_within)
 
 
 #: an eigenvalue of a PSD matrix up to RANK_CUTOFF lambda_max counts as zero
@@ -94,16 +95,21 @@ class BasicGame:
         it reads are read-only); a singular game keeps nothing and raises on
         every call."""
         A = operator_matrix(self.payoff)
-        if _is_one(eigenvalues(self.payoff)):
-            raise SingularMeanEquation("payoff operator has eigenvalue 1")
+        eigs = eigenvalues(self.payoff)
+        if _is_one(eigs):
+            lam = eigs[np.argmin(np.abs(eigs - 1.0))]
+            raise SingularMeanEquation(f"payoff operator has eigenvalue {lam:.6g}, "
+                                       f"within {REAL_EIG_CUTOFF * (1 + abs(lam)):.1e} of 1")
         mu = self.state_mean.values
         try:
             phi = np.linalg.solve(np.eye(self.grid.n) - A, mu)
         except np.linalg.LinAlgError as exc:
             raise SingularMeanEquation("mean equation matrix I - A is singular "
                                        "in floating point") from exc
-        if np.max(_mean_residuals(A, phi, mu)) > relative_tol(MEAN_TOL, phi):
-            raise SingularMeanEquation("mean equation residual above tolerance")
+        res, tol = np.max(_mean_residuals(A, phi, mu)), relative_tol(MEAN_TOL, phi)
+        if res > tol:
+            raise SingularMeanEquation(f"mean equation residual {res:.3e} above "
+                                       f"tolerance {tol:.1e}")
         return self.grid.function(phi)
 
 
@@ -329,9 +335,10 @@ COEFFICIENT_TOL = 1e-8
 
 def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> None:
     """NoConvergence unless c = A c + rhs within COEFFICIENT_TOL (1 + max|c|)."""
-    if (np.max(np.abs(c - (A @ c + rhs)), initial=0.0)
-            > relative_tol(COEFFICIENT_TOL, c)):
-        raise NoConvergence("coefficient fixed point residual above tolerance")
+    res = np.max(np.abs(c - (A @ c + rhs)), initial=0.0)
+    if res > relative_tol(COEFFICIENT_TOL, c):
+        raise NoConvergence(f"coefficient fixed point residual {res:.3e} above "
+                            f"tolerance {relative_tol(COEFFICIENT_TOL, c):.1e}")
 
 
 def _solve_coefficients(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:

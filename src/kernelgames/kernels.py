@@ -176,7 +176,7 @@ def _at_least_one(values, K: Kernel) -> bool:
     (1 + |x|); ValueError at or below the rounding n^2 eps max|W^1/2 K W^1/2|."""
     x = float(np.max(values, initial=0.0))
     counts = x >= 1.0 - REAL_EIG_CUTOFF * (1.0 + abs(x))
-    floor = K.grid.n ** 2 * 2.0 ** -52 * np.abs(_weighted_symmetrized(K)).max()
+    floor = K.grid.n ** 2 * np.finfo(float).eps * np.abs(_weighted_symmetrized(K)).max()
     if counts and x <= floor:
         raise ValueError(f"spectral value {x:.3e} lies below the rounding "
                          f"floor {floor:.3e}; rounding decides if it is >= 1")

@@ -84,6 +84,11 @@ class DesignObjective:
     v: float
     w: float
 
+    def __post_init__(self):
+        if not np.all(np.isfinite((self.u, self.v, self.w))):
+            raise ValueError(f"objective weights (u, v, w) = ({self.u!r}, "
+                             f"{self.v!r}, {self.w!r}) must be finite")
+
     @property
     def alpha(self) -> float:
         return self.v + self.w

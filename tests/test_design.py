@@ -1,8 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernelgames import design
 from kernelgames.checks import check_targeted_optimum
 from kernelgames.design import (BOUNDARY_TOL, _random_info, cournot_policy, global_optimality_audit,
                                 moment_from_equilibrium, optimal_targeted,
@@ -81,11 +85,15 @@ def test_grid_scan_matches_closed_form():
     assert abs(m_scan - rep.m_star) <= 2 / 400_000
 
 
-def _one_shot_scan(r, obj, points):
-    a, b = obj.alpha, obj.beta(r)
-    m = np.arange(points) * (1.0 / (points - 1))
+def _chunk_values(r, a, b, j0, j1, points):
+    # V_tg at the grid points j0..j1, by the one-shot expression
+    m = np.arange(j0, j1 + 1) * (1.0 / (points - 1))
     den = 1.0 - r * m
-    v = (a * m - b * m * m) / (den * den)
+    return (a * m - b * m * m) / (den * den)
+
+
+def _one_shot_scan(r, obj, points):
+    v = _chunk_values(r, obj.alpha, obj.beta(r), 0, points - 1, points)
     j = int(np.argmax(v))
     return j, float(v[j])
 
@@ -97,7 +105,14 @@ def test_grid_scan_is_exact_at_chunk_edges():
     triples = [(0.3, -1.0, 0.5),     # T1: maximum at m = 0
                (0.5, 1.0, -1.0),     # T3: maximum at m = 1
                (0.0, 1.0, 0.625),    # T2: m* = 0.8, in the last partial chunk
-               (0.0, 0.0, 0.0)]      # flat: every point ties, m = 0 wins
+               (0.0, 0.0, 0.0),      # flat: every point ties, m = 0 wins
+               (0.0, 1.0, 2.5),      # T2: m* = 0.2, the later chunks are skipped
+               (1 - 1e-9, 1.0, 1.0),     # r -> 1: 1 - r m rounds coarsely
+               (1 - 1e-12, 0.5, 0.2),
+               (1 - 1e-12, -1.0, -0.5),
+               (-50.0, 1.0, 0.3),
+               (-50.0, 1.0, -3.0),
+               (0.5, -1.0, -1.0 - 1e-6)]   # U-shaped: V_tg(1) > 0 only at m = 1
     triples += [(rng.uniform(-2.0, 0.75), rng.uniform(-2.0, 2.0),
                  rng.uniform(-2.0, 2.0)) for _ in range(4)]
     for points in (2, 1001, 32_768, 32_769, 3 * 32_768 - 1):
@@ -112,6 +127,89 @@ def test_grid_scan_is_exact_at_chunk_edges():
     # for r >= 1 the denominator vanishes inside [0, 1]: the scan refuses
     with pytest.raises(ValueError):
         targeted_grid_scan(1.0, _obj(1.0, 0.0), 1001)
+
+
+def test_chunk_bound_is_at_least_every_value_of_its_chunk():
+    rng = np.random.default_rng(31)
+    rs = [1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 1e-15, 0.999, 0.0, -50.0, -1e6]
+    for _ in range(400):
+        r = float(rng.choice(rs)) if rng.uniform() < 0.5 else rng.uniform(-3.0, 0.99)
+        a, b = rng.uniform(-2.0, 2.0, size=2) * 10.0 ** rng.integers(-12, 13)
+        points = int(rng.integers(2, 20_001))
+        j0 = int(rng.integers(0, points))
+        j1 = int(rng.integers(j0, min(points, j0 + 500)))
+        step = 1.0 / (points - 1)
+        if rng.uniform() < 0.4:
+            # the vertex a / 2b within rounding of a grid point inside the
+            # chunk: only the margin covers that point's rounding
+            jv = int(rng.integers(1, points - 1)) if points > 2 else 0
+            j0, j1 = max(jv - 3, 0), min(jv + 3, points - 1)
+            b = abs(b)
+            a = 2.0 * b * (jv * step) * (1.0 + rng.uniform(-1e-12, 1e-12))
+            r = 0.0 if rng.uniform() < 0.5 else r
+        bound = design._chunk_bound(r, a, b, j0 * step, j1 * step)
+        assert bound >= _chunk_values(r, a, b, j0, j1, points).max()
+
+
+def test_scan_skips_every_chunk_after_the_first_at_no_disclosure(monkeypatch):
+    # T1: V_tg <= 0 = V_tg(0) on [0, 1], and V_tg < 0 is bounded away from 0
+    # after the first chunk, so a scan that stopped pruning would show here
+    argmax, calls = np.argmax, []
+    monkeypatch.setattr(design.np, "argmax", lambda v: calls.append(v.size) or argmax(v))
+    assert targeted_grid_scan(0.3, _obj(-1.0, 0.5), 1_000_000) == (0.0, 0.0)
+    assert calls == [32_768]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pruned_scan_equals_the_one_shot_scan(chunk, data):
+    points = data.draw(st.integers(2, 5_000))
+    if data.draw(st.booleans()):
+        # a near-tie across a chunk edge: at r = 0 the vertex a / 2b lies
+        # halfway between the last point of one chunk and the first of the next
+        edges = range(chunk, points - 1, chunk)
+        if not edges:
+            return
+        edge = data.draw(st.sampled_from(edges))
+        r, alpha, beta = 0.0, 1.0, (points - 1) / (2 * edge - 1.0)
+    else:
+        r = data.draw(st.one_of(
+            st.floats(-3.0, 0.999),
+            st.sampled_from([1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 1e-15, -50.0, -1e6])))
+        alpha = data.draw(st.floats(-2.0, 2.0))
+        beta = data.draw(st.one_of(st.floats(-2.0, 2.0), st.just(alpha)))
+    scale = data.draw(st.sampled_from([1e-12, 1.0, 1e12]))
+    obj = _obj(alpha * scale, beta * scale)
+    j, v = _one_shot_scan(r, obj, points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "_SCAN_CHUNK", chunk)
+        assert targeted_grid_scan(r, obj, points) == (j / (points - 1), v)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1.0, 2.0])
+def test_design_refuses_r_that_is_not_finite_and_below_one(r):
+    # nan scanned to (0.0, -inf) and was classified T3 with v* = nan; -inf
+    # raised a RuntimeWarning inside the scan
+    obj = _obj(1.0, 0.5)
+    message = re.escape(f"r = {r!r}: must be finite and below 1")
+    for call in (lambda: targeted_grid_scan(r, obj, 1001),
+                 lambda: optimal_targeted(r, obj),
+                 lambda: targeted_value(0.5, r, obj),
+                 lambda: public_optimum(r, obj),
+                 lambda: regime_diagram(r, (0, 1), (0, 1), 2),
+                 lambda: symmetric_moment(0.5, r, uniform_grid(4)),
+                 lambda: targeted_equilibrium_moment([0], r, uniform_grid(4))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("weights", [(0.0, math.inf, 0.0), (math.nan, 1.0, 0.0),
+                                     (1.0, 0.0, -math.inf)])
+def test_objective_refuses_weights_that_are_not_finite(weights):
+    # alpha = inf scanned to (0.0, -inf)
+    with pytest.raises(ValueError, match=r"\(u, v, w\) = .* must be finite"):
+        DesignObjective(*weights)
 
 
 @pytest.mark.parametrize("points", [1, 0, -3, 2.5, 2.0])

@@ -66,8 +66,19 @@ def test_solve_mean_singular_at_eigenvalue_one():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 1.0), 1.0, 1.0)
     for _ in range(2):      # nothing is kept: every call raises
-        with pytest.raises(SingularMeanEquation):
+        with pytest.raises(SingularMeanEquation,
+                           match=r"eigenvalue 1[+-]0j, within 2\.0e-09 of 1"):
             solve_mean(game)
+
+
+def test_mean_residual_error_names_residual_and_tolerance(monkeypatch):
+    g = uniform_grid(10)
+    values = np.random.default_rng(5).uniform(-0.9, 0.9, size=(10, 10))
+    game = common_state_game(g, Kernel(g, values), 1.0, 1.0)
+    monkeypatch.setattr(game_module, "MEAN_TOL", 0.0)
+    with pytest.raises(SingularMeanEquation, match=r"mean equation residual "
+                       r"\d\.\d{3}e-\d\d above tolerance 0\.0e\+00"):
+        solve_mean(game)
 
 
 def test_solve_mean_singular_in_floating_point():
@@ -154,8 +165,20 @@ def test_fixed_point_diverges_outside_r1():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 2.0), 0.0, 1.0)
     A, rhs = _coefficient_system(game, full_info(game))
-    with pytest.raises(NoConvergence, match="diverged"):
+    with pytest.raises(NoConvergence, match=r"diverged: max\|c\| = "
+                       r"\d\.\d{3}e\+12 above 2\.0e\+12"):
         _fixed_point_loadings(A, rhs, np.zeros(rhs.size))
+
+
+def test_fixed_point_errors_name_the_step_and_the_residual():
+    # c <- A c swaps the entries of (1, -1) forever: every step is 2
+    with pytest.raises(NoConvergence, match=r"cap reached: step 100,000 was "
+                       r"2\.000e\+00 > 2\.0e-12"):
+        _fixed_point_loadings(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2),
+                              np.array([1.0, -1.0]))
+    with pytest.raises(NoConvergence, match=r"residual 1\.000e\+00 above "
+                       r"tolerance 1\.0e-08"):
+        game_module._require_fixed_point(np.zeros((2, 2)), np.ones(2), np.zeros(2))
 
 
 def test_direct_and_fixed_point_agree_under_r1():

@@ -69,10 +69,27 @@ def test_one_cholesky_call_site():
     assert sites == [("kernels", "psd_within")]
 
 
+def _folded(node):
+    """The value of a number literal, or of arithmetic whose operands are
+    all number literals (``2.0 ** -52``); None for anything else."""
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) in (int, float) else None
+    if isinstance(node, ast.UnaryOp):
+        operands = [node.operand]
+    elif isinstance(node, ast.BinOp):
+        operands = [node.left, node.right]
+    else:
+        return None
+    if any(_folded(child) is None for child in operands):
+        return None
+    return eval(compile(ast.Expression(node), "<constant>", "eval"), {})
+
+
 def _small_float_sites(tree, module):
-    """(module, enclosing function, value) of each float literal x with
-    0 < |x| < 1e-3, except the value of a module-level assignment to an
-    UPPER_CASE name: that is where a criterion is named."""
+    """(module, enclosing function, value) of each float literal, or constant
+    arithmetic on literals, whose value x has 0 < |x| < 1e-3, except the
+    value of a module-level assignment to an UPPER_CASE name: that is where
+    a criterion is named."""
     named = {id(node.value) for node in tree.body
              if isinstance(node, ast.Assign)
              and all(isinstance(t, ast.Name) and t.id.isupper()
@@ -83,12 +100,20 @@ def _small_float_sites(tree, module):
             where = node.name
         if id(node) in named:
             return
-        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
-                and 0.0 < abs(node.value) < 1e-3):
-            yield module, where, node.value
+        value = _folded(node)
+        if value is not None:
+            if 0.0 < abs(value) < 1e-3:
+                yield module, where, value
+            return
         for child in ast.iter_child_nodes(node):
             yield from visit(child, where)
     yield from visit(tree, None)
+
+
+def test_small_float_sites_fold_constant_arithmetic():
+    tree = ast.parse("def f(x):\n    return x * 2.0 ** -52 + (-1e-9) + 3 ** 2 + 1e-3\n")
+    assert list(_small_float_sites(tree, "m")) == [
+        ("m", "f", 2.0 ** -52), ("m", "f", -1e-9)]
 
 
 def test_every_criterion_is_a_named_constant():
