@@ -191,8 +191,13 @@ class GaussianInfo:
         for k in set(self.signal_dims.tolist()):    # np.unique imports numpy.ma
             rows = starts[self.signal_dims == k, None] + np.arange(k)    # (m, k)
             pinv = _sym_pinv(csig[rows[:, :, None], rows[:, None, :]])
-            x[rows] = (pinv @ x[rows].reshape(*rows.shape, -1)).reshape(
-                rows.shape + x.shape[1:])
+            if k == 1:      # each 1 x 1 @ 1 x m product is 0 + pinv x: scale rows
+                at = slice(None) if len(rows) == len(x) else rows[:, 0]
+                x[at] *= pinv.reshape((-1,) + (1,) * (x.ndim - 1))
+                x[at] += 0.0    # so that a zero product is +0, never -0
+            else:
+                x[rows] = (pinv @ x[rows].reshape(*rows.shape, -1)).reshape(
+                    rows.shape + x.shape[1:])
         return x
 
     def _block_sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:

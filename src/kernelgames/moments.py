@@ -11,6 +11,7 @@ signal; ``construct_canonical_signals`` builds exactly that structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,7 +86,7 @@ class DesignObjective:
     w: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.u, self.v, self.w))):
+        if not all(map(math.isfinite, (self.u, self.v, self.w))):
             raise ValueError(f"objective weights (u, v, w) = ({self.u!r}, "
                              f"{self.v!r}, {self.w!r}) must be finite")
 

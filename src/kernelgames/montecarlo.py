@@ -43,8 +43,8 @@ def _gaussian_blocks(mean, cov, d: int, seed: int, maps):
     counts as nonzero, so each block is mean @ maps + z @ (factor.T @ maps)
     for the next max(1, ``_BLOCK_VALUES`` // max(r, p)) rows z of r standard
     normals of the seeded stream: the draws do not depend on the block size,
-    maps = I yields the draws themselves bit for bit, and a zero covariance
-    draws no normals.
+    maps = I yields the draws themselves bit for bit, and a zero covariance,
+    or any all-zero image, draws no normals: each row is then mean @ maps.
     """
     if d < 2:
         raise ValueError(f"d = {d} draws; the sampled statistics need d >= 2")
@@ -57,6 +57,8 @@ def _gaussian_blocks(mean, cov, d: int, seed: int, maps):
     image_t = (maps.T @ (vec[:, top:] * np.sqrt(lam[top:]))).T
     offset = mean @ maps
     step = max(1, _BLOCK_VALUES // max(image_t.shape))
+    if not image_t.any():
+        image_t = image_t[:0]       # the normals would only be multiplied by 0
     rng = np.random.default_rng(seed)
 
     def blocks():

@@ -362,8 +362,11 @@ def test_mc_duplicate_premise_failure_is_input_error(capsys):
     # finite flags whose result overflows
     pytest.param(["design", "--mode", "optimum", "--u", "1e308", "--v", "1e308",
                   "--w", "1e308"],
-                 "result alpha is not finite; an input is out of "
+                 "alpha = v + w is inf; an input is out of "
                  "floating-point range", id="optimum-infinite-result"),
+    pytest.param(["design", "--mode", "optimum", "--r", "0.999999", "--v", "1e300"],
+                 "result v_star is not finite; an input is out of "
+                 "floating-point range", id="optimum-infinite-value"),
     # a non-finite number is an input error, never a result or a failed check
     *(pytest.param(argv + [flag, value],
                    f"{flag} must be a finite number, got {value}",

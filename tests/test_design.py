@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +187,76 @@ def test_pruned_scan_equals_the_one_shot_scan(chunk, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design, "_SCAN_CHUNK", chunk)
         assert targeted_grid_scan(r, obj, points) == (j / (points - 1), v)
+
+
+def test_a_second_scan_in_a_thread_allocates_no_buffer(monkeypatch):
+    # the index base and the three buffers (1 MB) are kept per thread: a
+    # second million-point scan allocates none of them again
+    monkeypatch.setattr(design, "_scan_scratch", threading.local())
+    obj = _obj(1.0, -1.0)       # T3: no chunk is skipped
+    first = targeted_grid_scan(0.5, obj)
+    tracemalloc.start()
+    try:
+        second = targeted_grid_scan(0.5, obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first == (1.0, _one_shot_scan(0.5, obj, 1_000_000)[1])
+    assert peak < 64 * 1024
+
+
+def test_a_chunk_above_the_scratch_reallocates_it(monkeypatch):
+    monkeypatch.setattr(design, "_scan_scratch", threading.local())
+    obj, points = _obj(1.0, 0.625), 200_001
+    j, v = _one_shot_scan(0.0, obj, points)
+    assert targeted_grid_scan(0.0, obj, points) == (j / (points - 1), v)
+    assert design._scan_scratch.bufs[0].size == design._SCAN_CHUNK
+    monkeypatch.setattr(design, "_SCAN_CHUNK", 50_000)
+    assert targeted_grid_scan(0.0, obj, points) == (j / (points - 1), v)
+    assert [buf.size for buf in design._scan_scratch.bufs] == [50_000] * 4
+    assert np.array_equal(design._scan_scratch.bufs[0], np.arange(50_000))
+
+
+def test_concurrent_scans_in_two_threads_use_their_own_buffers():
+    triples = [(0.5, 1.0, -1.0), (-50.0, 1.0, -3.0)]    # neither skips a chunk
+    points = 300_001
+    barrier = threading.Barrier(len(triples))
+    results, buffers = {}, {}
+
+    def scan(i, r, alpha, beta):
+        barrier.wait()
+        results[i] = [targeted_grid_scan(r, _obj(alpha, beta), points)
+                      for _ in range(4)]
+        buffers[i] = design._scan_buffers(1)
+
+    threads = [threading.Thread(target=scan, args=(i, *t))
+               for i, t in enumerate(triples)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i, (r, alpha, beta) in enumerate(triples):
+        j, v = _one_shot_scan(r, _obj(alpha, beta), points)
+        assert results[i] == [(j / (points - 1), v)] * 4
+    assert not any(np.shares_memory(a, b) for a in buffers[0] for b in buffers[1])
+
+
+@pytest.mark.parametrize("r, weights, message", [
+    (0.5, (0.0, 1e308, 1e308), "alpha = v + w is inf"),
+    (-1e300, (0.0, 0.0, 1e10), "beta = r w - u is -inf"),
+    (0.5, (1e308, 1e308, 0.0), "1 + |alpha| + |beta| is inf"),
+])
+def test_design_refuses_alpha_or_beta_that_overflows(r, weights, message):
+    # each read as 'boundary' with v* = 0; alpha = inf raised a RuntimeWarning
+    # in the scan
+    obj = DesignObjective(*weights)
+    for call in (lambda: targeted_grid_scan(r, obj, 1001),
+                 lambda: optimal_targeted(r, obj),
+                 lambda: targeted_value(0.5, r, obj),
+                 lambda: public_optimum(r, obj),
+                 lambda: global_optimality_audit(r, obj, 0, 0, n=4)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1.0, 2.0])

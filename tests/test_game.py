@@ -293,6 +293,32 @@ def test_batched_sym_pinv_matches_per_block():
     assert not batched[1].any()
 
 
+@pytest.mark.parametrize("ragged", [False, True])
+def test_own_pinv_of_one_signal_blocks_is_the_batched_product_bit_for_bit(ragged):
+    # a one-signal block [s] scales its rows by 1/s, or by 0 where s counts as
+    # zero, and rounds as the batched (m, 1, 1) @ (m, 1, n) product did:
+    # 0 + x / s, so a product that is zero is +0, never -0
+    if ragged:
+        _, info = _ragged_game_and_info()
+    else:
+        g = uniform_grid(6)
+        state = common_state_game(g, constant_kernel(g, 0.5)).state_cov
+        info = GaussianInfo(state, np.ones(6, int), np.zeros(6),
+                            np.diag([1.0, 0.0, 3.0, 1e-310, 0.7, 1e-300]),
+                            np.zeros((6, 6)))
+    starts = info.offsets[:-1]
+    rng = np.random.default_rng(34)
+    for x in (rng.normal(size=(info.total_dim, 5)), rng.normal(size=info.total_dim)):
+        x[:2] = -0.0
+        ref = x.copy()
+        for k in set(info.signal_dims.tolist()):
+            rows = starts[info.signal_dims == k, None] + np.arange(k)
+            pinv = _sym_pinv(info.signal_cov[rows[:, :, None], rows[:, None, :]])
+            ref[rows] = (pinv @ ref[rows].reshape(*rows.shape, -1)).reshape(
+                rows.shape + x.shape[1:])
+        assert info._own_pinv(x).tobytes() == ref.tobytes()
+
+
 def test_induced_mean_matches_solve_mean():
     g = uniform_grid(25)
     game = common_state_game(g, constant_kernel(g, 0.3), 2.0, 1.0)

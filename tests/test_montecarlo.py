@@ -269,6 +269,18 @@ def test_blocks_hold_at_most_block_values(normal_draws, monkeypatch):
         assert math.prod(size) <= 1 << 16
 
 
+def test_a_zero_image_draws_no_normals(normal_draws):
+    # the base equilibrium of the duplicate construction loads 0 on signals
+    # that are independent of the state, so its audit's image is zero: each
+    # block is its offset, from (rows, 0) normals; the shifted audit draws n
+    n, d = 5, 3_000
+    grid = uniform_grid(n)
+    rep = duplicate_equilibria(
+        common_state_game(grid, constant_kernel(grid, 2.0), 1.0, 1.0), d=d, seed=0)
+    assert rep.passed
+    assert normal_draws == [(d, 0), (d, n)]
+
+
 @pytest.mark.parametrize("d", [0, 1])
 def test_every_sampling_caller_rejects_fewer_than_two_draws(d):
     with pytest.raises(ValueError, match=f"d = {d} draws"):
