@@ -64,6 +64,12 @@ def check_targeted_optimum(triples: int = 10_000, points: int = 1_000_000,
 
 
 # 2 ------------------------------------------------------------------------
+def _moment_devs(a: moments.EquilibriumMoment, b: moments.EquilibriumMoment):
+    """The largest entry gaps (max |xi_a - xi_b|, max |zeta_a - zeta_b|)."""
+    return (float(np.max(np.abs(a.xi.values - b.xi.values))),
+            float(np.max(np.abs(a.zeta.values - b.zeta.values))))
+
+
 def check_targeted_equilibrium(n: int = 200) -> CheckResult:
     """Solved equilibrium under targeted information vs the closed forms."""
     grid = uniform_grid(n)
@@ -76,11 +82,7 @@ def check_targeted_equilibrium(n: int = 200) -> CheckResult:
             info = game.targeted_info(g, members)
             eq = game.solve_linear_equilibrium(g, info)
             target = design.targeted_equilibrium_moment(members, r, grid)
-            worst = max(worst,
-                        float(np.max(np.abs(eq.induced_action_cov.values
-                                            - target.xi.values))),
-                        float(np.max(np.abs(eq.induced_action_state_cov.values
-                                            - target.zeta.values))))
+            worst = max(worst, *_moment_devs(eq.moment, target))
     return CheckResult("targeted_equilibrium", worst <= 1e-8,
                        {"worst_entry_dev": worst, "n": n})
 
@@ -132,11 +134,7 @@ def check_symmetric_equivalence(ns=(100, 200, 400)) -> CheckResult:
         g = game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
         info = moments.construct_canonical_signals(mom, g)
         eq = game.solve_linear_equilibrium(g, info)
-        worst_round = max(
-            worst_round,
-            float(np.max(np.abs(eq.induced_action_cov.values - mom.xi.values))),
-            float(np.max(np.abs(eq.induced_action_state_cov.values
-                                - mom.zeta.values))))
+        worst_round = max(worst_round, *_moment_devs(eq.moment, mom))
     ok = worst_rel <= 1e-4 and worst_round <= 1e-8
     return CheckResult("symmetric_equivalence", ok,
                        {"worst_rel_dev": worst_rel,
@@ -453,7 +451,7 @@ def check_feasibility_necessity(n_eqs: int = 100, n: int = 40,
         r, g = rs[i % len(rs)], games[i % len(rs)]
         info = design._random_info(g, rng)
         eq = game.solve_linear_equilibrium(g, info)
-        rep = moments.bounds_check(design.moment_from_equilibrium(eq), r)
+        rep = moments.bounds_check(eq.moment, r)
         worst_obed = max(worst_obed, rep.obedience_residual)
         worst_slack = min(worst_slack, rep.cauchy_slack, rep.diag_slack,
                           rep.ceiling_slack)

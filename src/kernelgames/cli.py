@@ -383,8 +383,8 @@ def _cmd_equilibrium(args) -> int:
         "intercepts": eq.intercepts.values.tolist(),
         "loadings": [c.tolist() for c in eq.loadings],
         "induced_mean": eq.induced_mean.values.tolist(),
-        "action_cov": eq.induced_action_cov.values.tolist(),
-        "action_state_cov": eq.induced_action_state_cov.values.tolist(),
+        "action_cov": eq.moment.xi.values.tolist(),
+        "action_state_cov": eq.moment.zeta.values.tolist(),
         "moment_residual": mrep.max_residual,
         "mean_residual": float(mrep.moment1_residuals.max()),
         "mean_tol": mrep.moment1_tol,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import BasicGame, GaussianInfo, common_state_game, info_from_parts, \
-    solve_linear_equilibrium
+from .game import BasicGame, GaussianInfo, _require_r, common_state_game, \
+    info_from_parts, solve_linear_equilibrium
 from .grid import MeasureGrid, uniform_grid
 from .kernels import Kernel, constant_kernel
 from .moments import (DesignObjective, EquilibriumMoment, common_state_moment,
@@ -42,12 +42,6 @@ class RegimeReport:
     alpha: float
     beta: float
     r: float
-
-
-def _require_r(r: float) -> None:
-    """ValueError unless r is finite and below 1, so 1 - r m > 0 on [0, 1]."""
-    if not (math.isfinite(r) and r < 1.0):
-        raise ValueError(f"r = {r!r}: must be finite and below 1")
 
 
 def _alpha_beta(r: float, obj: DesignObjective) -> tuple:
@@ -265,8 +259,8 @@ def _random_info(game: BasicGame, rng: np.random.Generator) -> GaussianInfo:
 
 
 def moment_from_equilibrium(eq) -> EquilibriumMoment:
-    return EquilibriumMoment(eq.grid, eq.induced_action_cov,
-                             eq.induced_cross_cov, eq.info.state_cov)
+    # no library caller; perfbench/workloads.py reads it
+    return eq.moment
 
 
 @dataclass(frozen=True)
@@ -304,8 +298,7 @@ def global_optimality_audit(r: float, obj: DesignObjective, samples: int,
     values = [objective_value(targeted_equilibrium_moment(np.arange(k), r, grid), obj)]
     for i in range(samples):
         if i % 4 < 2:
-            eq = solve_linear_equilibrium(game, _random_info(game, rng))
-            mom = moment_from_equilibrium(eq)
+            mom = solve_linear_equilibrium(game, _random_info(game, rng)).moment
         elif i % 4 == 2:
             members = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             mom = targeted_equilibrium_moment(members, r, grid)

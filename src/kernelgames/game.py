@@ -5,18 +5,20 @@ best-responds with f(t) = E_t[F(t)] + E_t[theta(t)] where F is the weighted
 aggregate of everyone's strategy.  Under jointly Gaussian (theta, signals)
 the equilibrium is linear in signals and is found by matching coefficients:
 the loadings solve one large linear system assembled from the conditional
-Gaussian formula.
+Gaussian formula.  The solved equilibrium carries the moment it induces,
+one ``EquilibriumMoment`` (xi, Z, Sigma) built in the solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NoConvergence, SingularMeanEquation
-from .grid import WEIGHT_SUM_TOL, GridFunction, MeasureGrid, _frozen
+from .grid import WEIGHT_SUM_TOL, GridFunction, MeasureGrid, _floats, _frozen
 from .kernels import (REAL_EIG_CUTOFF, Kernel, _is_one, eigenvalues, operator_matrix,
                       psd_tol, psd_within)
 
@@ -294,18 +296,51 @@ def info_from_parts(game: BasicGame, signal_dims, signal_mean,
 # equilibrium objects and solvers
 
 @dataclass(frozen=True)
+class EquilibriumMoment:
+    """Candidate second-moment profile (xi, Z, Sigma): Z is ``cross_cov``, kept
+    uncopied when it is already read-only, and Sigma ``state_cov``."""
+
+    grid: MeasureGrid
+    xi: Kernel
+    cross_cov: np.ndarray
+    state_cov: Kernel
+
+    def __post_init__(self):
+        if not all(k.grid.same_nodes(self.grid) for k in (self.xi, self.state_cov)):
+            raise ValueError("moment components must share the grid")
+        if not self.xi.undirected or not self.state_cov.undirected:
+            raise ValueError("xi and the state covariance must be undirected")
+        cross = _floats(self.cross_cov)
+        cross = _frozen(cross) if cross.flags.writeable else cross
+        if cross.shape != (self.grid.n,) * 2 or not np.all(np.isfinite(cross)):
+            raise ValueError("cross_cov must be a finite n x n matrix")
+        object.__setattr__(self, "cross_cov", cross)
+
+    @cached_property
+    def zeta(self) -> GridFunction:
+        """zeta(t) = Cov[f(t), theta(t)], the diagonal of Z."""
+        return self.grid.function(self.cross_cov.diagonal())
+
+    @cached_property
+    def _positive(self) -> bool:
+        """``check_positivity``'s verdict, decided on first use and kept."""
+        z = self.cross_cov
+        return psd_within([[self.xi.values, z], [z.T, self.state_cov.values]])
+
+
+@dataclass(frozen=True)
 class LinearEquilibrium:
     """Linear strategy profile f(t) = intercept(t) + loadings(t) . x(t); the
-    read-only ``coefficients`` hold all loadings in signal order."""
+    read-only ``coefficients`` hold all loadings in signal order, and
+    ``moment`` is the (xi, Z, Sigma) the profile induces over the game's
+    state."""
 
     grid: MeasureGrid
     info: GaussianInfo
     intercepts: GridFunction
     coefficients: np.ndarray
     induced_mean: GridFunction
-    induced_action_cov: Kernel
-    induced_action_state_cov: GridFunction    # zeta, the diagonal of Z
-    induced_cross_cov: np.ndarray       # read-only Z(t, s) = Cov[f(t), theta(s)]
+    moment: EquilibriumMoment
 
     def loading_vector(self) -> np.ndarray:
         # no library caller; perfbench/workloads.py reads it
@@ -372,9 +407,8 @@ def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEqui
         intercepts=game.grid.function(intercept),
         coefficients=_frozen(c),
         induced_mean=game.grid.function(b),
-        induced_action_cov=Kernel(game.grid, xi),
-        induced_action_state_cov=game.grid.function(cross.diagonal()),
-        induced_cross_cov=cross,
+        moment=EquilibriumMoment(game.grid, Kernel(game.grid, xi), cross,
+                                 info.state_cov),
     )
 
 
@@ -393,6 +427,13 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquil
 
     c = _solve_coefficients(*_coefficient_system(game, info))
     return _package_equilibrium(game, info, c, solve_mean(game).values)
+
+
+def _require_r(r: float) -> None:
+    """ValueError unless the interaction r is finite and below 1, so that
+    1 - r m > 0 for every mass m in [0, 1]."""
+    if not (math.isfinite(r) and r < 1.0):
+        raise ValueError(f"r = {r!r}: must be finite and below 1")
 
 
 def relative_tol(c: float, values) -> float:
@@ -436,9 +477,9 @@ def verify_moment_restrictions(eq: LinearEquilibrium,
     """Residuals of the first- and second-moment equilibrium restrictions."""
     if not eq.grid.same_nodes(game.grid):
         raise ValueError("equilibrium and game grids differ")
-    b, xi = eq.induced_mean.values, eq.induced_action_cov.values
+    b, xi = eq.induced_mean.values, eq.moment.xi.values
     A = operator_matrix(game.payoff)
     res1 = _mean_residuals(A, b, game.state_mean.values)
-    res2 = second_moment_residuals(A, xi, eq.induced_action_state_cov.values)
+    res2 = second_moment_residuals(A, xi, eq.moment.zeta.values)
     return MomentReport(res1, res2, relative_tol(MEAN_TOL, b),
                         relative_tol(OBEDIENCE_TOL, xi))

@@ -2,60 +2,27 @@
 
 An equilibrium moment is a candidate triple (xi, Z, Sigma): the action
 covariance xi, the action-state covariance Z(t, s) = Cov[f(t), theta(s)] and
-the covariance Sigma of any state process.  Obedience ties the diagonal of xi
-to its R-weighted row aggregate plus zeta = diag Z; positivity requires the
-joint covariance [[xi, Z], [Z', Sigma]] to be PSD.  Any feasible moment is
-realized by letting each agent observe its own equilibrium action as the
-signal; ``construct_canonical_signals`` builds exactly that structure.
+the covariance Sigma of any state process.  ``EquilibriumMoment`` is defined
+in ``game``, where a solved equilibrium carries its own, and re-exported
+here with the verdicts on it.  Obedience ties the diagonal of xi to its
+R-weighted row aggregate plus zeta = diag Z; positivity requires the joint
+covariance [[xi, Z], [Z', Sigma]] to be PSD.  Any feasible moment is realized
+by letting each agent observe its own equilibrium action as the signal;
+``construct_canonical_signals`` builds exactly that structure.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasibleMoment
-from .game import (OBEDIENCE_TOL, BasicGame, GaussianInfo, _same_state,
-                   relative_tol, second_moment_residuals, solve_mean)
-from .grid import GridFunction, MeasureGrid, _floats, _frozen
-from .kernels import (Kernel, check_r2, constant_kernel, operator_matrix,
-                      psd_within)
-
-
-@dataclass(frozen=True)
-class EquilibriumMoment:
-    """Candidate second-moment profile (xi, Z, Sigma): Z is ``cross_cov``, kept
-    uncopied when it is already read-only, and Sigma ``state_cov``."""
-
-    grid: MeasureGrid
-    xi: Kernel
-    cross_cov: np.ndarray
-    state_cov: Kernel
-
-    def __post_init__(self):
-        if not all(k.grid.same_nodes(self.grid) for k in (self.xi, self.state_cov)):
-            raise ValueError("moment components must share the grid")
-        if not self.xi.undirected or not self.state_cov.undirected:
-            raise ValueError("xi and the state covariance must be undirected")
-        cross = _floats(self.cross_cov)
-        cross = _frozen(cross) if cross.flags.writeable else cross
-        if cross.shape != (self.grid.n,) * 2 or not np.all(np.isfinite(cross)):
-            raise ValueError("cross_cov must be a finite n x n matrix")
-        object.__setattr__(self, "cross_cov", cross)
-
-    @cached_property
-    def zeta(self) -> GridFunction:
-        """zeta(t) = Cov[f(t), theta(t)], the diagonal of Z."""
-        return self.grid.function(self.cross_cov.diagonal())
-
-    @cached_property
-    def _positive(self) -> bool:
-        """``check_positivity``'s verdict, decided on first use and kept."""
-        z = self.cross_cov
-        return psd_within([[self.xi.values, z], [z.T, self.state_cov.values]])
+from .game import (OBEDIENCE_TOL, BasicGame, EquilibriumMoment, GaussianInfo,
+                   _require_r, _same_state, relative_tol,
+                   second_moment_residuals, solve_mean)
+from .kernels import Kernel, check_r2, constant_kernel, operator_matrix
 
 
 def common_state_moment(xi: Kernel, zeta, state_var: float = 1.0) -> EquilibriumMoment:
@@ -86,7 +53,8 @@ class DesignObjective:
     w: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u, self.v, self.w))):
+        # compares an int exactly, where math.isfinite(10**400) overflows
+        if not all(abs(x) <= sys.float_info.max for x in (self.u, self.v, self.w)):
             raise ValueError(f"objective weights (u, v, w) = ({self.u!r}, "
                              f"{self.v!r}, {self.w!r}) must be finite")
 
@@ -187,8 +155,7 @@ def bounds_check(m: EquilibriumMoment, r: float) -> BoundsReport:
     units of Var theta; the bounds are theorems about feasible moments over
     a common state only (ValueError for any other state).
     """
-    if r >= 1:
-        raise ValueError("bounds require r < 1")
+    _require_r(r)
     dd, iz, ceiling = double_integral(m), zeta_integral(m), 1.0 / (1.0 - r)
     var = _common_state_var(m) or 1.0   # Var 0: zeta ~ 0; normalized ceiling
     return BoundsReport(

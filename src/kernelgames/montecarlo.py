@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, \
-    _nonzero_eigenvalues, _require_cov, _require_symmetric, _sym_pinv, \
-    relative_tol, solve_mean, _package_equilibrium
+    _nonzero_eigenvalues, _require_cov, _require_r, _require_symmetric, \
+    _sym_pinv, relative_tol, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _at_least_one, _real_mask, operator_matrix
 
@@ -369,8 +369,7 @@ def bm_example_equilibrium(mu_theta: float, var_theta: float, var_x: float,
     and returns the coefficients plus the volatility V = Cov[a_i, a_j] and the
     dispersion D = Var[a_i] - Cov[a_i, a_j].
     """
-    if r >= 1.0:
-        raise ValueError("equilibrium requires r < 1")
+    _require_r(r)
     if var_theta <= 0 or var_x <= 0 or var_y <= 0:
         raise ValueError("variances must be positive")
     # Bayesian weights of E[theta | x_i, y] on (prior mean, x_i, y)

@@ -156,6 +156,11 @@ def test_equilibrium_solve_and_verify(tmp_path):
     assert payload["obedience_tol"] == pytest.approx(5e-8)
     assert not any("tol" in key for key in payload["config"])
     assert payload["loadings"][0][0] == pytest.approx(2.0, abs=1e-10)
+    # the moment's xi = 4 and zeta = 2 at every node
+    assert np.max(np.abs(np.array(payload["action_cov"]) - 4.0)) <= 1e-10
+    assert np.max(np.abs(np.array(payload["action_state_cov"]) - 2.0)) <= 1e-10
+    assert np.shape(payload["action_cov"]) == (20, 20)
+    assert np.shape(payload["action_state_cov"]) == (20,)
 
 
 # correct equilibria whose residuals are rounding at the scale of the state;

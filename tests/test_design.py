@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from kernelgames import design
 from kernelgames.checks import check_targeted_optimum
 from kernelgames.design import (BOUNDARY_TOL, _random_info, cournot_policy, global_optimality_audit,
-                                moment_from_equilibrium, optimal_targeted,
+                                optimal_targeted,
                                 public_optimum, regime_diagram,
                                 symmetric_moment, targeted_equilibrium_moment,
                                 targeted_grid_scan, targeted_value)
 from kernelgames.game import common_state_game, solve_linear_equilibrium, targeted_info
 from kernelgames.grid import uniform_grid
 from kernelgames.kernels import constant_kernel
-from kernelgames.moments import DesignObjective, objective_value
+from kernelgames.moments import DesignObjective, bounds_check, objective_value
+from kernelgames.montecarlo import bm_example_equilibrium
 
 
 _obj = DesignObjective.from_alpha_beta
@@ -271,15 +272,19 @@ def test_design_refuses_r_that_is_not_finite_and_below_one(r):
                  lambda: public_optimum(r, obj),
                  lambda: regime_diagram(r, (0, 1), (0, 1), 2),
                  lambda: symmetric_moment(0.5, r, uniform_grid(4)),
-                 lambda: targeted_equilibrium_moment([0], r, uniform_grid(4))):
+                 lambda: targeted_equilibrium_moment([0], r, uniform_grid(4)),
+                 # nan and -inf gave a nan bounds report and nan coefficients
+                 lambda: bounds_check(symmetric_moment(0.5, 0.5, uniform_grid(5)), r),
+                 lambda: bm_example_equilibrium(0.0, 1.0, 1.0, 1.0, r, 1.0, 0.0)):
         with pytest.raises(ValueError, match=message):
             call()
 
 
 @pytest.mark.parametrize("weights", [(0.0, math.inf, 0.0), (math.nan, 1.0, 0.0),
-                                     (1.0, 0.0, -math.inf)])
+                                     (1.0, 0.0, -math.inf), (10**400, 0, 0)])
 def test_objective_refuses_weights_that_are_not_finite(weights):
-    # alpha = inf scanned to (0.0, -inf)
+    # alpha = inf scanned to (0.0, -inf); an int beyond the float range
+    # raised OverflowError
     with pytest.raises(ValueError, match=r"\(u, v, w\) = .* must be finite"):
         DesignObjective(*weights)
 
@@ -335,10 +340,8 @@ def test_targeted_moment_matches_solved_equilibrium():
         game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
         eq = solve_linear_equilibrium(game, targeted_info(game, members))
         mom = targeted_equilibrium_moment(members, r, grid)
-        assert np.max(np.abs(eq.induced_action_cov.values
-                             - mom.xi.values)) <= 1e-9
-        assert np.max(np.abs(eq.induced_action_state_cov.values
-                             - mom.zeta.values)) <= 1e-9
+        assert np.max(np.abs(eq.moment.xi.values - mom.xi.values)) <= 1e-9
+        assert np.max(np.abs(eq.moment.zeta.values - mom.zeta.values)) <= 1e-9
 
 
 # -- symmetric moment --------------------------------------------------------
@@ -408,7 +411,7 @@ def test_feasible_moments_never_beat_optimum():
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
     for _ in range(20):
         eq = solve_linear_equilibrium(game, _random_info(game, rng))
-        v = objective_value(moment_from_equilibrium(eq), obj)
+        v = objective_value(eq.moment, obj)
         assert v <= v_star + 1e-6 * (1 + abs(v_star))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kernelgames import game as game_module
 from kernelgames.checks import _fixed_point_loadings
-from kernelgames.design import _random_info, moment_from_equilibrium
+from kernelgames.design import _random_info
 from kernelgames.errors import NoConvergence, SingularMeanEquation
 from kernelgames.game import (BasicGame, GaussianInfo, _coefficient_system,
                               _package_equilibrium,
@@ -139,7 +139,7 @@ def test_no_information_equilibrium_is_deterministic():
     game = common_state_game(g, constant_kernel(g, 0.5), 1.0, 1.0)
     eq = solve_linear_equilibrium(game, no_info(game))
     assert np.allclose(eq.intercepts.values, solve_mean(game).values)
-    assert np.max(np.abs(eq.induced_action_cov.values)) == 0.0
+    assert np.max(np.abs(eq.moment.xi.values)) == 0.0
     assert np.max(np.abs(eq.loading_vector())) == 0.0
 
 
@@ -267,8 +267,8 @@ def test_ragged_signal_dims_match_dense_reference():
     assert [len(l) for l in eq.loadings] == list(info.signal_dims)
     np.testing.assert_array_equal(np.concatenate(eq.loadings), vec)
     np.testing.assert_allclose(vec, c, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(eq.induced_action_cov.values, xi, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(eq.induced_action_state_cov.values, zeta,
+    np.testing.assert_allclose(eq.moment.xi.values, xi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eq.moment.zeta.values, zeta,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(eq.intercepts.values, intercept, rtol=0, atol=1e-12)
     assert verify_moment_restrictions(eq, game).passed
@@ -329,11 +329,11 @@ def test_induced_mean_matches_solve_mean():
                              - solve_mean(game).values)) <= 1e-8
 
 
-def test_induced_action_cov_is_psd():
+def test_moment_xi_is_psd():
     g = uniform_grid(16)
     game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, private_iid_info(game, 2.0))
-    assert check_psd(eq.induced_action_cov)
+    assert check_psd(eq.moment.xi)
 
 
 def test_aggregate_variance_fubini_identity():
@@ -343,7 +343,7 @@ def test_aggregate_variance_fubini_identity():
     game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, private_iid_info(game, 1.0))
     w = g.weights
-    xi = eq.induced_action_cov.values
+    xi = eq.moment.xi.values
     agg_var = float(w @ xi @ w)
     # recompute from first principles: Cov[sum_i w_i f_i, sum_j w_j f_j]
     direct = 0.0
@@ -374,8 +374,8 @@ def test_grid_equilibrium_converges_to_the_continuum_closed_form():
         a = kappa * (1.0 + r * (1.0 + grid.coords) * A)
         errors.append(np.max(np.abs(eq.loading_vector() - a)))
         w = grid.weights
-        zetas.append(w @ eq.induced_action_state_cov.values)
-        xis.append(w @ eq.induced_action_cov.values @ w)
+        zetas.append(w @ eq.moment.zeta.values)
+        xis.append(w @ eq.moment.xi.values @ w)
     # the loadings converge at O(1/n): the error halves per doubling of n
     ratios = np.divide(errors[:-1], errors[1:])
     assert np.all(np.abs(ratios - 2.0) <= 0.1), ratios
@@ -406,8 +406,8 @@ def test_grid_equilibrium_converges_for_a_directed_kernel():
         a = kappa * (1.0 + r * (1.0 + t) * B)
         errors.append(np.max(np.abs(eq.loading_vector() - a)))
         w = grid.weights
-        zetas.append(w @ eq.induced_action_state_cov.values)
-        xis.append(w @ eq.induced_action_cov.values @ w)
+        zetas.append(w @ eq.moment.zeta.values)
+        xis.append(w @ eq.moment.xi.values @ w)
     ratios = np.divide(errors[:-1], errors[1:])
     assert np.all(np.abs(ratios - 2.0) <= 0.2), ratios
     assert errors[-1] <= 1e-3
@@ -436,7 +436,7 @@ def test_moment_restrictions_on_lqg_example():
     assert 0.56 == pytest.approx(0.5 * 0.52 + 0.5 * 0.6)
     # off-diagonal covariance approaches 0.52 with an O(1/n) correction from
     # the exchangeable sum-zero noise
-    assert eq.induced_action_cov.values[0, 1] == pytest.approx(0.52, abs=1e-3)
+    assert eq.moment.xi.values[0, 1] == pytest.approx(0.52, abs=1e-3)
 
 
 def test_moment_restrictions_trivial_for_no_info():
@@ -464,14 +464,14 @@ def test_sd_identity_full_disclosure():
     g = uniform_grid(40)
     game = common_state_game(g, constant_kernel(g, 0.5), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, full_info(game))
-    assert symmetric_moment_identity(moment_from_equilibrium(eq), 0.5) <= 1e-9
+    assert symmetric_moment_identity(eq.moment, 0.5) <= 1e-9
 
 
 def test_sd_identity_zero_variance_convention():
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, 0.5), 1.0, 1.0)
     eq = solve_linear_equilibrium(game, no_info(game))
-    assert symmetric_moment_identity(moment_from_equilibrium(eq), 0.5) == 0.0
+    assert symmetric_moment_identity(eq.moment, 0.5) == 0.0
 
 
 def test_sd_identity_symmetric_noisy_equilibrium():
@@ -483,7 +483,7 @@ def test_sd_identity_symmetric_noisy_equilibrium():
     cross = np.full((2, 2), 2 / 3)
     info = info_from_parts(game, np.ones(2, int), np.zeros(2), sig, cross)
     eq = _package_equilibrium(game, info, np.ones(2), np.zeros(2))
-    assert symmetric_moment_identity(moment_from_equilibrium(eq), 0.5) <= 1e-8
+    assert symmetric_moment_identity(eq.moment, 0.5) <= 1e-8
 
 
 def test_sd_identity_rejects_asymmetric_profiles():
@@ -491,7 +491,7 @@ def test_sd_identity_rejects_asymmetric_profiles():
     game = common_state_game(g, constant_kernel(g, 0.4), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, targeted_info(game, np.arange(4)))
     with pytest.raises(ValueError):
-        symmetric_moment_identity(moment_from_equilibrium(eq), 0.4)
+        symmetric_moment_identity(eq.moment, 0.4)
 
 
 # -- validation --------------------------------------------------------------

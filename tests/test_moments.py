@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernelgames import game as game_module
 from kernelgames import moments as moments_module
-from kernelgames.design import (_random_info, moment_from_equilibrium,
-                                optimal_targeted, symmetric_moment,
-                                targeted_equilibrium_moment)
+from kernelgames.design import (_random_info, optimal_targeted,
+                                symmetric_moment, targeted_equilibrium_moment)
 from kernelgames.errors import InfeasibleMoment
 from kernelgames.game import (BasicGame, common_state_game, full_info,
                               info_from_parts, solve_linear_equilibrium,
@@ -94,12 +94,12 @@ def test_positivity_of_constructed_gaussian_covariance():
 
 def test_positivity_is_decided_once_per_moment(monkeypatch):
     verdicts = []
-    psd_within = moments_module.psd_within
+    psd_within = game_module.psd_within
 
     def counted(M):
         verdicts.append((M, psd_within(M)))
         return verdicts[-1][1]
-    monkeypatch.setattr(moments_module, "psd_within", counted)
+    monkeypatch.setattr(game_module, "psd_within", counted)
     m, _ = _targeted_half()
     pos = check_positivity(m)
     rep = bounds_check(m, 0.5)
@@ -121,7 +121,7 @@ def test_bounds_obedience_is_the_constant_kernel_obedience(r):
     rng = np.random.default_rng(11)
     for _ in range(5):
         eq = solve_linear_equilibrium(game, _random_info(game, rng))
-        m = moment_from_equilibrium(eq)
+        m = eq.moment
         assert (bounds_check(m, r).obedience_residual
                 == check_obedience(m, constant_kernel(grid, r)))
 
@@ -158,7 +158,7 @@ def test_bounds_pass_at_large_state_variance():
     # rounding of order 1e-9, which an absolute 1e-9 failed
     grid = uniform_grid(400)
     game = common_state_game(grid, constant_kernel(grid, 0.9), 0.0, 1e4)
-    m = moment_from_equilibrium(solve_linear_equilibrium(game, full_info(game)))
+    m = solve_linear_equilibrium(game, full_info(game)).moment
     rep = bounds_check(m, 0.9)
     assert rep.tol == pytest.approx(1e-9 * (1.0 + 1e6))
     assert rep.feasible and rep.passed
@@ -213,9 +213,8 @@ def test_canonical_signals_reproduce_targeted_equilibrium():
     mom = targeted_equilibrium_moment(np.arange(15), r, grid)
     info = construct_canonical_signals(mom, game)
     eq = solve_linear_equilibrium(game, info)
-    assert np.max(np.abs(eq.induced_action_cov.values - mom.xi.values)) <= 1e-8
-    assert np.max(np.abs(eq.induced_action_state_cov.values
-                         - mom.zeta.values)) <= 1e-8
+    assert np.max(np.abs(eq.moment.xi.values - mom.xi.values)) <= 1e-8
+    assert np.max(np.abs(eq.moment.zeta.values - mom.zeta.values)) <= 1e-8
     loads = eq.loading_vector()
     # loading 1 on the informative own signals; the zero-variance signals of
     # the uninformed agents take loading 0 through the pseudo-inverse branch
@@ -229,7 +228,7 @@ def test_canonical_signals_zero_moment_recovers_mean():
     info = construct_canonical_signals(_zero_moment(grid), game)
     eq = solve_linear_equilibrium(game, info)
     assert np.allclose(eq.intercepts.values, 2.0, atol=1e-9)
-    assert np.max(np.abs(eq.induced_action_cov.values)) <= 1e-12
+    assert np.max(np.abs(eq.moment.xi.values)) <= 1e-12
 
 
 def test_canonical_signals_round_trip_random_feasible():
@@ -239,13 +238,11 @@ def test_canonical_signals_round_trip_random_feasible():
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
     for _ in range(5):
         eq = solve_linear_equilibrium(game, _random_info(game, rng))
-        mom = moment_from_equilibrium(eq)
+        mom = eq.moment
         info = construct_canonical_signals(mom, game)
         eq2 = solve_linear_equilibrium(game, info)
-        assert np.max(np.abs(eq2.induced_action_cov.values
-                             - mom.xi.values)) <= 1e-8
-        assert np.max(np.abs(eq2.induced_action_state_cov.values
-                             - mom.zeta.values)) <= 1e-8
+        assert np.max(np.abs(eq2.moment.xi.values - mom.xi.values)) <= 1e-8
+        assert np.max(np.abs(eq2.moment.zeta.values - mom.zeta.values)) <= 1e-8
 
 
 _SIZES = st.integers(2, 30)
@@ -260,7 +257,7 @@ def test_solved_moments_are_feasible(n, r, seed):
     R = constant_kernel(grid, r)
     game = common_state_game(grid, R, 0.0, 1.0)
     info = _random_info(game, np.random.default_rng(seed))
-    mom = moment_from_equilibrium(solve_linear_equilibrium(game, info))
+    mom = solve_linear_equilibrium(game, info).moment
     assert check_feasibility(mom, R).feasible
     assert bounds_check(mom, r).passed
 
@@ -278,7 +275,7 @@ def test_moment_verdicts_are_scale_invariant(n, r, log_sd, mean_per_sd, seed):
     game = common_state_game(grid, R, mean_per_sd * s, s * s)
     eq = solve_linear_equilibrium(game, _random_info(game, np.random.default_rng(seed)))
     assert verify_moment_restrictions(eq, game).passed
-    rep = bounds_check(moment_from_equilibrium(eq), r)
+    rep = bounds_check(eq.moment, r)
     assert rep.feasible and rep.passed
 
 
@@ -293,7 +290,7 @@ def test_no_equilibrium_moment_beats_the_targeted_optimum(n, r, alpha, beta, see
     grid = uniform_grid(n)
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
     eq = solve_linear_equilibrium(game, _random_info(game, np.random.default_rng(seed)))
-    value = objective_value(moment_from_equilibrium(eq), obj)
+    value = objective_value(eq.moment, obj)
     assert value <= v_star + 1e-6 * (1.0 + abs(v_star))
 
 
@@ -306,9 +303,8 @@ def test_grid_matched_symmetric_moment_round_trips(n, r, m):
     game = common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
     mom = symmetric_moment(m, r, grid, match_grid_obedience=True)
     eq = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
-    assert np.max(np.abs(eq.induced_action_cov.values - mom.xi.values)) <= 1e-8
-    assert np.max(np.abs(eq.induced_action_state_cov.values
-                         - mom.zeta.values)) <= 1e-8
+    assert np.max(np.abs(eq.moment.xi.values - mom.xi.values)) <= 1e-8
+    assert np.max(np.abs(eq.moment.zeta.values - mom.zeta.values)) <= 1e-8
 
 
 # sufficiency as a property: the moment of any solved equilibrium, under a
@@ -334,12 +330,11 @@ def test_canonical_signals_reproduce_every_solved_moment(n, kind, sup, log_var,
             Kernel(grid, v))))))
     game = common_state_game(grid, R, mean, float(np.exp(log_var)))
     eq = solve_linear_equilibrium(game, _random_info(game, rng))
-    mom = moment_from_equilibrium(eq)
+    mom = eq.moment
     eq2 = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
     tol = 1e-12 * (1.0 + np.max(np.abs(mom.xi.values)))
-    assert np.max(np.abs(eq2.induced_action_cov.values - mom.xi.values)) <= tol
-    assert np.max(np.abs(eq2.induced_action_state_cov.values
-                         - mom.zeta.values)) <= tol
+    assert np.max(np.abs(eq2.moment.xi.values - mom.xi.values)) <= tol
+    assert np.max(np.abs(eq2.moment.zeta.values - mom.zeta.values)) <= tol
 
 
 def test_canonical_signals_reject_infeasible_moment():
@@ -401,21 +396,23 @@ def test_moment_of_an_iid_state_is_feasible():
     # Z = Cov[f(t), theta(s)] is diagonal here; a single common theta of
     # variance Sigma[0, 0] would call this solved equilibrium infeasible
     game, R, eq = _iid_state_full_info()
-    mom = moment_from_equilibrium(eq)
+    mom = eq.moment
+    assert moments_module.EquilibriumMoment is game_module.EquilibriumMoment
     assert mom.state_cov is game.state_cov
-    assert mom.cross_cov is eq.induced_cross_cov      # frozen once, not copied
     assert not mom.cross_cov.flags.writeable
-    assert np.array_equal(mom.zeta.values, eq.induced_action_state_cov.values)
     feas = check_feasibility(mom, R)
     assert feas.feasible and feas.positivity_ok
+    # obedience is decided once: the solve's report reads the same float
+    assert (verify_moment_restrictions(eq, game).moment2_residuals.max()
+            == check_obedience(mom, R))
 
 
 def test_canonical_signals_of_an_iid_state_round_trip():
     game, _, eq = _iid_state_full_info()
-    mom = moment_from_equilibrium(eq)
+    mom = eq.moment
     eq2 = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
-    assert np.max(np.abs(eq2.induced_action_cov.values - mom.xi.values)) <= 1e-12
-    assert np.max(np.abs(eq2.induced_cross_cov - mom.cross_cov)) <= 1e-12
+    assert np.max(np.abs(eq2.moment.xi.values - mom.xi.values)) <= 1e-12
+    assert np.max(np.abs(eq2.moment.cross_cov - mom.cross_cov)) <= 1e-12
     assert np.max(np.abs(eq2.loading_vector() - 1.0)) <= 1e-12
 
 
@@ -423,7 +420,7 @@ def test_common_state_results_refuse_any_other_state():
     # the ceiling bound fails here (double-int xi = 0.0227 > w' Sigma w / 9),
     # so bounds_check and the standard-deviation identity raise
     _, _, eq = _iid_state_full_info()
-    mom = moment_from_equilibrium(eq)
+    mom = eq.moment
     with pytest.raises(ValueError, match="not one common constant"):
         bounds_check(mom, -2.0)
     with pytest.raises(ValueError, match="not one common constant"):
@@ -484,9 +481,9 @@ def test_canonical_signals_round_trip_over_any_state(n, log_scale, length, seed)
     rng = np.random.default_rng(seed)
     game = _correlated_state_game(rng, n, log_scale, length)
     eq = solve_linear_equilibrium(game, _multi_signal_info(game, rng))
-    mom = moment_from_equilibrium(eq)
+    mom = eq.moment
     assert check_feasibility(mom, game.payoff).feasible
     eq2 = solve_linear_equilibrium(game, construct_canonical_signals(mom, game))
     tol = 1e-12 * (1.0 + np.max(np.abs(mom.xi.values)))
-    assert np.max(np.abs(eq2.induced_action_cov.values - mom.xi.values)) <= tol
-    assert np.max(np.abs(eq2.induced_cross_cov - mom.cross_cov)) <= tol
+    assert np.max(np.abs(eq2.moment.xi.values - mom.xi.values)) <= tol
+    assert np.max(np.abs(eq2.moment.cross_cov - mom.cross_cov)) <= tol

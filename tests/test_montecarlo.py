@@ -801,7 +801,7 @@ def test_duplicate_distance_is_the_l2_norm_of_the_loading_gap(monkeypatch):
         eq_f, eq_g = audited[-2:]
         # f loads on no signal, so ||g - f||^2 is the integral of Var g(t)
         assert np.all(eq_f.loading_vector() == 0.0)
-        norm_sq = grid.weights @ np.diag(eq_g.induced_action_cov.values)
+        norm_sq = grid.weights @ np.diag(eq_g.moment.xi.values)
         assert rep.distance == pytest.approx(math.sqrt(norm_sq), rel=1e-12)
         assert rep.distance == pytest.approx(1.0, rel=1e-12)
 
