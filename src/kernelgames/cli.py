@@ -84,6 +84,14 @@ _flag = _instance_of("JSON true or false", bool)
 _string = _instance_of("a string", str)
 _array = _instance_of("a JSON array", list)  # its constructor checks the rest
 _object = _instance_of("a JSON object", dict)
+_integer = _instance_of("an integer", int)      # argparse has parsed it
+
+
+def _draws(value, where: str) -> int:
+    if not 2 <= _integer(value, where) <= MAX_DRAWS:
+        raise ConfigError(f"{where} must be at least 2 and at most "
+                          f"{MAX_DRAWS}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +156,82 @@ def _targeted_moment(grid, r, m, members):
 
 
 # ---------------------------------------------------------------------------
+# the design modes and mc checks: each runs and returns its report body,
+# whose `passed`, where it has one, is the verdict; a body that is a list is
+# a CSV table, its header row first
+
+def _optimum(r, u, v, w):
+    obj = DesignObjective(u, v, w)
+    rep = design.optimal_targeted(r, obj)
+    pub = design.public_optimum(r, obj)
+    return {"regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
+            "alpha": rep.alpha, "beta": rep.beta,
+            "public": {"z_star": pub.z_star, "v_pub": pub.v_pub,
+                       "boundary": pub.boundary}}
+
+
+def _diagram(**flags):
+    rows = design.regime_diagram(flags["r"],
+                                 (flags["alpha-min"], flags["alpha-max"]),
+                                 (flags["beta-min"], flags["beta-max"]),
+                                 flags["resolution"])
+    return [("alpha", "beta", "regime", "m_star", "v_star"), *rows]
+
+
+def _cournot(**flags):
+    rep = design.cournot_policy(flags["lambda"], flags["gamma"])
+    return {"u": rep.u, "v": rep.v, "w": rep.w, "r": rep.r,
+            "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
+            "full_disclosure": rep.full_disclosure}
+
+
+def _audit(r, u, v, w, samples, seed, n):
+    rep = design.global_optimality_audit(r, DesignObjective(u, v, w), samples,
+                                         seed, n=n)
+    return {"max_excess": rep.max_excess, "v_star": rep.v_star,
+            "tol": rep.tol, "samples_checked": rep.samples,
+            "passed": rep.passed}
+
+
+def _aggregate(n, draws, seed):
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(n)
+    mean = rng.normal(size=n)
+    B = rng.normal(size=(n, 5))
+    cov = B @ B.T + 0.1 * np.eye(n)
+    rep = montecarlo.verify_process(grid, mean, cov, draws, seed,
+                                    rng.normal(size=n), [0, n // 2])
+    return {"mean_zscore": rep.mean.zscore,
+            "variance_zscore": rep.variance.zscore,
+            "exchange_residual": rep.exchange.statistic,
+            "conditional_discrepancy": rep.conditional.statistic,
+            "passed": rep.passed}
+
+
+def _duplicate(n, r, draws, seed):
+    grid = uniform_grid(n)
+    g = game.common_state_game(grid, kernels.constant_kernel(grid, r), 1.0, 1.0)
+    rep = montecarlo.duplicate_equilibria(g, d=draws, seed=seed)
+    return {"eigenvalue": rep.eigenvalue, "distance": rep.distance,
+            "passed": rep.passed}
+
+
+def _bm(n, draws, seed):
+    return checks.check_bm_example(n=n, draws=draws, seed=seed).as_dict()
+
+
+# ---------------------------------------------------------------------------
 # the config schema and its one parser
+
+_OBJECTIVE = {"r": (_number, 0.5), "u": (_number, 0.0), "v": (_number, 1.0),
+              "w": (_number, 0.0)}
+_DRAWS = {"draws": (_draws, 100_000), "seed": (_integer, 0)}
 
 #: section -> kind -> ({key: (type, default)}, builder); a section without
 #: kinds has the single kind None.  A default of ``...`` marks a required key;
 #: a default of None lets the key be left out, and the resolved section then
-#: leaves it out too.
+#: leaves it out too.  The kinds of ``design`` and ``mc`` are their modes,
+#: and their keys are flags, which argparse parses as their default's type.
 _SCHEMA = {
     "spectral": {None: ({"grid": (_object, ...), "kernel": (_object, ...)},
                         dict)},
@@ -201,13 +279,34 @@ _SCHEMA = {
                      lambda grid, r, xi, zeta, state_var:
                      moments.common_state_moment(Kernel(grid, xi), zeta, state_var)),
     },
+    "design": {
+        "optimum": (_OBJECTIVE, _optimum),
+        "diagram": ({"r": (_number, 0.5), "alpha-min": (_number, -2.0),
+                     "alpha-max": (_number, 2.0), "beta-min": (_number, -2.0),
+                     "beta-max": (_number, 2.0), "resolution": (_integer, 101)},
+                    _diagram),
+        "cournot": ({"lambda": (_number, 0.5), "gamma": (_number, 2.0)},
+                    _cournot),
+        "audit": (dict(_OBJECTIVE, samples=(_integer, 200), seed=(_integer, 0),
+                       n=(_node_count, 100)), _audit),
+    },
+    "mc": {
+        "aggregate": (dict(n=(_node_count, 40), **_DRAWS), _aggregate),
+        "duplicate": (dict(n=(_node_count, 40), r=(_number, 2.0), **_DRAWS),
+                      _duplicate),
+        # the bm example's private noises sum to zero, which needs two nodes
+        "bm": (dict(n=(lambda value, where: _node_count(value, where, 2), 40),
+                    **_DRAWS), _bm),
+    },
 }
 
 
-def _parse(section: str, cfg, *context, where: str = None):
+def _parse(section: str, cfg, *context, where: str = None,
+           flags: bool = False):
     """Check ``cfg`` against ``_SCHEMA[section]`` and build its object with
     ``builder(*context, **values)``.  Returns (object, resolved section with
-    every default filled in)."""
+    every default filled in).  With ``flags``, an error names a key as the
+    flag ``--key``."""
     where = where or section
     _object(cfg, where)
     kinds = _SCHEMA[section]
@@ -222,8 +321,9 @@ def _parse(section: str, cfg, *context, where: str = None):
                if default is ... and key not in cfg]
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
-    values = {key: parse(cfg[key], f"{where} '{key}'") if key in cfg
-              else default for key, (parse, default) in keys.items()}
+    values = {key: parse(cfg[key], f"--{key}" if flags else f"{where} '{key}'")
+              if key in cfg else default
+              for key, (parse, default) in keys.items()}
     resolved = {key: v for key, v in dict(values, kind=kind).items()
                 if v is not None}
     try:
@@ -246,52 +346,6 @@ def _load_config(args) -> dict:
 
 def _grid_config(grid: MeasureGrid) -> dict:
     return {"coords": grid.coords.tolist(), "weights": grid.weights.tolist()}
-
-
-# ---------------------------------------------------------------------------
-# the flags of each design mode and mc check
-
-_integer = _instance_of("an integer", int)      # argparse has parsed it
-_OBJECTIVE = {"r": (_number, 0.5), "u": (_number, 0.0), "v": (_number, 1.0),
-              "w": (_number, 0.0)}
-_DRAWS = {"draws": (_integer, 100_000), "seed": (_integer, 0)}
-
-#: command -> mode -> {flag: (type, default)}: the flags each mode reads;
-#: argparse parses a flag as its default's type
-_MODE_FLAGS = {
-    "design": {
-        "optimum": _OBJECTIVE,
-        "diagram": {"r": (_number, 0.5), "alpha-min": (_number, -2.0),
-                    "alpha-max": (_number, 2.0), "beta-min": (_number, -2.0),
-                    "beta-max": (_number, 2.0), "resolution": (_integer, 101)},
-        "cournot": {"lambda": (_number, 0.5), "gamma": (_number, 2.0)},
-        "audit": dict(_OBJECTIVE, samples=(_integer, 200), seed=(_integer, 0),
-                      n=(_node_count, 100)),
-    },
-    "mc": {
-        "aggregate": dict(n=(_node_count, 40), **_DRAWS),
-        "duplicate": dict(n=(_node_count, 40), r=(_number, 2.0), **_DRAWS),
-        # the bm example's private noises sum to zero, which needs two nodes
-        "bm": dict(n=(lambda value, where: _node_count(value, where, 2), 40),
-                   **_DRAWS),
-    },
-}
-
-
-def _mode_options(args, selector: str) -> dict:
-    """The values of the flags that the mode chosen by ``--<selector>`` reads:
-    each given flag checked by its type, the others at their defaults.  A
-    given flag that the mode does not read is a ConfigError."""
-    mode = getattr(args, selector)
-    flags = _MODE_FLAGS[args.command][mode]
-    given = {key: value for key, value in vars(args).items()
-             if key not in ("command", "out", selector)}
-    ignored = [f"--{key}" for key in given if key not in flags]
-    if ignored:
-        raise ConfigError(f"{args.command} --{selector} {mode} does not read "
-                          f"{', '.join(ignored)}")
-    return {key: parse(given[key], f"--{key}") if key in given else default
-            for key, (parse, default) in flags.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +403,9 @@ def _emit(payload: dict, out: str | None, passed: bool = True) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _emit_csv(rows, header, out: str | None) -> None:
+def _emit_csv(rows, out: str | None) -> None:
     buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
+    csv.writer(buf).writerows(rows)
     _atomic_write(out, buf.getvalue())
 
 
@@ -421,86 +475,21 @@ def _cmd_moments(args) -> int:
     return _emit(payload, args.out, rep.passed)
 
 
-def _cmd_design(args) -> int:
-    opts = _mode_options(args, "mode")
-    config = dict(opts, command="design", mode=args.mode)
-    if args.mode == "diagram":
-        rows = design.regime_diagram(opts["r"],
-                                     (opts["alpha-min"], opts["alpha-max"]),
-                                     (opts["beta-min"], opts["beta-max"]),
-                                     opts["resolution"])
-        _emit_csv(rows, ("alpha", "beta", "regime", "m_star", "v_star"),
-                  args.out)
+def _cmd_mode(args, selector: str, **extra) -> int:
+    """Run the ``design`` mode or ``mc`` check that ``--<selector>`` names;
+    ``extra`` joins the report's config."""
+    mode = getattr(args, selector)
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "out", selector)}
+    body, config = _parse(args.command, dict(given, kind=mode),
+                          where=f"{args.command} --{selector} {mode}",
+                          flags=True)
+    if isinstance(body, list):
+        _emit_csv(body, args.out)
         return EXIT_OK
-    if args.mode == "cournot":
-        rep = design.cournot_policy(opts["lambda"], opts["gamma"])
-        payload = {
-            "config": config,
-            "u": rep.u, "v": rep.v, "w": rep.w, "r": rep.r,
-            "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
-            "full_disclosure": rep.full_disclosure,
-        }
-        return _emit(payload, args.out)
-    obj = DesignObjective(opts["u"], opts["v"], opts["w"])
-    if args.mode == "optimum":
-        rep = design.optimal_targeted(opts["r"], obj)
-        pub = design.public_optimum(opts["r"], obj)
-        payload = {
-            "config": config,
-            "regime": rep.regime, "m_star": rep.m_star, "v_star": rep.v_star,
-            "alpha": rep.alpha, "beta": rep.beta,
-            "public": {"z_star": pub.z_star, "v_pub": pub.v_pub,
-                       "boundary": pub.boundary},
-        }
-        return _emit(payload, args.out)
-    rep = design.global_optimality_audit(opts["r"], obj, opts["samples"],
-                                         opts["seed"], n=opts["n"])
-    payload = {
-        "config": config,
-        "max_excess": rep.max_excess, "v_star": rep.v_star, "tol": rep.tol,
-        "samples_checked": rep.samples, "passed": rep.passed,
-    }
-    return _emit(payload, args.out, rep.passed)
-
-
-def _cmd_mc(args) -> int:
-    opts = _mode_options(args, "check")
-    n, draws, seed = opts["n"], opts["draws"], opts["seed"]
-    if not 2 <= draws <= MAX_DRAWS:
-        raise ConfigError(f"--draws must be at least 2 and at most "
-                          f"{MAX_DRAWS}, got {draws}")
-    config = dict(opts, command="mc", check=args.check,
-                  generator_id=montecarlo.GENERATOR_ID)
-    if args.check == "aggregate":
-        rng = np.random.default_rng(seed)
-        grid = uniform_grid(n)
-        mean = rng.normal(size=n)
-        B = rng.normal(size=(n, 5))
-        cov = B @ B.T + 0.1 * np.eye(n)
-        rep = montecarlo.verify_process(grid, mean, cov, draws, seed,
-                                        rng.normal(size=n), [0, n // 2])
-        payload = {
-            "config": config,
-            "mean_zscore": rep.mean.zscore,
-            "variance_zscore": rep.variance.zscore,
-            "exchange_residual": rep.exchange.statistic,
-            "conditional_discrepancy": rep.conditional.statistic,
-            "passed": rep.passed,
-        }
-        return _emit(payload, args.out, rep.passed)
-    if args.check == "duplicate":
-        grid = uniform_grid(n)
-        g = game.common_state_game(
-            grid, kernels.constant_kernel(grid, opts["r"]), 1.0, 1.0)
-        rep = montecarlo.duplicate_equilibria(g, d=draws, seed=seed)
-        payload = {
-            "config": config,
-            "eigenvalue": rep.eigenvalue, "distance": rep.distance,
-            "passed": rep.passed,
-        }
-        return _emit(payload, args.out, rep.passed)
-    res = checks.check_bm_example(n=n, draws=draws, seed=seed)
-    return _emit({"config": config, **res.as_dict()}, args.out, res.passed)
+    del config["kind"]
+    config.update(extra, command=args.command, **{selector: mode})
+    return _emit({"config": config, **body}, args.out, body.get("passed", True))
 
 
 def _cmd_reproduce_all(args) -> int:
@@ -550,10 +539,10 @@ def _build_parser() -> _Parser:
         for flag in flags:
             p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
         if selector:
-            # every flag of any mode; _mode_options rejects the others
-            modes = _MODE_FLAGS[name]
+            # every flag of any mode; _parse refuses the others
+            modes = _SCHEMA[name]
             p.add_argument(f"--{selector}", required=True, choices=tuple(modes))
-            defaults = {flag: default for keys in modes.values()
+            defaults = {flag: default for keys, _ in modes.values()
                         for flag, (_, default) in keys.items()}
             for flag, default in defaults.items():
                 p.add_argument(f"--{flag}", dest=flag, type=type(default),
@@ -580,8 +569,9 @@ _DISPATCH = {
     "spectral": _cmd_spectral,
     "equilibrium": _cmd_equilibrium,
     "moments": _cmd_moments,
-    "design": _cmd_design,
-    "mc": _cmd_mc,
+    "design": lambda args: _cmd_mode(args, "mode"),
+    "mc": lambda args: _cmd_mode(args, "check",
+                                 generator_id=montecarlo.GENERATOR_ID),
     "reproduce-all": _cmd_reproduce_all,
 }
 

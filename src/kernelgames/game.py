@@ -359,7 +359,7 @@ def solve_mean(game: BasicGame) -> GridFunction:
 
 def _coefficient_system(game: BasicGame, info: GaussianInfo):
     """Assemble (A, rhs) so equilibrium loadings solve c = A c + rhs."""
-    A = game.payoff.values * game.grid.weights
+    A = operator_matrix(game.payoff)
     if info.total_dim != game.grid.n:       # gather one row per signal
         node_of = info._node_of()
         A = A[np.ix_(node_of, node_of)]

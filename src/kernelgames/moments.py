@@ -202,8 +202,10 @@ VANISHING_TOL = 1e-15
 def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
     """Residual of the symmetric standard-deviation identity
     Sd[f] = Corr[f, theta] / (1 - r Corr[f, f']) * Sd[theta],
-    evaluated at a representative node pair.
+    evaluated at a representative node pair.  Any finite r is valid.
     """
+    if not -np.inf < r < np.inf:
+        raise ValueError(f"r = {r!r}: must be finite")
     xi, zeta = m.xi.values, m.zeta.values
     n = m.grid.n
     var_f = float(xi[0, 0])

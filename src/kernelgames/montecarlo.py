@@ -241,7 +241,7 @@ def best_response_audit(eq: LinearEquilibrium, game: BasicGame,
     """
     n, info = game.grid.n, eq.info
     c = eq.coefficients
-    Rw = game.payoff.values * game.grid.weights
+    Rw = operator_matrix(game.payoff)
     # E_t[aggregate] + E_t[theta(t)] = its mean + k_t . (x_t - mu_t), where
     # k_t = P_t (Cov[x_t, aggregate] + Cov[x_t, theta(t)])
     cov_x_f = info._block_sum(info.signal_cov * c, axis=1)   # Cov[x, f(t')]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelgames import cli, kernels
+from kernelgames import cli, kernels, montecarlo
 from kernelgames.grid import uniform_grid
 
 
@@ -690,6 +690,51 @@ def test_ignored_flag_is_input_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["design", "--mode", "optimum", "--seed", "3"], "seed",
+                 id="optimum-seed"),
+    pytest.param(["design", "--mode", "cournot", "--r", "0.3"], "r",
+                 id="cournot-r"),
+    pytest.param(["design", "--mode", "diagram", "--lambda", "0.3"], "lambda",
+                 id="diagram-lambda"),
+    pytest.param(_MC + ["--r", "5"], "r", id="aggregate-r"),
+])
+def test_flag_of_another_mode_is_named(capsys, argv, flag):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[0]} {argv[1]} {argv[2]}: unknown keys ['{flag}']\n")
+
+
+_OBJECTIVE_DEFAULTS = {"r": 0.5, "u": 0.0, "v": 1.0, "w": 0.0}
+_MC_CONFIG = {"n": 40, "draws": 1000, "seed": 0, "command": "mc",
+              "generator_id": montecarlo.GENERATOR_ID}
+
+
+# the report's config lists every flag of the mode, defaults filled in
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["design", "--mode", "optimum"],
+                 dict(_OBJECTIVE_DEFAULTS, command="design", mode="optimum"),
+                 id="optimum"),
+    pytest.param(["design", "--mode", "cournot"],
+                 {"lambda": 0.5, "gamma": 2.0, "command": "design",
+                  "mode": "cournot"}, id="cournot"),
+    pytest.param(["design", "--mode", "audit", "--samples", "4", "--n", "10"],
+                 dict(_OBJECTIVE_DEFAULTS, samples=4, seed=0, n=10,
+                      command="design", mode="audit"), id="audit"),
+    pytest.param(["mc", "--check", "aggregate", "--draws", "1000"],
+                 dict(_MC_CONFIG, check="aggregate"), id="aggregate"),
+    pytest.param(["mc", "--check", "duplicate", "--draws", "1000"],
+                 dict(_MC_CONFIG, r=2.0, check="duplicate"), id="duplicate"),
+    pytest.param(["mc", "--check", "bm", "--draws", "1000"],
+                 dict(_MC_CONFIG, check="bm"), id="bm"),
+])
+def test_mode_report_config_lists_every_flag(capsys, argv, config):
+    assert cli.main(argv) in (0, 2)
+    assert json.loads(capsys.readouterr().out)["config"] == config
+    flags, _ = cli._SCHEMA[argv[0]][argv[2]]
+    assert set(config) - {"command", "mode", "check", "generator_id"} == set(flags)
 
 
 # -- the exit-code contract holds for any mutation of a valid config ----------

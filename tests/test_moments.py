@@ -427,6 +427,14 @@ def test_common_state_results_refuse_any_other_state():
         symmetric_moment_identity(mom, -2.0)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_symmetric_identity_refuses_r_that_is_not_finite(r):
+    # a NaN r gave NaN, and r = +-inf gave Sd[f] itself (a -inf denominator)
+    mom = symmetric_moment(0.5, 0.5, uniform_grid(5))
+    with pytest.raises(ValueError, match=r"r = .*: must be finite"):
+        symmetric_moment_identity(mom, r)
+
+
 def test_canonical_signals_need_the_moments_own_state():
     # the exact rule of the solver's theta-block check: no tolerance
     grid = uniform_grid(6)

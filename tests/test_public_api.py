@@ -14,8 +14,8 @@ KEPT = {
 
 
 def _definitions(tree):
-    """Names of the module-level functions and classes, and of the methods
-    of those classes."""
+    """Names of the module-level functions, classes and assigned names, and
+    of the methods of those classes."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (ast.ClassDef, *functions)):
@@ -23,27 +23,44 @@ def _definitions(tree):
         if isinstance(node, ast.ClassDef):
             yield from (item.name for item in node.body
                         if isinstance(item, functions))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _uncalled(private):
+    """The names that ``test_every_*_name_has_a_caller`` finds without one."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+             if not p.name.startswith("test_")]
+    text = "\n".join(p.read_text() for p in modules + bench)
+    defined = [name for p in modules
+               for name in _definitions(ast.parse(p.read_text()))
+               if name.startswith("_") == private and not name.startswith("__")]
+    return sorted(name for name in set(defined) - KEPT
+                  if len(re.findall(rf"\b{name}\b", text)) <= defined.count(name))
 
 
 def test_every_public_name_has_a_caller():
-    """Each public function, method or class of the package is named
-    somewhere besides its own definition: elsewhere in `src/` (the
-    `__init__` exports do not count) or in the bench's non-test modules.
+    """Each public function, method, class or module-level name of the
+    package is named somewhere besides its own definition: elsewhere in
+    `src/` (the `__init__` exports do not count) or in the bench's non-test
+    modules.
 
     Names are matched as whole words in the source text, so a name that is
     also a common word (`n`, `scale`, `norm`) always looks used; the check
     misses those.
     """
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
-             if not p.name.startswith("test_")]
-    text = "\n".join(p.read_text() for p in modules + bench)
-    defined = [name for p in modules for name in _definitions(ast.parse(p.read_text()))
-               if not name.startswith("_")]
-    dead = sorted(
-        name for name in set(defined) - KEPT
-        if len(re.findall(rf"\b{name}\b", text)) <= defined.count(name))
+    dead = _uncalled(private=False)
     assert not dead, f"public names with no caller: {dead}"
+
+
+def test_every_private_name_has_a_caller():
+    """Each `_`-prefixed module-level name (function, class or assigned
+    name) and method of the package, dunders aside, is named somewhere
+    besides its own definition, by the rule of the public check above."""
+    dead = _uncalled(private=True)
+    assert not dead, f"private names with no caller: {dead}"
 
 
 def _cholesky_sites(tree, module):
