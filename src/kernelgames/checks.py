@@ -222,7 +222,7 @@ def _fixed_point_loadings(A: np.ndarray, rhs: np.ndarray,
     else:
         raise NoConvergence(f"fixed-point iteration cap reached: step 100,000 was "
                             f"{step:.3e} > {1e-12 * (1.0 + np.max(np.abs(c))):.1e}")
-    game._require_fixed_point(A, rhs, c)
+    game._require_fixed_point(A, rhs, c, "loadings", NoConvergence)
     return c
 
 
@@ -240,7 +240,7 @@ def check_uniqueness(n_games: int = 20, n: int = 25, starts: int = 5,
             continue
         info = design._random_info(g, rng)
         A, rhs = game._coefficient_system(g, info)
-        ref = game._solve_coefficients(A, rhs)
+        ref = game._solve_fixed_point(A, rhs, "loadings", NoConvergence)
         for _ in range(starts):
             c = _fixed_point_loadings(A, rhs, rng.normal(size=ref.size))
             worst = max(worst, float(np.max(np.abs(c - ref))))
@@ -335,11 +335,11 @@ def check_spectral_suite(n_kernels: int = 50, n_pairs: int = 100,
 
 
 # 9 ------------------------------------------------------------------------
-def check_pettis(n_procs: int = 20, draws: int = 100_000, n: int = 40,
-                 seed: int = 99) -> CheckResult:
+def check_pettis(n_procs: int = 20, draws: int = 100_000, seed: int = 99) -> CheckResult:
     """Aggregation identities: exact covariance-exchange and conditional
     aggregation, stochastic mean/variance of the aggregate."""
     rng = np.random.default_rng(seed)
+    n = 40      # nodes of each sampled process
     grid = uniform_grid(n)
     ok = True
     worst_exact = 0.0
@@ -361,12 +361,12 @@ def check_pettis(n_procs: int = 20, draws: int = 100_000, n: int = 40,
 
 
 # 10 -----------------------------------------------------------------------
-def _bm_fixed_point_oracle(mu, vt, vx, vy, r, s, k, iters=10_000):
+def _bm_fixed_point_oracle(mu, vt, vx, vy, r, s, k):
     """Independent iteration of the matching map for the symmetric example."""
     prec = 1.0 / vt + 1.0 / vx + 1.0 / vy
     g_t, g_x, g_y = (1.0 / vt) / prec, (1.0 / vx) / prec, (1.0 / vy) / prec
     a0 = ax = ay = 0.0
-    for _ in range(iters):
+    for _ in range(10_000):
         t = r * ax + s
         a0 = r * a0 + k + t * g_t * mu
         ax = t * g_x
@@ -435,8 +435,7 @@ def check_bm_example(n: int = 200, draws: int = 50_000,
 
 
 # 11 -----------------------------------------------------------------------
-def check_feasibility_necessity(n_eqs: int = 100, n: int = 40,
-                                seed: int = 314) -> CheckResult:
+def check_feasibility_necessity(n_eqs: int = 100, seed: int = 314) -> CheckResult:
     """Every solver-produced equilibrium moment passes obedience, positivity
     and all three bounds."""
     rng = np.random.default_rng(seed)
@@ -444,7 +443,7 @@ def check_feasibility_necessity(n_eqs: int = 100, n: int = 40,
     worst_obed = 0.0
     worst_slack = math.inf
     rs = (-2.0, 0.0, 0.5, 0.9)
-    grid = uniform_grid(n)
+    grid = uniform_grid(40)
     games = [game.common_state_game(grid, constant_kernel(grid, r), 0.0, 1.0)
              for r in rs]
     for i in range(n_eqs):

@@ -130,8 +130,13 @@ def _scan_buffers(size):
     return bufs
 
 
-def _scan_kernel_py(r, a, b, points):
-    """First maximum (j, v) of V_tg over m = j / (points - 1).
+_scan_kernel_jit = None  # no compiled scan; perfbench/run.py reports the backend from it
+
+
+def targeted_grid_scan(r: float, obj: DesignObjective,
+                       points: int = 1_000_000) -> tuple:
+    """Exact scan of V_tg over an equispaced m grid; returns (m, value) at
+    the first grid maximum; ``points`` must be an integer >= 2.
 
     Chunks go in scan order, skipping each whose ``_chunk_bound`` is at most
     the best value so far (only a larger value replaces it).  The others are
@@ -140,11 +145,14 @@ def _scan_kernel_py(r, a, b, points):
     (a*m - b*m*m) / ((1 - r*m)**2), so the result is bit-identical to
     ``np.argmax`` over the whole grid.
     """
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"points = {points!r}: the scan needs an integer >= 2")
+    a, b = _alpha_beta(r, obj)
+    r, a, b, points = float(r), float(a), float(b), int(points)
     step = 1.0 / (points - 1)
     size = min(_SCAN_CHUNK, points)
     base, m_buf, v_buf, d_buf = _scan_buffers(size)
-    best_v = -math.inf
-    best_j = 0
+    best_j, best_v = 0, -math.inf
     for start in range(0, points, size):
         k = min(size, points - start)
         if _chunk_bound(r, a, b, start * step, (start + k - 1) * step) <= best_v:
@@ -164,23 +172,7 @@ def _scan_kernel_py(r, a, b, points):
         if v[j] > best_v:
             best_v = float(v[j])
             best_j = start + j
-    return best_j, best_v
-
-
-_scan_kernel_jit = None  # no compiled scan; perfbench/run.py reports the backend from it
-
-
-def targeted_grid_scan(r: float, obj: DesignObjective,
-                       points: int = 1_000_000) -> tuple:
-    """Exact scan of V_tg over an equispaced m grid; returns (m, value) at
-    the first grid maximum, bit-identical to evaluating every point, while
-    skipping each chunk whose bound cannot beat the best value so far;
-    ``points`` must be an integer >= 2."""
-    if not isinstance(points, numbers.Integral) or points < 2:
-        raise ValueError(f"points = {points!r}: the scan needs an integer >= 2")
-    a, b = _alpha_beta(r, obj)
-    j, best_v = _scan_kernel_py(float(r), float(a), float(b), int(points))
-    return j / (points - 1), float(best_v)
+    return best_j / (points - 1), best_v
 
 
 def targeted_equilibrium_moment(members, r: float,

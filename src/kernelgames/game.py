@@ -11,7 +11,7 @@ one ``EquilibriumMoment`` (xi, Z, Sigma) built in the solve.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,13 +65,36 @@ def _require_cov(cov, name: str) -> None:
                          f"{min_eig:.3e} < -tol {psd_tol(cov):.1e})")
 
 
-#: the mean equation (I - A) b = E[theta] holds within MEAN_TOL (1 + max|b|)
-MEAN_TOL = 1e-8
+#: a fixed point x = A x + rhs (the mean equation, the loadings, the symmetric
+#: example's matching system) holds within FIXED_POINT_TOL (1 + max|x|)
+FIXED_POINT_TOL = 1e-8
 
 
-def _mean_residuals(A: np.ndarray, b: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """|b - A b - mu| at each node, for the payoff's operator matrix A."""
-    return np.abs(b - A @ b - mu)
+def _fixed_point_residuals(A: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|x - A x - rhs| at each coordinate."""
+    return np.abs(x - A @ x - rhs)
+
+
+def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+                         what: str, error: type) -> None:
+    """``error`` naming ``what`` unless x = A x + rhs within
+    FIXED_POINT_TOL (1 + max|x|)."""
+    res = np.max(_fixed_point_residuals(A, rhs, x))
+    tol = relative_tol(FIXED_POINT_TOL, x)
+    if res > tol:
+        raise error(f"{what} residual {res:.3e} above tolerance {tol:.1e}")
+
+
+def _solve_fixed_point(A: np.ndarray, rhs: np.ndarray, what: str,
+                       error: type) -> np.ndarray:
+    """The one dense solve of x = A x + rhs, checked by ``_require_fixed_point``;
+    ``error`` naming ``what`` if I - A is singular in floating point."""
+    try:
+        x = np.linalg.solve(np.eye(rhs.size) - A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} matrix I - A is singular in floating point") from exc
+    _require_fixed_point(A, rhs, x, what, error)
+    return x
 
 
 @dataclass(frozen=True)
@@ -96,23 +119,14 @@ class BasicGame:
         """``solve_mean``'s result, solved on first use and kept (the arrays
         it reads are read-only); a singular game keeps nothing and raises on
         every call."""
-        A = operator_matrix(self.payoff)
         eigs = eigenvalues(self.payoff)
         if _is_one(eigs):
             lam = eigs[np.argmin(np.abs(eigs - 1.0))]
             raise SingularMeanEquation(f"payoff operator has eigenvalue {lam:.6g}, "
                                        f"within {REAL_EIG_CUTOFF * (1 + abs(lam)):.1e} of 1")
-        mu = self.state_mean.values
-        try:
-            phi = np.linalg.solve(np.eye(self.grid.n) - A, mu)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMeanEquation("mean equation matrix I - A is singular "
-                                       "in floating point") from exc
-        res, tol = np.max(_mean_residuals(A, phi, mu)), relative_tol(MEAN_TOL, phi)
-        if res > tol:
-            raise SingularMeanEquation(f"mean equation residual {res:.3e} above "
-                                       f"tolerance {tol:.1e}")
-        return self.grid.function(phi)
+        return self.grid.function(_solve_fixed_point(
+            operator_matrix(self.payoff), self.state_mean.values, "mean equation",
+            SingularMeanEquation))
 
 
 def common_state_game(grid: MeasureGrid, payoff: Kernel,
@@ -369,28 +383,6 @@ def _coefficient_system(game: BasicGame, info: GaussianInfo):
     return A, rhs
 
 
-#: equilibrium loadings solve c = A c + rhs within COEFFICIENT_TOL (1 + max|c|)
-COEFFICIENT_TOL = 1e-8
-
-
-def _require_fixed_point(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> None:
-    """NoConvergence unless c = A c + rhs within COEFFICIENT_TOL (1 + max|c|)."""
-    res = np.max(np.abs(c - (A @ c + rhs)), initial=0.0)
-    if res > relative_tol(COEFFICIENT_TOL, c):
-        raise NoConvergence(f"coefficient fixed point residual {res:.3e} above "
-                            f"tolerance {relative_tol(COEFFICIENT_TOL, c):.1e}")
-
-
-def _solve_coefficients(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The one dense solve of c = A c + rhs, checked by ``_require_fixed_point``."""
-    try:
-        c = np.linalg.solve(np.eye(rhs.size) - A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"direct coefficient solve failed: {exc}") from exc
-    _require_fixed_point(A, rhs, c)
-    return c
-
-
 def _package_equilibrium(game, info, c: np.ndarray, b: np.ndarray) -> LinearEquilibrium:
     # Cov[f(s), x] summed over node s's block, then against each block of x
     cov_fx = info._block_sum(c[:, None] * info.signal_cov, axis=0)
@@ -425,14 +417,15 @@ def solve_linear_equilibrium(game: BasicGame, info: GaussianInfo) -> LinearEquil
     if not _same_state(info.state_cov, game.state_cov):
         raise ValueError("information structure theta block does not match the game")
 
-    c = _solve_coefficients(*_coefficient_system(game, info))
+    c = _solve_fixed_point(*_coefficient_system(game, info), "loadings", NoConvergence)
     return _package_equilibrium(game, info, c, solve_mean(game).values)
 
 
 def _require_r(r: float) -> None:
     """ValueError unless the interaction r is finite and below 1, so that
     1 - r m > 0 for every mass m in [0, 1]."""
-    if not (math.isfinite(r) and r < 1.0):
+    # compares an int exactly, where math.isfinite(10**400) overflows
+    if not (abs(r) <= sys.float_info.max and r < 1.0):
         raise ValueError(f"r = {r!r}: must be finite and below 1")
 
 
@@ -455,7 +448,7 @@ def second_moment_residuals(A: np.ndarray, xi: np.ndarray,
 @dataclass(frozen=True)
 class MomentReport:
     """Residuals of the two moment restrictions, each with its tolerance
-    MEAN_TOL (1 + max|b|) and OBEDIENCE_TOL (1 + max|xi|)."""
+    FIXED_POINT_TOL (1 + max|b|) and OBEDIENCE_TOL (1 + max|xi|)."""
 
     moment1_residuals: np.ndarray
     moment2_residuals: np.ndarray
@@ -479,7 +472,7 @@ def verify_moment_restrictions(eq: LinearEquilibrium,
         raise ValueError("equilibrium and game grids differ")
     b, xi = eq.induced_mean.values, eq.moment.xi.values
     A = operator_matrix(game.payoff)
-    res1 = _mean_residuals(A, b, game.state_mean.values)
+    res1 = _fixed_point_residuals(A, game.state_mean.values, b)
     res2 = second_moment_residuals(A, xi, eq.moment.zeta.values)
-    return MomentReport(res1, res2, relative_tol(MEAN_TOL, b),
+    return MomentReport(res1, res2, relative_tol(FIXED_POINT_TOL, b),
                         relative_tol(OBEDIENCE_TOL, xi))

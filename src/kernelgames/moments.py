@@ -57,6 +57,8 @@ class DesignObjective:
         if not all(abs(x) <= sys.float_info.max for x in (self.u, self.v, self.w)):
             raise ValueError(f"objective weights (u, v, w) = ({self.u!r}, "
                              f"{self.v!r}, {self.w!r}) must be finite")
+        for name in ("u", "v", "w"):    # floats, so alpha and beta overflow to inf
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def alpha(self) -> float:
@@ -204,7 +206,7 @@ def symmetric_moment_identity(m: EquilibriumMoment, r: float) -> float:
     Sd[f] = Corr[f, theta] / (1 - r Corr[f, f']) * Sd[theta],
     evaluated at a representative node pair.  Any finite r is valid.
     """
-    if not -np.inf < r < np.inf:
+    if not abs(r) <= sys.float_info.max:
         raise ValueError(f"r = {r!r}: must be finite")
     xi, zeta = m.xi.values, m.zeta.values
     n = m.grid.n

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRealEigenvalueAtLeastOne, SingularMeanEquation
+from .errors import NoConvergence, NoRealEigenvalueAtLeastOne, SingularMeanEquation
 from .game import BasicGame, GaussianInfo, LinearEquilibrium, \
     _nonzero_eigenvalues, _require_cov, _require_r, _require_symmetric, \
-    _sym_pinv, relative_tol, solve_mean, _package_equilibrium
+    _solve_fixed_point, _sym_pinv, relative_tol, solve_mean, _package_equilibrium
 from .grid import MeasureGrid
 from .kernels import _at_least_one, _real_mask, operator_matrix
 
@@ -365,9 +365,9 @@ def bm_example_equilibrium(mu_theta: float, var_theta: float, var_x: float,
     """Symmetric continuum LQG game: a_i = r E_i[A] + s E_i[theta] + k, with
     x_i = theta + eps_i (variance var_x) and public y = theta + eta (var_y).
 
-    Solves the three-coefficient matching system for a_i = a0 + ax x_i + ay y
-    and returns the coefficients plus the volatility V = Cov[a_i, a_j] and the
-    dispersion D = Var[a_i] - Cov[a_i, a_j].
+    Solves the three-coefficient matching system a = A a + rhs for
+    a_i = a0 + ax x_i + ay y and returns the coefficients plus the volatility
+    V = Cov[a_i, a_j] and the dispersion D = Var[a_i] - Cov[a_i, a_j].
     """
     _require_r(r)
     if var_theta <= 0 or var_x <= 0 or var_y <= 0:
@@ -379,13 +379,11 @@ def bm_example_equilibrium(mu_theta: float, var_theta: float, var_x: float,
     g_y = (1.0 / var_y) / prec
     # matching: a0 = r a0 + k + (r ax + s) g_t mu;  ax = (r ax + s) g_x;
     #           ay = (r ax + s) g_y + r ay
-    M = np.array([
-        [1.0 - r, -r * g_t * mu_theta, 0.0],
-        [0.0, 1.0 - r * g_x, 0.0],
-        [0.0, -r * g_y, 1.0 - r],
-    ])
+    A = np.array([[r, r * g_t * mu_theta, 0.0],
+                  [0.0, r * g_x, 0.0],
+                  [0.0, r * g_y, r]])
     rhs = np.array([k + s * g_t * mu_theta, s * g_x, s * g_y])
-    a0, ax, ay = np.linalg.solve(M, rhs)
+    a0, ax, ay = _solve_fixed_point(A, rhs, "matching system", NoConvergence)
     V = (ax + ay) ** 2 * var_theta + ay ** 2 * var_y
     D = ax ** 2 * var_x
     return BMEquilibrium(float(a0), float(ax), float(ay), float(V), float(D))

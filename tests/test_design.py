@@ -246,6 +246,8 @@ def test_concurrent_scans_in_two_threads_use_their_own_buffers():
     (0.5, (0.0, 1e308, 1e308), "alpha = v + w is inf"),
     (-1e300, (0.0, 0.0, 1e10), "beta = r w - u is -inf"),
     (0.5, (1e308, 1e308, 0.0), "1 + |alpha| + |beta| is inf"),
+    # int weights sum exactly to an int beyond the float range
+    (0.5, (0, 10**308, 10**308), "alpha = v + w is inf"),
 ])
 def test_design_refuses_alpha_or_beta_that_overflows(r, weights, message):
     # each read as 'boundary' with v* = 0; alpha = inf raised a RuntimeWarning
@@ -260,7 +262,7 @@ def test_design_refuses_alpha_or_beta_that_overflows(r, weights, message):
             call()
 
 
-@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1.0, 2.0])
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1.0, 2.0, 10**400])
 def test_design_refuses_r_that_is_not_finite_and_below_one(r):
     # nan scanned to (0.0, -inf) and was classified T3 with v* = nan; -inf
     # raised a RuntimeWarning inside the scan

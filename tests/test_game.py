@@ -72,21 +72,30 @@ def test_solve_mean_singular_at_eigenvalue_one():
 
 
 def test_mean_residual_error_names_residual_and_tolerance(monkeypatch):
+    # one rule refuses both systems: the mean equation and the loadings
     g = uniform_grid(10)
     values = np.random.default_rng(5).uniform(-0.9, 0.9, size=(10, 10))
     game = common_state_game(g, Kernel(g, values), 1.0, 1.0)
-    monkeypatch.setattr(game_module, "MEAN_TOL", 0.0)
+    monkeypatch.setattr(game_module, "FIXED_POINT_TOL", 0.0)
     with pytest.raises(SingularMeanEquation, match=r"mean equation residual "
                        r"\d\.\d{3}e-\d\d above tolerance 0\.0e\+00"):
         solve_mean(game)
+    with pytest.raises(NoConvergence, match=r"loadings residual "
+                       r"\d\.\d{3}e-\d\d above tolerance 0\.0e\+00"):
+        solve_linear_equilibrium(game, private_iid_info(game, 0.5))
 
 
 def test_solve_mean_singular_in_floating_point():
     # no eigenvalue of A is 1, but 1 + 1e17 rounds I - A to a singular matrix
     g = uniform_grid(10)
     game = common_state_game(g, constant_kernel(g, -1e18), 0.0, 1.0)
-    with pytest.raises(SingularMeanEquation, match="singular in floating point"):
+    with pytest.raises(SingularMeanEquation, match="^mean equation matrix I - A "
+                       "is singular in floating point$"):
         solve_mean(game)
+    # the loadings' I - A under full information rounds the same way
+    with pytest.raises(NoConvergence, match="^loadings matrix I - A is singular "
+                       "in floating point$"):
+        solve_linear_equilibrium(game, full_info(game))
 
 
 def test_solve_mean_is_solved_once_per_game():
@@ -178,7 +187,8 @@ def test_fixed_point_errors_name_the_step_and_the_residual():
                               np.array([1.0, -1.0]))
     with pytest.raises(NoConvergence, match=r"residual 1\.000e\+00 above "
                        r"tolerance 1\.0e-08"):
-        game_module._require_fixed_point(np.zeros((2, 2)), np.ones(2), np.zeros(2))
+        game_module._require_fixed_point(np.zeros((2, 2)), np.ones(2), np.zeros(2),
+                                         "loadings", NoConvergence)
 
 
 def test_direct_and_fixed_point_agree_under_r1():

@@ -427,9 +427,10 @@ def test_common_state_results_refuse_any_other_state():
         symmetric_moment_identity(mom, -2.0)
 
 
-@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 10**400])
 def test_symmetric_identity_refuses_r_that_is_not_finite(r):
-    # a NaN r gave NaN, and r = +-inf gave Sd[f] itself (a -inf denominator)
+    # a NaN r gave NaN, and r = +-inf gave Sd[f] itself (a -inf denominator);
+    # an int beyond the float range overflowed in the arithmetic
     mom = symmetric_moment(0.5, 0.5, uniform_grid(5))
     with pytest.raises(ValueError, match=r"r = .*: must be finite"):
         symmetric_moment_identity(mom, r)

@@ -63,27 +63,32 @@ def test_every_private_name_has_a_caller():
     assert not dead, f"private names with no caller: {dead}"
 
 
-def _cholesky_sites(tree, module):
-    """(module, enclosing function) of each use of a name `cholesky`: an
-    attribute such as `np.linalg.cholesky`, a bare name or an import."""
-    def visit(node, where):
+def _sites(name):
+    """(module, enclosing function) of each use of ``name`` in the package:
+    an attribute such as `np.linalg.cholesky`, a bare name or an import."""
+    def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "cholesky"
-                or isinstance(node, ast.Name) and node.id == "cholesky"
-                or isinstance(node, ast.alias) and node.name == "cholesky"):
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.alias) and node.name == name):
             yield module, where
         for child in ast.iter_child_nodes(node):
-            yield from visit(child, where)
-    yield from visit(tree, None)
+            yield from visit(child, module, where)
+    return [site for p in sorted(PACKAGE.glob("*.py"))
+            for site in visit(ast.parse(p.read_text()), p.stem, None)]
 
 
 def test_one_cholesky_call_site():
     """The library's one PSD verdict is `kernels.psd_within`: no other code
     in `src/` factors a matrix by Cholesky to decide positivity."""
-    sites = [site for p in sorted(PACKAGE.glob("*.py"))
-             for site in _cholesky_sites(ast.parse(p.read_text()), p.stem)]
-    assert sites == [("kernels", "psd_within")]
+    assert _sites("cholesky") == [("kernels", "psd_within")]
+
+
+def test_one_solve_call_site():
+    """Every linear system of the library is a fixed point x = A x + rhs,
+    solved and checked by `game._solve_fixed_point` alone."""
+    assert _sites("solve") == [("game", "_solve_fixed_point")]
 
 
 def _folded(node):
