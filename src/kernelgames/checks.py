@@ -393,7 +393,7 @@ def _bm_discretized(n, mu, vt, vx, vy, r, s, k):
     return g, info
 
 
-def check_bm_example(n: int = 200, draws: int = 50_000,
+def check_bm_example(n: int = 200, draws: int = 100_000,
                      seed: int = 55) -> CheckResult:
     """Symmetric LQG example: closed form, fixed-point oracle, discretized
     solve, moment restrictions, and the standard-deviation identity."""

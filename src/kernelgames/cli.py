@@ -140,19 +140,72 @@ def _file_kernel(grid, path):
     K = (Kernel.from_json(path) if path.endswith(".json")
          else Kernel.from_csv(path, grid))
     if not K.grid.same_nodes(grid):
-        raise ConfigError(f"kernel file {path!r} is not on the config's grid")
+        raise ValueError(f"kernel file {path!r} is not on the config's grid")
     return K
 
 
 def _targeted_moment(grid, r, m, members):
     if (m is None) == (members is None):
-        raise ConfigError("targeted moment takes exactly one of 'm' and "
-                          "'members'")
+        raise ValueError("targeted moment takes exactly one of 'm' and "
+                         "'members'")
     if m is not None:
         if not 0.0 <= m <= 1.0:
-            raise ConfigError("targeted moment 'm' must lie in [0, 1]")
+            raise ValueError("targeted moment 'm' must lie in [0, 1]")
         members = np.arange(int(round(m * grid.n)))
     return design.targeted_equilibrium_moment(members, r, grid)
+
+
+# ---------------------------------------------------------------------------
+# the config commands: each parses its nested sections and returns (report,
+# verdict); the report's `config` holds each section resolved
+
+def _spectral(grid, kernel):
+    grid, _ = _parse("grid", grid)
+    K, kernel = _parse("kernel", kernel, grid)
+    return {"config": {"grid": grid._payload(), "kernel": kernel},
+            "report": kernels.spectral_report(K).as_dict()}, True
+
+
+def _equilibrium(grid, payoff, state, info):
+    grid, _ = _parse("grid", grid)
+    payoff, payoff_cfg = _parse("kernel", payoff, grid, where="payoff")
+    g, state = _parse("state", state, grid, payoff)
+    info, info_cfg = _parse("info", info, g)
+    eq = game.solve_linear_equilibrium(g, info)
+    mrep = game.verify_moment_restrictions(eq, g)
+    return {
+        "config": {"grid": grid._payload(), "payoff": payoff_cfg,
+                   "state": state, "info": info_cfg},
+        "intercepts": eq.intercepts.values.tolist(),
+        "loadings": [c.tolist() for c in eq.loadings],
+        "induced_mean": eq.induced_mean.values.tolist(),
+        "action_cov": eq.moment.xi.values.tolist(),
+        "action_state_cov": eq.moment.zeta.values.tolist(),
+        "moment_residual": mrep.max_residual,
+        "mean_residual": float(mrep.moment1_residuals.max()),
+        "mean_tol": mrep.moment1_tol,
+        "obedience_residual": float(mrep.moment2_residuals.max()),
+        "obedience_tol": mrep.moment2_tol,
+        "moment_check_passed": mrep.passed,
+    }, mrep.passed
+
+
+def _moments(grid, r, moment):
+    grid, _ = _parse("grid", grid)
+    mom, moment = _parse("moment", moment, grid, r)
+    rep = moments.bounds_check(mom, r)
+    # the bounds are theorems about feasible moments; report them only for one
+    bounds = {"cauchy_slack": rep.cauchy_slack, "diag_slack": rep.diag_slack,
+              "ceiling_slack": rep.ceiling_slack, "tol": rep.tol,
+              "passed": rep.passed} if rep.feasible else None
+    return {
+        "config": {"grid": grid._payload(), "r": r, "moment": moment},
+        "obedience_residual": rep.obedience_residual,
+        "obedience_tol": rep.obedience_tol,
+        "positivity_ok": rep.positivity_ok,
+        "bounds": bounds,
+        "passed": rep.passed,
+    }, rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +287,12 @@ _DRAWS = {"draws": (_draws, 100_000), "seed": (_integer, 0)}
 #: and their keys are flags, which argparse parses as their default's type.
 _SCHEMA = {
     "spectral": {None: ({"grid": (_object, ...), "kernel": (_object, ...)},
-                        dict)},
+                        _spectral)},
     "equilibrium": {None: ({"grid": (_object, ...), "payoff": (_object, ...),
                             "state": (_object, ...), "info": (_object, ...)},
-                           dict)},
+                           _equilibrium)},
     "moments": {None: ({"grid": (_object, ...), "r": (_number, ...),
-                        "moment": (_object, ...)}, dict)},
+                        "moment": (_object, ...)}, _moments)},
     "grid": {
         "uniform": ({"n": (_node_count, ...), "a": (_number, 0.0),
                      "b": (_number, 1.0)}, uniform_grid),
@@ -328,24 +381,10 @@ def _parse(section: str, cfg, *context, where: str = None,
                 if v is not None}
     try:
         return build(*context, **values), resolved
+    except ConfigError:     # a nested section's, which names that section
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-
-
-def _load_config(args) -> dict:
-    """The command's top-level config section, checked against the schema."""
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {args.config}: {exc}") from exc
-    return _parse(args.command, cfg, where=args.config)[0]
-
-
-def _grid_config(grid: MeasureGrid) -> dict:
-    return {"coords": grid.coords.tolist(), "weights": grid.weights.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -412,67 +451,18 @@ def _emit_csv(rows, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_spectral(args) -> int:
-    cfg = _load_config(args)
-    grid, _ = _parse("grid", cfg["grid"])
-    K, kernel = _parse("kernel", cfg["kernel"], grid)
-    report = kernels.spectral_report(K)
-    resolved = dict(cfg, command="spectral", grid=_grid_config(grid),
-                    kernel=kernel)
-    return _emit({"config": resolved, "report": report.as_dict()}, args.out)
-
-
-def _cmd_equilibrium(args) -> int:
-    cfg = _load_config(args)
-    grid, _ = _parse("grid", cfg["grid"])
-    payoff, payoff_cfg = _parse("kernel", cfg["payoff"], grid, where="payoff")
-    g, state = _parse("state", cfg["state"], grid, payoff)
-    info, info_cfg = _parse("info", cfg["info"], g)
-    eq = game.solve_linear_equilibrium(g, info)
-    mrep = game.verify_moment_restrictions(eq, g)
-    resolved = {"command": "equilibrium", "grid": _grid_config(grid),
-                "payoff": payoff_cfg, "state": state, "info": info_cfg}
-    payload = {
-        "config": resolved,
-        "intercepts": eq.intercepts.values.tolist(),
-        "loadings": [c.tolist() for c in eq.loadings],
-        "induced_mean": eq.induced_mean.values.tolist(),
-        "action_cov": eq.moment.xi.values.tolist(),
-        "action_state_cov": eq.moment.zeta.values.tolist(),
-        "moment_residual": mrep.max_residual,
-        "mean_residual": float(mrep.moment1_residuals.max()),
-        "mean_tol": mrep.moment1_tol,
-        "obedience_residual": float(mrep.moment2_residuals.max()),
-        "obedience_tol": mrep.moment2_tol,
-        "moment_check_passed": mrep.passed,
-    }
-    return _emit(payload, args.out, mrep.passed)
-
-
-def _cmd_moments(args) -> int:
-    cfg = _load_config(args)
-    grid, _ = _parse("grid", cfg["grid"])
-    r = cfg["r"]
-    mom, moment = _parse("moment", cfg["moment"], grid, r)
-    rep = moments.bounds_check(mom, r)
-    # the bounds are theorems about feasible moments; report them only for one
-    bounds = None
-    if rep.feasible:
-        bounds = {"cauchy_slack": rep.cauchy_slack,
-                  "diag_slack": rep.diag_slack,
-                  "ceiling_slack": rep.ceiling_slack,
-                  "tol": rep.tol, "passed": rep.passed}
-    resolved = {"command": "moments", "grid": _grid_config(grid), "r": r,
-                "moment": moment}
-    payload = {
-        "config": resolved,
-        "obedience_residual": rep.obedience_residual,
-        "obedience_tol": rep.obedience_tol,
-        "positivity_ok": rep.positivity_ok,
-        "bounds": bounds,
-        "passed": rep.passed,
-    }
-    return _emit(payload, args.out, rep.passed)
+def _cmd_config(args) -> int:
+    """Run the command whose top-level config section ``--config`` holds."""
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {args.config}: {exc}") from exc
+    (payload, passed), _ = _parse(args.command, cfg, where=args.config)
+    payload["config"]["command"] = args.command
+    return _emit(payload, args.out, passed)
 
 
 def _cmd_mode(args, selector: str, **extra) -> int:
@@ -480,7 +470,7 @@ def _cmd_mode(args, selector: str, **extra) -> int:
     ``extra`` joins the report's config."""
     mode = getattr(args, selector)
     given = {key: value for key, value in vars(args).items()
-             if key not in ("command", "out", selector)}
+             if key not in ("command", "run", "out", selector)}
     body, config = _parse(args.command, dict(given, kind=mode),
                           where=f"{args.command} --{selector} {mode}",
                           flags=True)
@@ -534,8 +524,9 @@ def _build_parser() -> _Parser:
                                  "design, and stochastic verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, flags, summary, selector=None):
+    def subcommand(name, flags, summary, run, selector=None):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(run=run)
         for flag in flags:
             p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
         if selector:
@@ -550,30 +541,24 @@ def _build_parser() -> _Parser:
         return p
 
     subcommand("spectral", ("config", "out"),
-               "spectral report for a kernel on a grid")
+               "spectral report for a kernel on a grid", _cmd_config)
     subcommand("equilibrium", ("config", "out"),
-               "solve and verify a linear equilibrium")
+               "solve and verify a linear equilibrium", _cmd_config)
     subcommand("moments", ("config", "out"),
-               "obedience, positivity and bounds for a moment")
-    subcommand("design", ("out",), "optimal disclosure analysis", "mode")
-    subcommand("mc", ("out",), "seeded stochastic verification", "check")
+               "obedience, positivity and bounds for a moment", _cmd_config)
+    subcommand("design", ("out",), "optimal disclosure analysis",
+               lambda args: _cmd_mode(args, "mode"), "mode")
+    subcommand("mc", ("out",), "seeded stochastic verification",
+               lambda args: _cmd_mode(args, "check",
+                                      generator_id=montecarlo.GENERATOR_ID),
+               "check")
     p = subcommand("reproduce-all", (),
-                   "run every verification battery, write a manifest")
+                   "run every verification battery, write a manifest",
+                   _cmd_reproduce_all)
     p.add_argument("--outdir", default="reproduction")
     p.add_argument("--quick", action="store_true",
                    help="reduced sample counts for a fast smoke run")
     return parser
-
-
-_DISPATCH = {
-    "spectral": _cmd_spectral,
-    "equilibrium": _cmd_equilibrium,
-    "moments": _cmd_moments,
-    "design": lambda args: _cmd_mode(args, "mode"),
-    "mc": lambda args: _cmd_mode(args, "check",
-                                 generator_id=montecarlo.GENERATOR_ID),
-    "reproduce-all": _cmd_reproduce_all,
-}
 
 
 def main(argv=None) -> int:
@@ -582,7 +567,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # a FloatingPointError is one error line, not a warning before one
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _DISPATCH[args.command](args)
+            return args.run(args)
     except (ValueError, ArithmeticError, KernelGamesError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

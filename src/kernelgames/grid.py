@@ -110,6 +110,10 @@ class MeasureGrid:
             and np.array_equal(self.weights, other.weights)
         )
 
+    def _payload(self) -> dict:
+        """The grid's JSON form, which ``_from_payload`` reads."""
+        return {"coords": self.coords.tolist(), "weights": self.weights.tolist()}
+
     @classmethod
     def _from_payload(cls, payload) -> "MeasureGrid":
         if not isinstance(payload, dict) or set(payload) != {"coords", "weights"}:

@@ -55,13 +55,9 @@ class Kernel:
         return cls(grid, rows)
 
     def to_json(self, path) -> None:
-        payload = {
-            "grid": {"coords": self.grid.coords.tolist(),
-                     "weights": self.grid.weights.tolist()},
-            "values": self.values.tolist(),
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            json.dump({"grid": self.grid._payload(),
+                       "values": self.values.tolist()}, fh)
 
     @classmethod
     def from_json(cls, path) -> "Kernel":
@@ -176,8 +172,8 @@ def _at_least_one(values, K: Kernel) -> bool:
     (1 + |x|); ValueError at or below the rounding n^2 eps max|W^1/2 K W^1/2|."""
     x = float(np.max(values, initial=0.0))
     counts = x >= 1.0 - REAL_EIG_CUTOFF * (1.0 + abs(x))
-    floor = K.grid.n ** 2 * np.finfo(float).eps * np.abs(_weighted_symmetrized(K)).max()
-    if counts and x <= floor:
+    if counts and x <= (floor := K.grid.n ** 2 * np.finfo(float).eps
+                        * np.abs(_weighted_symmetrized(K)).max()):
         raise ValueError(f"spectral value {x:.3e} lies below the rounding "
                          f"floor {floor:.3e}; rounding decides if it is >= 1")
     return counts

@@ -3,19 +3,18 @@ statistics, so a refactor that moves any battery's numbers shows up here.
 
 ``battery_stats_quick.json`` holds ``CheckResult.as_dict()`` of
 ``checks.run_all(quick=True)``; ``battery_stats_full.json`` holds the same
-for the eleven full-scale runs of ``test_acceptance.py``, which compares
-each result with it through :func:`assert_matches`.  Booleans, integers and
-strings must match exactly; floats within 1e-9 * (1 + |recorded|), which
-absorbs the rounding differences between BLAS thread counts.  A change that
-moves a statistic on purpose regenerates the file (from the repository root)
-and says why:
+for ``checks.run_all(quick=False)``, every battery at its defaults, whose
+results ``test_acceptance.py`` compares with it through :func:`assert_matches`.
+Booleans, integers and strings must match exactly; floats within
+1e-9 * (1 + |recorded|), which absorbs the rounding differences between BLAS
+thread counts.  A change that moves a statistic on purpose regenerates the
+file (from the repository root) and says why:
 
     PYTHONPATH=src python3 -c "import json; from kernelgames import checks; \
 print(json.dumps([r.as_dict() for r in checks.run_all(quick=True)[0]], \
 indent=1))" > tests/battery_stats_quick.json
 
-The full file is the list, in test order, of ``res.as_dict()`` for the
-keyword arguments each ``test_acceptance.py`` test passes to ``_run``.
+and the full file the same way, with ``quick=False``.
 """
 
 import json

@@ -61,6 +61,52 @@ def test_unknown_flag_is_input_error(capsys):
     assert cli.main(["design", "--mode", "optimum", "--bogus", "1"]) == 1
 
 
+# -- every command names its runner; a config command is a schema section ----
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--config", "cfg.json"], ["equilibrium", "--config", "cfg.json"],
+    ["moments", "--config", "cfg.json"], ["design", "--mode", "optimum"],
+    ["mc", "--check", "bm"], ["reproduce-all"]])
+def test_each_command_carries_its_runner(argv):
+    assert callable(cli._build_parser().parse_args(argv).run)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("spectral", {"grid": _GRID, "kernel": _CONST}),
+    ("equilibrium", {"grid": _GRID, "payoff": _CONST, "state": _STATE,
+                     "info": {"kind": "full"}}),
+    ("moments", {"grid": _GRID, "r": 0.5,
+                 "moment": {"kind": "targeted", "m": 0.5}}),
+])
+def test_config_command_section_builds_its_report(command, cfg):
+    (report, passed), resolved = cli._parse(command, cfg)
+    assert passed is True and set(report["config"]) == set(cfg)
+    assert report["config"]["grid"] == uniform_grid(6)._payload()
+    assert resolved == cfg
+
+
+# a library error raised while a config command runs names the config file,
+# like every other error of that command
+@pytest.mark.parametrize("command, cfg, start, message", [
+    pytest.param("spectral", {"grid": {"kind": "uniform", "n": 5},
+                              "kernel": {"kind": "constant", "r": -1e20}},
+                 "spectral value ", "lies below the rounding floor 1.110e+05",
+                 id="spectral-rounding-floor"),
+    pytest.param("moments", {"grid": {"kind": "uniform", "n": 2}, "r": 1.5,
+                             "moment": {"kind": "explicit",
+                                        "xi": [[0.1, 0.0], [0.0, 0.1]],
+                                        "zeta": [0.2, 0.2]}},
+                 "r = 1.5: must be finite and below 1", "",
+                 id="moments-explicit-r-above-one"),
+])
+def test_library_error_names_the_config_file(tmp_path, capsys, command, cfg,
+                                             start, message):
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {start}") and message in err
+
+
 # -- spectral ----------------------------------------------------------------
 
 def test_spectral_report_output(tmp_path):
